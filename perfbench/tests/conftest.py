@@ -1,0 +1,12 @@
+"""Put the benchmark modules and the checkout's leadalloc sources on sys.path.
+
+Run from the root of a checkout with ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
