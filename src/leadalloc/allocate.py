@@ -164,15 +164,7 @@ def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEF
     Cells absent from the panel contribute zero tests and zero cases; they
     are already on the panel's gap registry.
     """
-    if window < 1:
-        raise ConfigError(f"window must be at least 1, got {window}")
-    window_years = tuple(range(target_year - window + 1, target_year + 1))
-    missing_years = [y for y in window_years if y not in panel.years]
-    if missing_years:
-        raise ConfigError(
-            f"target year {target_year} with window {window} needs panel years "
-            f"{list(window_years)}; missing {missing_years}"
-        )
+    window_years = _window_years(panel, target_year, window)
     geo_ids = panel.geo_ids
     tests = np.array(
         [_cell(panel, g, target_year, "tests") for g in geo_ids], dtype=float
@@ -199,6 +191,20 @@ def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEF
     )
 
 
+def _window_years(panel: NeighborhoodPanel, target_year: int, window: int) -> tuple[int, ...]:
+    """The trailing window ending at the target year; every year must be in the panel."""
+    if window < 1:
+        raise ConfigError(f"window must be at least 1, got {window}")
+    window_years = tuple(range(target_year - window + 1, target_year + 1))
+    missing_years = [y for y in window_years if y not in panel.years]
+    if missing_years:
+        raise ConfigError(
+            f"target year {target_year} with window {window} needs panel years "
+            f"{list(window_years)}; missing {missing_years}"
+        )
+    return window_years
+
+
 def _cell(panel: NeighborhoodPanel, geo: int, year: int, fieldname: str) -> int:
     rec = panel.record(geo, year)
     return 0 if rec is None else getattr(rec, fieldname)
@@ -209,8 +215,10 @@ def case_rates(panel: NeighborhoodPanel, target_year: int, window: int = DEFAULT
 
     A neighborhood with zero pooled tests gets rate 0: with no testing
     evidence in the window there is no measured detection rate to project.
+    A window reaching years outside the panel raises ConfigError, as in
+    ``compute_shares``.
     """
-    window_years = tuple(range(target_year - window + 1, target_year + 1))
+    window_years = _window_years(panel, target_year, window)
     rates = []
     for geo in panel.geo_ids:
         tests = sum(_cell(panel, geo, y, "tests") for y in window_years)
@@ -295,39 +303,41 @@ class ConstraintViolation:
     message: str
 
 
-def _violations(
-    candidate_share: np.ndarray,
-    candidate_tests: np.ndarray,
-    delta: float,
-    baseline_share: np.ndarray,
-    population: np.ndarray,
-    geo_ids,
-    config: ConstraintConfig,
-) -> list[ConstraintViolation]:
-    out: list[ConstraintViolation] = []
-    floor = config.floor_fraction * baseline_share
-    below = np.flatnonzero(candidate_share < floor)
-    for i in below:
-        out.append(
-            ConstraintViolation(
-                "floor",
-                geo_ids[i],
-                f"share {candidate_share[i]!r} below floor {floor[i]!r}",
-            )
-        )
+def _violations(share, tests, delta, floor, population, config: ConstraintConfig):
+    """Yield ``(kind, index)`` for every violated constraint, in precedence
+    order: each floor breach, then each population-cap breach, then a
+    negative delta (index None).
+
+    This is the one definition of a feasible plan. ``floor`` holds each
+    neighborhood's least allowed share. ``tests`` is a callable returning
+    the plan's test counts; it runs only when the generator gets
+    past the floor, so a caller that stops at the first violation never
+    apportions a candidate the floor already rejects. A share exactly at
+    its floor and a test count exactly at the child population are both
+    feasible.
+    """
+    for i in np.flatnonzero(share < floor):
+        yield "floor", i
     if config.population_cap:
-        over = np.flatnonzero(candidate_tests > population)
-        for i in over:
-            out.append(
-                ConstraintViolation(
-                    "population_cap",
-                    geo_ids[i],
-                    f"{int(candidate_tests[i])} tests exceed population {int(population[i])}",
-                )
-            )
+        for i in np.flatnonzero(tests() > population):
+            yield "population_cap", i
     if config.require_nonnegative_delta and delta < 0.0:
-        out.append(ConstraintViolation("negative_delta", None, f"delta_cases {delta!r} < 0"))
-    return out
+        yield "negative_delta", None
+
+
+def _first_violation(share, total_tests, delta, floor, population, config) -> str | None:
+    """Kind of the first violation of a search candidate, None if feasible.
+
+    The same verdict as ``check_constraints(...)[0].kind``, without building
+    messages, and without apportioning when the floor already fails.
+    """
+    first = next(
+        _violations(
+            share, lambda: finalize_tests(share, total_tests), delta, floor, population, config
+        ),
+        None,
+    )
+    return None if first is None else first[0]
 
 
 def check_constraints(
@@ -341,15 +351,19 @@ def check_constraints(
     at the child population are both feasible.
     """
     pop = population_vector(panel, plan.geo_ids, plan.target_year)
-    return _violations(
-        plan.v2_share,
-        plan.v2_tests,
-        plan.delta_cases,
-        plan.baseline_share,
-        pop,
-        plan.geo_ids,
-        config,
-    )
+    floor = config.floor_fraction * plan.baseline_share
+    out: list[ConstraintViolation] = []
+    for kind, i in _violations(
+        plan.v2_share, lambda: plan.v2_tests, plan.delta_cases, floor, pop, config
+    ):
+        if kind == "floor":
+            message = f"share {plan.v2_share[i]!r} below floor {floor[i]!r}"
+        elif kind == "population_cap":
+            message = f"{int(plan.v2_tests[i])} tests exceed population {int(pop[i])}"
+        else:
+            message = f"delta_cases {plan.delta_cases!r} < 0"
+        out.append(ConstraintViolation(kind, None if i is None else plan.geo_ids[i], message))
+    return out
 
 
 def build_plan(
@@ -402,6 +416,7 @@ def grid_search(
     if rates is None:
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
     population = population_vector(panel, shares.geo_ids, shares.target_year)
+    floor = constraints.floor_fraction * shares.x
     p1_values = grid.p1_values()
     p2_values = grid.p2_values()
 
@@ -414,14 +429,10 @@ def grid_search(
             except InfeasibleWeights as exc:
                 trace.append(TracePoint(p1, p2, None, False, str(exc)))
                 continue
-            candidate_tests = finalize_tests(candidate, total_tests)
             delta = case_difference(total_tests, rates, shares.x, candidate)
-            violations = _violations(
-                candidate, candidate_tests, delta, shares.x, population,
-                shares.geo_ids, constraints,
-            )
-            if violations:
-                trace.append(TracePoint(p1, p2, delta, False, violations[0].kind))
+            kind = _first_violation(candidate, total_tests, delta, floor, population, constraints)
+            if kind is not None:
+                trace.append(TracePoint(p1, p2, delta, False, kind))
                 continue
             trace.append(TracePoint(p1, p2, delta, True, None))
             if best is None or delta > best[0]:

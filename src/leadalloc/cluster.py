@@ -92,9 +92,18 @@ def series_distance(a: SeriesVector, b: SeriesVector) -> float:
 
 
 def _distance_matrix(series: list[SeriesVector]) -> np.ndarray:
+    """Pairwise Euclidean distances, filled one row at a time.
+
+    Each element takes the same subtraction, square, sum over years and
+    square root as a full (n, n, years) broadcast, so the matrix is
+    bit-identical to it, while the working memory stays at one (n, years)
+    block instead of two (n, n, years) arrays.
+    """
     values = np.stack([s.values for s in series])
-    diff = values[:, None, :] - values[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=2))
+    dist = np.empty((len(series), len(series)))
+    for i, row in enumerate(values):
+        dist[i] = np.sqrt(np.sum((row - values) ** 2, axis=1))
+    return dist
 
 
 def _farthest_first_seeds(dist: np.ndarray, k: int) -> list[int]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocate import AllocationPlan
+from .allocate import AllocationPlan, ShareMismatch
 from .cluster import ClusterAssignment
 from .errors import DataError
 from .panel import NeighborhoodPanel
@@ -195,7 +195,17 @@ def evaluate_plan(
     projected case counts rounded half-up to whole cases. A degenerate
     pooled rate (for example, zero projected cases under both plans) is
     reported rather than raised.
+
+    ``rates`` must hold one entry per plan neighborhood, in plan order
+    (ShareMismatch otherwise), and the assignment must label every plan
+    neighborhood (UnassignedGeo otherwise), so a plan read back from another
+    run's artifacts fails rather than being scored against the wrong
+    neighborhoods.
     """
+    if len(rates) != len(plan.geo_ids):
+        raise ShareMismatch(
+            f"{len(rates)} case rates for a plan of {len(plan.geo_ids)} neighborhoods"
+        )
     cases_v1 = round_half_up(plan.projected_cases_v1)
     cases_v2 = round_half_up(plan.projected_cases_v2)
     ztest: ZTestResult | None

@@ -10,6 +10,7 @@ LEADALLOC_NYC_DATA points at it; everything else runs on bundled or
 generated data.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -362,6 +363,31 @@ class TestPipelineDeterminism:
         assert "trace.csv" in names
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# sha256 of every artifact that `run --emit-trace` writes for the bundled
+# fixture. A change that moves any byte must update these and say why.
+FIXTURE_ARTIFACT_SHA256 = {
+    "clusters.csv": "904fcdb86fbeaed571e929831737c54a640364ea33b017d309fece23a8b3e52b",
+    "clusters.json": "f5331ca448840db2046593dd9ca10d843293c594e0ea82d370194ee1ef0d1e2b",
+    "evaluation.json": "0502e1852959d093c32595fbfd7c3a87131b099bbe5296b2a08bda7079d426b7",
+    "evaluation.txt": "60abaa3c56b0b3a06dda44401938712dbbff661051c4ef385c9ae7e245bfd7c2",
+    "normalized.csv": "ba0f67d38e68fa853ff911d823cc42924a88dd4b26335566cf6984602c3472ca",
+    "plan.csv": "066fc69083181ad3fc81ab8d42e474f4eac24cb7c3aba8ba0d693a80c8a1a70d",
+    "plan.json": "10163fe1ca9e1c38898c6de66f63674463525e1e704fcf2197cc5e7b8dd56f56",
+    "trace.csv": "0e7a1417a02cddb8f9ca7647a44303509c5adbbd3381144c562a539a35c49e19",
+    "validation.json": "7a02f573705046a2b2056b789f6f624d7c5c0a3df46b83de6f96834691bc9249",
+}
+
+
+class TestGoldenArtifacts:
+    def test_fixture_run_bytes_are_pinned(self, fixture_path, tmp_path):
+        assert cli_main(["run", "--input", str(fixture_path), "--out", str(tmp_path), "--emit-trace"]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert digests == FIXTURE_ARTIFACT_SHA256
 
 
 class TestApportionment:

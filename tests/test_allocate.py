@@ -23,6 +23,7 @@ from leadalloc.allocate import (
     ShareVectors,
     ZeroCityCases,
     ZeroCityTests,
+    _first_violation,
     build_plan,
     case_difference,
     case_rates,
@@ -31,6 +32,7 @@ from leadalloc.allocate import (
     finalize_tests,
     grid_search,
     grid_values,
+    population_vector,
     read_plan,
     v2_share,
     write_plan,
@@ -137,6 +139,15 @@ class TestCaseRates:
         panel = make_panel([(1, 2021, 0, 0), (2, 2021, 80, 4)])
         rates = case_rates(panel, 2021, window=1)
         assert rates.tolist() == [0.0, 0.05]
+
+    def test_window_outside_panel_rejected(self):
+        years = range(2005, 2022)
+        panel = make_panel([(g, y, 100, 5) for g in (1, 2) for y in years])
+        with pytest.raises(ConfigError, match="missing"):
+            case_rates(panel, 2021, window=40)
+        with pytest.raises(ConfigError, match="missing"):
+            case_rates(panel, 2025, window=1)
+        assert case_rates(panel, 2021, window=17).tolist() == [0.05, 0.05]
 
 
 class TestV2Share:
@@ -290,6 +301,62 @@ class TestCheckConstraints:
     def test_floor_fraction_validated(self):
         with pytest.raises(ConfigError):
             ConstraintConfig(floor_fraction=1.5)
+
+    def test_search_check_agrees_on_random_candidates(self):
+        """The search's first-violation kind equals check_constraints' first
+        kind, including shares exactly at the floor and counts exactly at the
+        population cap."""
+        rng = np.random.default_rng(5)
+        at_floor = at_cap = 0
+        kinds = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            total = int(rng.integers(1, 2000))
+            baseline = rng.dirichlet(np.ones(n))
+            candidate = rng.dirichlet(np.ones(n))
+            config = ConstraintConfig(
+                floor_fraction=float(rng.choice([0.0, 0.25, 0.5, 0.9, 1.0])),
+                population_cap=bool(rng.integers(0, 2)),
+                require_nonnegative_delta=bool(rng.integers(0, 2)),
+            )
+            floor = config.floor_fraction * baseline
+            exact = rng.random(n) < 0.3
+            candidate[exact] = floor[exact]
+            at_floor += int(exact.sum())
+            tests = finalize_tests(candidate, total)
+            populations = np.maximum(tests + rng.integers(-2, 3, size=n), 0)
+            exact = rng.random(n) < 0.3
+            populations[exact] = tests[exact]
+            at_cap += int(np.sum(populations == tests))
+            delta = float(rng.normal())
+            geo_ids = tuple(range(1, n + 1))
+            panel = NeighborhoodPanel.from_records(
+                [
+                    make_record(g, 2021, 50, 1, child_population=int(pop))
+                    for g, pop in zip(geo_ids, populations)
+                ]
+            )
+            plan = AllocationPlan(
+                geo_ids=geo_ids,
+                p1=1.0,
+                p2=1.0,
+                baseline_share=baseline,
+                v2_share=candidate,
+                v1_tests=finalize_tests(baseline, total),
+                v2_tests=tests,
+                total_tests=total,
+                target_year=2021,
+                projected_cases_v1=0.0,
+                projected_cases_v2=delta,
+                delta_cases=delta,
+            )
+            violations = check_constraints(plan, panel, config)
+            population = population_vector(panel, geo_ids, 2021)
+            kind = _first_violation(candidate, total, delta, floor, population, config)
+            assert kind == (violations[0].kind if violations else None)
+            kinds.add(kind)
+        assert kinds == {None, "floor", "population_cap", "negative_delta"}
+        assert at_floor > 100 and at_cap > 100
 
 
 class TestBuildPlan:

@@ -347,6 +347,26 @@ class TestFailureExits:
         assert rc == 2
         assert "error at stage optimize" in capsys.readouterr().err
 
+    def test_evaluate_rejects_plan_of_another_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        other = tmp_path / "city42.csv"
+        with open(other, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["geo_id", "geo_name", "borough", "year", "tests", "cases_5plus",
+                 "cases_10plus", "cases_15plus", "child_population"]
+            )
+            for geo in range(1, 43):
+                for year in range(2010, 2022):
+                    writer.writerow([geo, f"Area {geo}", "Riverside", year, 1000 + geo, 50, 20, 5, 4000])
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error at stage evaluate" in captured.err
+        assert "case difference" not in captured.out
+
     def test_no_feasible_point(self, fixture_path, tmp_path, capsys):
         rc = run_cli(
             "optimize",

@@ -20,6 +20,7 @@ from leadalloc.cluster import (
     KTooLarge,
     LengthMismatch,
     SeriesVector,
+    _distance_matrix,
     build_series,
     cluster_neighborhoods,
     k_medoids,
@@ -89,6 +90,42 @@ class TestSeriesDistance:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             series_distance(flat_series(1, 1.0, 3), flat_series(2, 1.0, 4))
+
+
+def broadcast_distances(series) -> np.ndarray:
+    """Reference pairwise distances through one (n, n, years) broadcast."""
+    values = np.stack([s.values for s in series])
+    diff = values[:, None, :] - values[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=2))
+
+
+class TestDistanceMatrix:
+    def assert_bit_identical(self, series):
+        got = _distance_matrix(series)
+        want = broadcast_distances(series)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_random_series(self):
+        rng = np.random.default_rng(11)
+        for n, length in ((2, 1), (7, 17), (60, 17), (33, 40)):
+            values = rng.lognormal(0.0, 0.6, size=(n, length))
+            self.assert_bit_identical([SeriesVector(g, v) for g, v in enumerate(values)])
+
+    def test_single_series(self):
+        series = [SeriesVector(1, np.array([0.7, 1.3, 2.9]))]
+        self.assert_bit_identical(series)
+        assert _distance_matrix(series).tolist() == [[0.0]]
+
+    def test_duplicate_series(self):
+        rng = np.random.default_rng(12)
+        base = rng.uniform(0.0, 3.0, size=(4, 17))
+        values = np.concatenate([base, base[::-1], base[:1]])
+        series = [SeriesVector(g, v) for g, v in enumerate(values)]
+        self.assert_bit_identical(series)
+        dist = _distance_matrix(series)
+        assert dist[0, 7] == 0.0 and dist[0, 8] == 0.0
+        assert np.array_equal(dist, dist.T)
 
 
 class TestKMedoids:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadalloc import allocate, normalize
-from leadalloc.allocate import AllocationPlan
+from leadalloc.allocate import AllocationPlan, ShareMismatch
 from leadalloc.cluster import ClusterAssignment, cluster_neighborhoods
 from leadalloc.evaluate import (
     CaseStudyRow,
@@ -283,6 +283,18 @@ class TestEvaluatePlan:
     def test_text_rendering_degenerate(self):
         report = evaluate_plan(make_plan(cases_v1=0.0, cases_v2=0.0), np.array([0.0, 0.0]))
         assert "degenerate" in format_report(report)
+
+    def test_misaligned_rates_rejected(self):
+        plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
+        for rates in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
+            with pytest.raises(ShareMismatch):
+                evaluate_plan(plan, rates)
+
+    def test_unlabeled_plan_geo_rejected(self):
+        plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
+        assignment = make_assignment({1: "a"}, {"a": 1})
+        with pytest.raises(UnassignedGeo):
+            evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
 
     def test_undefined_reallocation_rendered(self):
         plan = make_plan(v1_tests=(0, 100), cases_v1=5.0, cases_v2=6.0, total=1000)
