@@ -38,6 +38,23 @@ DEFAULT_WINDOW = 3
 DEFAULT_WEIGHT_RANGE = (-10.0, 10.0)
 DEFAULT_STEP = 0.1
 
+# float64 elements per (points, geos) block of the lattice search: enough
+# points per block to amortize numpy's per-call cost, few enough that the
+# block's temporaries stay small next to the process
+_BLOCK_ELEMENTS = 2**14
+
+# verdict codes of one lattice point, in precedence order, and their trace
+# reasons; the two score reasons name the point's weights
+_FEASIBLE, _NEGATIVE_SCORE, _NONPOSITIVE_TOTAL, _FLOOR, _POPULATION_CAP, _NEGATIVE_DELTA = range(6)
+_REASONS = (
+    None,
+    "negative share score at (p1={p1}, p2={p2})",
+    "non-positive score total at (p1={p1}, p2={p2})",
+    "floor",
+    "population_cap",
+    "negative_delta",
+)
+
 
 class ZeroCityTests(DataError):
     pass
@@ -142,7 +159,7 @@ class AllocationPlan:
     delta_cases: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracePoint:
     p1: float
     p2: float
@@ -236,18 +253,30 @@ def v2_share(shares: ShareVectors, p1: float, p2: float) -> np.ndarray:
     per-neighborhood scores make the combination infeasible; they are never
     clamped.
     """
-    x, y = shares.x, shares.y
-    if p2 == 0.0 and p1 > 0.0:
-        return x.copy()
-    if p1 == 0.0 and p2 > 0.0:
-        return y.copy()
-    s = x * p1 + y * p2
-    if bool(np.any(s < 0.0)):
-        raise InfeasibleWeights(f"negative share score at (p1={p1}, p2={p2})")
-    total = float(np.sum(s))
-    if total <= 0.0:
-        raise InfeasibleWeights(f"non-positive score total at (p1={p1}, p2={p2})")
-    return s / total
+    share, code = _candidate_shares(
+        shares.x, shares.y, np.array([p1], dtype=float), np.array([p2], dtype=float)
+    )
+    if code[0] != _FEASIBLE:
+        raise InfeasibleWeights(_REASONS[code[0]].format(p1=p1, p2=p2))
+    return share[0]
+
+
+def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate shares for the weight pairs (p1[k], p2[k]), one row each,
+    with a verdict code per row: _FEASIBLE, _NEGATIVE_SCORE or
+    _NONPOSITIVE_TOTAL. Rows with a score verdict keep their raw scores."""
+    s = x * p1[:, None] + y * p2[:, None]
+    on_x = (p2 == 0.0) & (p1 > 0.0)
+    on_y = (p1 == 0.0) & (p2 > 0.0)
+    s[on_x] = x
+    s[on_y] = y
+    total = np.sum(s, axis=1)
+    code = np.zeros(p1.size, dtype=np.int8)
+    code[total <= 0.0] = _NONPOSITIVE_TOTAL
+    code[np.any(s < 0.0, axis=1)] = _NEGATIVE_SCORE
+    divide = (code == _FEASIBLE) & ~(on_x | on_y)
+    s[divide] /= total[divide, None]
+    return s, code
 
 
 def case_difference(total_tests: float, rates, rho1, rho2) -> float:
@@ -277,13 +306,31 @@ def finalize_tests(share, total_tests: int) -> np.ndarray:
     share = np.asarray(share, dtype=float)
     if total_tests < 0:
         raise ValueError("total_tests must be non-negative")
+    return _apportion(share.reshape(1, -1), total_tests)[0]
+
+
+def _apportion(share: np.ndarray, total_tests: int) -> np.ndarray:
+    """``finalize_tests`` for each row of a (rows, geos) share block.
+
+    A row with r leftover units bumps every fractional part above its r-th
+    largest one, then as many entries equal to that value as are still
+    needed, smallest index first: the order of a stable descending sort,
+    without sorting indices row by row.
+    """
     raw = share * float(total_tests)
     base = np.floor(raw)
-    remainder = int(total_tests - np.sum(base))
     counts = base.astype(np.int64)
-    if remainder > 0:
-        order = np.argsort(-(raw - base), kind="stable")
-        counts[order[:remainder]] += 1
+    n = share.shape[1]
+    remainder = np.minimum(total_tests - np.sum(base, axis=1), n).astype(np.int64)
+    rows = np.flatnonzero(remainder > 0)
+    if rows.size:
+        frac = raw[rows] - base[rows]
+        remainder = remainder[rows]
+        cut = np.sort(frac, axis=1)[np.arange(rows.size), n - remainder][:, None]
+        above = frac > cut
+        ties = frac == cut
+        needed = remainder - np.sum(above, axis=1)
+        counts[rows] += above | (ties & (np.cumsum(ties, axis=1) <= needed[:, None]))
     return counts
 
 
@@ -303,43 +350,6 @@ class ConstraintViolation:
     message: str
 
 
-def _violations(share, tests, delta, floor, population, config: ConstraintConfig):
-    """Yield ``(kind, index)`` for every violated constraint, in precedence
-    order: each floor breach, then each population-cap breach, then a
-    negative delta (index None).
-
-    This is the one definition of a feasible plan. ``floor`` holds each
-    neighborhood's least allowed share. ``tests`` is a callable returning
-    the plan's test counts; it runs only when the generator gets
-    past the floor, so a caller that stops at the first violation never
-    apportions a candidate the floor already rejects. A share exactly at
-    its floor and a test count exactly at the child population are both
-    feasible.
-    """
-    for i in np.flatnonzero(share < floor):
-        yield "floor", i
-    if config.population_cap:
-        for i in np.flatnonzero(tests() > population):
-            yield "population_cap", i
-    if config.require_nonnegative_delta and delta < 0.0:
-        yield "negative_delta", None
-
-
-def _first_violation(share, total_tests, delta, floor, population, config) -> str | None:
-    """Kind of the first violation of a search candidate, None if feasible.
-
-    The same verdict as ``check_constraints(...)[0].kind``, without building
-    messages, and without apportioning when the floor already fails.
-    """
-    first = next(
-        _violations(
-            share, lambda: finalize_tests(share, total_tests), delta, floor, population, config
-        ),
-        None,
-    )
-    return None if first is None else first[0]
-
-
 def check_constraints(
     plan: AllocationPlan,
     panel: NeighborhoodPanel,
@@ -347,22 +357,24 @@ def check_constraints(
 ) -> list[ConstraintViolation]:
     """All constraint violations for a plan; empty list means feasible.
 
+    Violations are listed in the search's precedence order: each floor
+    breach, then each population-cap breach, then a negative delta.
     Boundary behavior: a share exactly at its floor and a test count exactly
     at the child population are both feasible.
     """
     pop = population_vector(panel, plan.geo_ids, plan.target_year)
     floor = config.floor_fraction * plan.baseline_share
     out: list[ConstraintViolation] = []
-    for kind, i in _violations(
-        plan.v2_share, lambda: plan.v2_tests, plan.delta_cases, floor, pop, config
-    ):
-        if kind == "floor":
-            message = f"share {plan.v2_share[i]!r} below floor {floor[i]!r}"
-        elif kind == "population_cap":
+    for i in np.flatnonzero(plan.v2_share < floor):
+        message = f"share {plan.v2_share[i]!r} below floor {floor[i]!r}"
+        out.append(ConstraintViolation("floor", plan.geo_ids[i], message))
+    if config.population_cap:
+        for i in np.flatnonzero(plan.v2_tests > pop):
             message = f"{int(plan.v2_tests[i])} tests exceed population {int(pop[i])}"
-        else:
-            message = f"delta_cases {plan.delta_cases!r} < 0"
-        out.append(ConstraintViolation(kind, None if i is None else plan.geo_ids[i], message))
+            out.append(ConstraintViolation("population_cap", plan.geo_ids[i], message))
+    if config.require_nonnegative_delta and plan.delta_cases < 0.0:
+        message = f"delta_cases {plan.delta_cases!r} < 0"
+        out.append(ConstraintViolation("negative_delta", None, message))
     return out
 
 
@@ -412,38 +424,77 @@ def grid_search(
     (p1, p2) in lexicographic order. When (1, 0) is on the lattice and
     feasible the winner's delta_cases is never negative, because that point
     reproduces the baseline at delta exactly 0.
+
+    The lattice is scored in blocks of points, each a 2-D (points, geos)
+    array, with the same element operations as scoring one point at a time,
+    so the trace and the winner are the per-point ones bit for bit.
     """
     if rates is None:
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
+    # the shape and baseline-sum checks of every point's case_difference
+    case_difference(total_tests, rates, shares.x, shares.x)
     population = population_vector(panel, shares.geo_ids, shares.target_year)
     floor = constraints.floor_fraction * shares.x
     p1_values = grid.p1_values()
     p2_values = grid.p2_values()
+    p1_array = np.array(p1_values, dtype=float)
+    p2_array = np.array(p2_values, dtype=float)
+    points = len(p1_values) * len(p2_values)
+    block = max(1, _BLOCK_ELEMENTS // max(1, shares.x.size))
 
     trace: list[TracePoint] = []
-    best: tuple[float, float, float] | None = None  # (delta, p1, p2)
-    for p1 in p1_values:
-        for p2 in p2_values:
-            try:
-                candidate = v2_share(shares, p1, p2)
-            except InfeasibleWeights as exc:
-                trace.append(TracePoint(p1, p2, None, False, str(exc)))
-                continue
-            delta = case_difference(total_tests, rates, shares.x, candidate)
-            kind = _first_violation(candidate, total_tests, delta, floor, population, constraints)
-            if kind is not None:
-                trace.append(TracePoint(p1, p2, delta, False, kind))
-                continue
-            trace.append(TracePoint(p1, p2, delta, True, None))
-            if best is None or delta > best[0]:
-                best = (delta, p1, p2)
+    best: tuple[float, int] | None = None  # (delta, lattice index)
+    for start in range(0, points, block):
+        # lattice points in p1-major order, as indices into the two value lists
+        i, j = np.divmod(np.arange(start, min(start + block, points)), len(p2_values))
+        delta, code = _evaluate_block(
+            shares, rates, total_tests, p1_array[i], p2_array[j], floor, population, constraints
+        )
+        feasible = np.flatnonzero(code == _FEASIBLE)
+        if feasible.size:
+            top = delta[feasible].max()
+            if best is None or top > best[0]:
+                best = (top, start + int(feasible[delta[feasible] == top][0]))
+        # the trace shares the lattice's float objects instead of one per point
+        for a, b, d, c in zip(i.tolist(), j.tolist(), delta.tolist(), code.tolist()):
+            p1, p2 = p1_values[a], p2_values[b]
+            if c == _NEGATIVE_SCORE or c == _NONPOSITIVE_TOTAL:
+                trace.append(TracePoint(p1, p2, None, False, _REASONS[c].format(p1=p1, p2=p2)))
+            else:
+                trace.append(TracePoint(p1, p2, d, c == _FEASIBLE, _REASONS[c]))
 
     if best is None:
         raise NoFeasiblePoint(
             f"no feasible (p1, p2) on the {len(p1_values)}x{len(p2_values)} lattice"
         )
-    plan = build_plan(shares, rates, total_tests, best[1], best[2])
+    winner = trace[best[1]]
+    plan = build_plan(shares, rates, total_tests, winner.p1, winner.p2)
     return SearchResult(plan=plan, trace=tuple(trace))
+
+
+def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints):
+    """Delta and verdict code of each lattice point (p1[k], p2[k]) of a block.
+
+    The checks run in precedence order, each on the rows still feasible:
+    score, floor, population cap, negative delta. A share exactly at its
+    floor and a count exactly at the child population are feasible. Rows
+    with a score verdict get delta 0.
+    """
+    share, code = _candidate_shares(shares.x, shares.y, p1, p2)
+    rows = np.flatnonzero(code == _FEASIBLE)
+    share = share[rows]
+    if np.any(np.abs(np.sum(share, axis=1) - 1.0) > 1e-6):
+        raise ShareMismatch("rho2 does not sum to 1")
+    delta = np.zeros(code.size)
+    delta[rows] = total_tests * np.sum(rates * (share - shares.x), axis=1)
+    floored = np.any(share < floor, axis=1)
+    code[rows[floored]] = _FLOOR
+    if constraints.population_cap:
+        rows, share = rows[~floored], share[~floored]
+        code[rows[np.any(_apportion(share, total_tests) > population, axis=1)]] = _POPULATION_CAP
+    if constraints.require_nonnegative_delta:
+        code[(code == _FEASIBLE) & (delta < 0.0)] = _NEGATIVE_DELTA
+    return delta, code
 
 
 def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path) -> None:

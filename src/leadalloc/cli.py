@@ -214,6 +214,11 @@ def cmd_evaluate(config: RunConfig) -> None:
     if plan_csv.exists() and plan_json.exists():
         with _stage("evaluate"):
             plan = allocate.read_plan(plan_csv, plan_json)
+            if plan.geo_ids != data.geo_ids:
+                raise DataError(
+                    f"{plan_csv} plans other neighborhoods than {config.input_path} holds; "
+                    "rerun optimize on this panel"
+                )
         with _stage("optimize"):
             rates = allocate.case_rates(
                 data, plan.target_year, config.rate_window or config.window
@@ -434,33 +439,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="leadalloc",
         description="Allocate blood-lead testing capacity across neighborhoods.",
     )
+    # every subcommand takes the same options; argparse copies them from one
+    # parent parser instead of building them once per subcommand
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", help="panel CSV path")
+    shared.add_argument("--out", help="output directory for artifacts")
+    shared.add_argument("--config", help="flat JSON config file; flags override it")
+    shared.add_argument("--year", type=int, help="target year (default: latest in panel)")
+    shared.add_argument("--window", type=int, help="trailing years pooled for case shares")
+    shared.add_argument("--p1-range", dest="p1_range", help="testing-weight lattice, lo:hi:step")
+    shared.add_argument("--p2-range", dest="p2_range", help="case-weight lattice, lo:hi:step")
+    shared.add_argument("--floor", type=float, help="minimum share kept, as fraction of baseline")
+    shared.add_argument(
+        "--no-population-cap",
+        dest="no_population_cap",
+        action="store_true",
+        default=None,
+        help="drop the child-population ceiling on test counts",
+    )
+    shared.add_argument("--total-tests", dest="total_tests", type=int, help="override forecast T")
+    shared.add_argument(
+        "--emit-trace",
+        dest="emit_trace",
+        action="store_true",
+        default=None,
+        help="also write the full search trace CSV",
+    )
+    shared.add_argument("--k", type=int, help="cluster count (default 5)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text in COMMANDS:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", help="panel CSV path")
-        cmd.add_argument("--out", help="output directory for artifacts")
-        cmd.add_argument("--config", help="flat JSON config file; flags override it")
-        cmd.add_argument("--year", type=int, help="target year (default: latest in panel)")
-        cmd.add_argument("--window", type=int, help="trailing years pooled for case shares")
-        cmd.add_argument("--p1-range", dest="p1_range", help="testing-weight lattice, lo:hi:step")
-        cmd.add_argument("--p2-range", dest="p2_range", help="case-weight lattice, lo:hi:step")
-        cmd.add_argument("--floor", type=float, help="minimum share kept, as fraction of baseline")
-        cmd.add_argument(
-            "--no-population-cap",
-            dest="no_population_cap",
-            action="store_true",
-            default=None,
-            help="drop the child-population ceiling on test counts",
-        )
-        cmd.add_argument("--total-tests", dest="total_tests", type=int, help="override forecast T")
-        cmd.add_argument(
-            "--emit-trace",
-            dest="emit_trace",
-            action="store_true",
-            default=None,
-            help="also write the full search trace CSV",
-        )
-        cmd.add_argument("--k", type=int, help="cluster count (default 5)")
+        cmd = sub.add_parser(name, help=help_text, parents=[shared])
         cmd.set_defaults(func=func)
     return parser
 

@@ -174,12 +174,11 @@ class NeighborhoodPanel:
 
     def yearly_test_totals(self) -> list[int]:
         """Citywide test count per panel year, in year order."""
-        totals = []
-        for year in self.years:
-            totals.append(
-                sum(r.tests for r in self.records if r.year == year)
-            )
-        return totals
+        totals = dict.fromkeys(self.years, 0)
+        for rec in self.records:
+            if rec.year in totals:
+                totals[rec.year] += rec.tests
+        return list(totals.values())
 
 
 def _record_invariant_errors(rec: NeighborhoodYearRecord, year_range) -> list[str]:

@@ -23,7 +23,8 @@ from leadalloc.allocate import (
     ShareVectors,
     ZeroCityCases,
     ZeroCityTests,
-    _first_violation,
+    _REASONS,
+    _evaluate_block,
     build_plan,
     case_difference,
     case_rates,
@@ -303,9 +304,10 @@ class TestCheckConstraints:
             ConstraintConfig(floor_fraction=1.5)
 
     def test_search_check_agrees_on_random_candidates(self):
-        """The search's first-violation kind equals check_constraints' first
-        kind, including shares exactly at the floor and counts exactly at the
-        population cap."""
+        """The search's verdict on a candidate equals check_constraints'
+        first kind, including shares exactly at the floor and counts exactly
+        at the population cap. The candidate is the case-share vector y,
+        which the lattice point (0, 1) reproduces exactly."""
         rng = np.random.default_rng(5)
         at_floor = at_cap = 0
         kinds = set()
@@ -321,6 +323,10 @@ class TestCheckConstraints:
             )
             floor = config.floor_fraction * baseline
             exact = rng.random(n) < 0.3
+            if exact.all():
+                exact[rng.integers(n)] = False
+            free = ~exact
+            candidate[free] *= (1.0 - float(np.sum(floor[exact]))) / float(np.sum(candidate[free]))
             candidate[exact] = floor[exact]
             at_floor += int(exact.sum())
             tests = finalize_tests(candidate, total)
@@ -328,7 +334,7 @@ class TestCheckConstraints:
             exact = rng.random(n) < 0.3
             populations[exact] = tests[exact]
             at_cap += int(np.sum(populations == tests))
-            delta = float(rng.normal())
+            rates = rng.random(n)
             geo_ids = tuple(range(1, n + 1))
             panel = NeighborhoodPanel.from_records(
                 [
@@ -336,9 +342,20 @@ class TestCheckConstraints:
                     for g, pop in zip(geo_ids, populations)
                 ]
             )
+            population = population_vector(panel, geo_ids, 2021)
+            delta, code = _evaluate_block(
+                share_vectors(baseline, candidate),
+                rates,
+                total,
+                np.array([0.0]),
+                np.array([1.0]),
+                floor,
+                population,
+                config,
+            )
             plan = AllocationPlan(
                 geo_ids=geo_ids,
-                p1=1.0,
+                p1=0.0,
                 p2=1.0,
                 baseline_share=baseline,
                 v2_share=candidate,
@@ -347,12 +364,11 @@ class TestCheckConstraints:
                 total_tests=total,
                 target_year=2021,
                 projected_cases_v1=0.0,
-                projected_cases_v2=delta,
-                delta_cases=delta,
+                projected_cases_v2=float(delta[0]),
+                delta_cases=float(delta[0]),
             )
             violations = check_constraints(plan, panel, config)
-            population = population_vector(panel, geo_ids, 2021)
-            kind = _first_violation(candidate, total, delta, floor, population, config)
+            kind = _REASONS[code[0]]
             assert kind == (violations[0].kind if violations else None)
             kinds.add(kind)
         assert kinds == {None, "floor", "population_cap", "negative_delta"}

@@ -367,6 +367,27 @@ class TestFailureExits:
         assert "error at stage evaluate" in captured.err
         assert "case difference" not in captured.out
 
+    def test_evaluate_rejects_plan_of_same_size_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        with open(fixture_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            fieldnames = reader.fieldnames
+            rows = list(reader)
+        for row in rows:
+            row["geo_id"] = str(int(row["geo_id"]) + 800)
+        other = tmp_path / "shifted.csv"
+        with open(other, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error at stage evaluate" in captured.err
+        assert "case difference" not in captured.out
+
     def test_no_feasible_point(self, fixture_path, tmp_path, capsys):
         rc = run_cli(
             "optimize",

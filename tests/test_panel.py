@@ -171,6 +171,18 @@ class TestPanelContainer:
         assert totals[-1] == 12440
         assert totals == [12000 + 40 * t for t in range(12)]
 
+    def test_yearly_test_totals_with_missing_cells(self):
+        panel = make_panel(
+            [(1, 2019, 30, 1), (2, 2019, 0, 0), (3, 2019, 12, 2), (1, 2021, 7, 1), (3, 2020, 5, 0)]
+        )
+        assert len(panel.gaps) == 5
+        assert panel.yearly_test_totals() == [42, 5, 7]
+
+    def test_yearly_test_totals_count_only_panel_years(self):
+        records = (make_record(1, 2019, 30, 1), make_record(1, 2020, 8, 1))
+        panel = NeighborhoodPanel(records=records, years=(2018, 2020), geo_ids=(1,))
+        assert panel.yearly_test_totals() == [0, 8]
+
 
 class TestValidatePanel:
     def test_parse_output_validates_clean(self, fixture_panel):
