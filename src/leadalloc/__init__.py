@@ -29,7 +29,6 @@ from .cluster import (
     cluster_neighborhoods,
     k_medoids,
     seed_medoids,
-    series_distance,
 )
 from .errors import ConfigError, DataError, InfeasibleError, LeadAllocError
 from .evaluate import (
@@ -101,7 +100,6 @@ __all__ = [
     "parse_panel",
     "reallocation_percentages",
     "seed_medoids",
-    "series_distance",
     "testing_population_shares",
     "two_proportion_ztest",
     "v2_share",

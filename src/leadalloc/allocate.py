@@ -181,26 +181,19 @@ def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEF
     Cells absent from the panel contribute zero tests and zero cases; they
     are already on the panel's gap registry.
     """
-    window_years = _window_years(panel, target_year, window)
-    geo_ids = panel.geo_ids
-    tests = np.array(
-        [_cell(panel, g, target_year, "tests") for g in geo_ids], dtype=float
-    )
-    cases = np.array(
-        [
-            sum(_cell(panel, g, y, "cases_5plus") for y in window_years)
-            for g in geo_ids
-        ],
-        dtype=float,
-    )
+    columns = _window_columns(panel, target_year, window)
+    view = panel.view
+    tests = view.tests[:, columns.stop - 1].astype(float)
+    cases = view.cases_5plus[:, columns].sum(axis=1).astype(float)
     total_tests = float(np.sum(tests))
     if total_tests <= 0:
         raise ZeroCityTests(f"no tests recorded citywide in {target_year}")
     total_cases = float(np.sum(cases))
+    window_years = panel.years[columns]
     if total_cases <= 0:
         raise ZeroCityCases(f"no cases recorded citywide over {list(window_years)}")
     return ShareVectors(
-        geo_ids=geo_ids,
+        geo_ids=panel.geo_ids,
         x=tests / total_tests,
         y=cases / total_cases,
         window_years=window_years,
@@ -208,8 +201,9 @@ def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEF
     )
 
 
-def _window_years(panel: NeighborhoodPanel, target_year: int, window: int) -> tuple[int, ...]:
-    """The trailing window ending at the target year; every year must be in the panel."""
+def _window_columns(panel: NeighborhoodPanel, target_year: int, window: int) -> slice:
+    """Panel columns of the trailing window ending at the target year; every
+    year of the window must be in the panel."""
     if window < 1:
         raise ConfigError(f"window must be at least 1, got {window}")
     window_years = tuple(range(target_year - window + 1, target_year + 1))
@@ -219,12 +213,8 @@ def _window_years(panel: NeighborhoodPanel, target_year: int, window: int) -> tu
             f"target year {target_year} with window {window} needs panel years "
             f"{list(window_years)}; missing {missing_years}"
         )
-    return window_years
-
-
-def _cell(panel: NeighborhoodPanel, geo: int, year: int, fieldname: str) -> int:
-    rec = panel.record(geo, year)
-    return 0 if rec is None else getattr(rec, fieldname)
+    start = panel.years.index(window_years[0])
+    return slice(start, start + window)
 
 
 def case_rates(panel: NeighborhoodPanel, target_year: int, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -235,13 +225,10 @@ def case_rates(panel: NeighborhoodPanel, target_year: int, window: int = DEFAULT
     A window reaching years outside the panel raises ConfigError, as in
     ``compute_shares``.
     """
-    window_years = _window_years(panel, target_year, window)
-    rates = []
-    for geo in panel.geo_ids:
-        tests = sum(_cell(panel, geo, y, "tests") for y in window_years)
-        cases = sum(_cell(panel, geo, y, "cases_5plus") for y in window_years)
-        rates.append(cases / tests if tests > 0 else 0.0)
-    return np.array(rates, dtype=float)
+    columns = _window_columns(panel, target_year, window)
+    tests = panel.view.tests[:, columns].sum(axis=1).astype(float)
+    cases = panel.view.cases_5plus[:, columns].sum(axis=1).astype(float)
+    return np.divide(cases, tests, out=np.zeros_like(tests), where=tests > 0)
 
 
 def v2_share(shares: ShareVectors, p1: float, p2: float) -> np.ndarray:
@@ -334,13 +321,11 @@ def _apportion(share: np.ndarray, total_tests: int) -> np.ndarray:
     return counts
 
 
-def population_vector(panel: NeighborhoodPanel, geo_ids, year: int) -> np.ndarray:
-    """Child population per geo at a year; unknown cells are uncapped."""
-    pop = []
-    for geo in geo_ids:
-        rec = panel.record(geo, year)
-        pop.append(float(rec.child_population) if rec is not None else math.inf)
-    return np.array(pop, dtype=float)
+def population_vector(panel: NeighborhoodPanel, year: int) -> np.ndarray:
+    """Child population per panel geo at a panel year; absent cells are uncapped."""
+    column = panel.column(year)
+    view = panel.view
+    return np.where(view.present[:, column], view.child_population[:, column], math.inf)
 
 
 @dataclass(frozen=True)
@@ -362,7 +347,9 @@ def check_constraints(
     Boundary behavior: a share exactly at its floor and a test count exactly
     at the child population are both feasible.
     """
-    pop = population_vector(panel, plan.geo_ids, plan.target_year)
+    if plan.geo_ids != panel.geo_ids:
+        raise ShareMismatch("the plan covers other neighborhoods than the panel")
+    pop = population_vector(panel, plan.target_year)
     floor = config.floor_fraction * plan.baseline_share
     out: list[ConstraintViolation] = []
     for i in np.flatnonzero(plan.v2_share < floor):
@@ -433,7 +420,9 @@ def grid_search(
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
     # the shape and baseline-sum checks of every point's case_difference
     case_difference(total_tests, rates, shares.x, shares.x)
-    population = population_vector(panel, shares.geo_ids, shares.target_year)
+    if shares.geo_ids != panel.geo_ids:
+        raise ShareMismatch("the share vectors cover other neighborhoods than the panel")
+    population = population_vector(panel, shares.target_year)
     floor = constraints.floor_fraction * shares.x
     p1_values = grid.p1_values()
     p2_values = grid.p2_values()

@@ -77,6 +77,8 @@ class RunConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError(f"window must be at least 1, got {self.window}")
+        if self.rate_window is not None and self.rate_window < 1:
+            raise ConfigError(f"rate_window must be at least 1, got {self.rate_window}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.total_tests_override is not None and self.total_tests_override <= 0:
@@ -149,7 +151,8 @@ def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
             total_tests = normalize.forecast_total_tests(
                 data.yearly_test_totals(), config.forecast_window
             )
-        rates = allocate.case_rates(data, year, config.rate_window or config.window)
+        rate_window = config.window if config.rate_window is None else config.rate_window
+        rates = allocate.case_rates(data, year, rate_window)
         result = allocate.grid_search(
             data, shares, total_tests, config.grid, config.constraints, rates=rates
         )
@@ -220,9 +223,8 @@ def cmd_evaluate(config: RunConfig) -> None:
                     "rerun optimize on this panel"
                 )
         with _stage("optimize"):
-            rates = allocate.case_rates(
-                data, plan.target_year, config.rate_window or config.window
-            )
+            rate_window = config.window if config.rate_window is None else config.rate_window
+            rates = allocate.case_rates(data, plan.target_year, rate_window)
     else:
         result, rates = _optimize(config, data)
         _write_plan_artifacts(config, result)
@@ -308,7 +310,8 @@ def _range_value(value, key: str) -> tuple[tuple[float, float], float]:
 
 
 def _as_int(value, key: str) -> int:
-    if isinstance(value, bool):
+    # int() would truncate 2.7 to 2 rather than reject it
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .normalize import NormalizedPanel, ols_line
+from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
 
@@ -68,27 +68,22 @@ def build_series(norm: NormalizedPanel) -> list[SeriesVector]:
     nearest defined value. Filling preserves trend shape, which is what the
     distance metric needs to see.
     """
-    n_years = len(norm.years)
-    position = {year: i for i, year in enumerate(norm.years)}
-    out = []
-    for geo in norm.geo_ids:
-        defined = norm.series(geo)
-        if not defined:
+    row = {geo: i for i, geo in enumerate(norm.geo_ids)}
+    col = {year: j for j, year in enumerate(norm.years)}
+    values = np.zeros((len(norm.geo_ids), len(norm.years)))
+    defined = np.zeros(values.shape, dtype=bool)
+    for (geo, year), value in norm.values.items():
+        i, j = row.get(geo), col.get(year)
+        if i is not None and j is not None:
+            values[i, j] = value
+            defined[i, j] = True
+    positions = np.arange(len(norm.years), dtype=float)
+    for i, geo in enumerate(norm.geo_ids):
+        known = np.flatnonzero(defined[i])
+        if not known.size:
             raise DataError(f"geo {geo} has no defined rate in any year; cannot build series")
-        xp = np.array([position[year] for year, _ in defined], dtype=float)
-        fp = np.array([value for _, value in defined], dtype=float)
-        filled = np.interp(np.arange(n_years, dtype=float), xp, fp)
-        out.append(SeriesVector(geo_id=geo, values=filled))
-    return out
-
-
-def series_distance(a: SeriesVector, b: SeriesVector) -> float:
-    """Euclidean distance between two equal-length series."""
-    if a.values.shape != b.values.shape:
-        raise LengthMismatch(
-            f"series lengths differ: {a.values.shape[0]} vs {b.values.shape[0]}"
-        )
-    return float(np.sqrt(np.sum((a.values - b.values) ** 2)))
+        values[i] = np.interp(positions, positions[known], values[i, known])
+    return [SeriesVector(geo, filled) for geo, filled in zip(norm.geo_ids, values)]
 
 
 def _distance_matrix(series: list[SeriesVector]) -> np.ndarray:
@@ -204,13 +199,6 @@ def k_medoids(
     )
 
 
-def _trend_slope(values: np.ndarray) -> float:
-    if values.shape[0] < 2:
-        return 0.0
-    slope, _ = ols_line(np.arange(values.shape[0], dtype=float), values)
-    return slope
-
-
 def seed_medoids(norm: NormalizedPanel) -> list[int]:
     """Pick the five profile seeds from a normalized panel.
 
@@ -220,28 +208,29 @@ def seed_medoids(norm: NormalizedPanel) -> list[int]:
     taking each criterion's best not-yet-chosen neighborhood; all ties
     break toward the smaller geo_id.
     """
-    series = build_series(norm)
+    return _profile_seeds(build_series(norm))
+
+
+def _profile_seeds(series: list[SeriesVector]) -> list[int]:
+    """``seed_medoids`` on built series; each criterion is a row reduction."""
     if len(series) < 5:
         raise InsufficientNeighborhoods(
             f"need at least 5 neighborhoods to seed profiles, have {len(series)}"
         )
-    means = {s.geo_id: float(np.mean(s.values)) for s in series}
-    slopes = {s.geo_id: _trend_slope(s.values) for s in series}
-    flat_dist = {
-        s.geo_id: float(np.sqrt(np.sum((s.values - 1.0) ** 2))) for s in series
-    }
-    criteria = [
-        lambda g: means[g],       # High
-        lambda g: -means[g],      # Low
-        lambda g: -flat_dist[g],  # Average
-        lambda g: slopes[g],      # Rising
-        lambda g: -slopes[g],     # Declining
-    ]
+    geo_ids = [s.geo_id for s in series]
+    values = np.stack([s.values for s in series])
+    means = np.mean(values, axis=1)
+    flat_dist = np.sqrt(np.sum((values - 1.0) ** 2, axis=1))
+    # least-squares slope of each row on the year positions; 0 for one year
+    years = np.arange(values.shape[1], dtype=float)
+    years -= np.mean(years)
+    sxx = np.sum(years**2)
+    slopes = np.sum(years * (values - means[:, None]), axis=1) / sxx if sxx else np.zeros_like(means)
     seeds: list[int] = []
-    for score in criteria:
-        candidates = [g for g in norm.geo_ids if g not in seeds]
-        best = max(candidates, key=lambda g: (score(g), -g))
-        seeds.append(best)
+    for criterion in (means, -means, -flat_dist, slopes, -slopes):  # High .. Declining
+        score = dict(zip(geo_ids, criterion.tolist()))
+        candidates = [g for g in geo_ids if g not in seeds]
+        seeds.append(max(candidates, key=lambda g: (score[g], -g)))
     return seeds
 
 
@@ -258,7 +247,7 @@ def cluster_neighborhoods(
     """
     series = build_series(norm)
     if k == 5:
-        seeds = seed_medoids(norm)
+        seeds = _profile_seeds(series)
         return k_medoids(
             series, k, initial_medoids=seeds, max_iter=max_iter, cluster_names=RISK_LABELS
         )

@@ -10,7 +10,6 @@ neighborhood numbers for narrative comparisons.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -310,20 +309,3 @@ def format_report(report: EvaluationReport) -> str:
         shown = f"{pct:.1f}%" if pct is not None else "n/a (no former tests)"
         lines.append(f"  {geo}: {shown}")
     return "\n".join(lines) + "\n"
-
-
-def write_case_study(rows, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["geo_id", "year", "tests", "cases_5plus", "rate_5plus", "share_of_tests"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.geo_id,
-                    row.year,
-                    row.tests,
-                    row.cases_5plus,
-                    "" if row.rate_5plus is None else repr(row.rate_5plus),
-                    "" if row.share_of_tests is None else repr(row.share_of_tests),
-                ]
-            )

@@ -53,14 +53,6 @@ class NormalizedPanel:
     years: tuple[int, ...]
     geo_ids: tuple[int, ...]
 
-    def series(self, geo_id: int) -> list[tuple[int, float]]:
-        """Defined (year, value) pairs for one neighborhood, in year order."""
-        return [
-            (year, self.values[(geo_id, year)])
-            for year in self.years
-            if (geo_id, year) in self.values
-        ]
-
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -87,18 +79,20 @@ def mean_normalize_year(rates) -> np.ndarray:
 
 def normalize_panel(panel: NeighborhoodPanel) -> NormalizedPanel:
     """Normalize each panel year independently; undefined cells stay absent."""
+    view = panel.view
+    defined = view.present & (view.tests != 0)
+    rates = np.divide(view.cases_5plus, view.tests, out=np.zeros(defined.shape), where=defined)
     values: dict[tuple[int, int], float] = {}
-    for year in panel.years:
-        geos = [g for g in panel.geo_ids if panel.rate_5plus(g, year) is not None]
-        if not geos:
+    for column, year in enumerate(panel.years):
+        rows = defined[:, column]
+        if not rows.any():
             continue
-        rates = [panel.rate_5plus(g, year) for g in geos]
         try:
-            normalized = mean_normalize_year(rates)
+            normalized = mean_normalize_year(rates[rows, column])
         except ZeroMean:
             raise ZeroMean(year) from None
-        for geo, value in zip(geos, normalized):
-            values[(geo, year)] = float(value)
+        for row, value in zip(np.flatnonzero(rows).tolist(), normalized.tolist()):
+            values[(panel.geo_ids[row], year)] = value
     return NormalizedPanel(values=values, years=panel.years, geo_ids=panel.geo_ids)
 
 
@@ -166,12 +160,14 @@ def forecast_total_tests(yearly_totals, window: int | None = None) -> int:
 
 def testing_population_shares(panel: NeighborhoodPanel, year: int) -> tuple[np.ndarray, np.ndarray]:
     """(population share, testing share) vectors for one year, geo_id order."""
-    records = [panel.record(g, year) for g in panel.geo_ids]
-    if any(r is None for r in records):
-        missing = [g for g, r in zip(panel.geo_ids, records) if r is None]
+    view = panel.view
+    column = panel.column(year)
+    present = view.present[:, column]
+    if not present.all():
+        missing = [g for g, p in zip(panel.geo_ids, present) if not p]
         raise DataError(f"year {year} missing records for geos {missing}")
-    pop = np.array([r.child_population for r in records], dtype=float)
-    tests = np.array([r.tests for r in records], dtype=float)
+    pop = view.child_population[:, column].astype(float)
+    tests = view.tests[:, column].astype(float)
     if pop.sum() <= 0 or tests.sum() <= 0:
         raise DataError(f"year {year} has zero citywide population or tests")
     return pop / pop.sum(), tests / tests.sum()

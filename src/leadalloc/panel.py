@@ -16,7 +16,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -118,12 +121,27 @@ class Violation:
     message: str
 
 
+@dataclass(frozen=True, eq=False)
+class PanelView:
+    """The panel's counts as (geo x year) int64 arrays.
+
+    Rows follow the panel's ``geo_ids`` and columns its ``years``. A cell
+    with no record holds 0 in every count and False in ``present``.
+    """
+
+    tests: np.ndarray
+    cases_5plus: np.ndarray
+    child_population: np.ndarray
+    present: np.ndarray
+
+
 @dataclass(frozen=True)
 class NeighborhoodPanel:
     """Immutable panel over (geo_id, year) cells.
 
     ``gaps`` is the explicit registry of cells with no record or with an
     undefined rate; ``rejected`` records input rows dropped during parsing.
+    ``view`` holds the same cells as arrays, for arithmetic over the panel.
     """
 
     records: tuple[NeighborhoodYearRecord, ...]
@@ -166,19 +184,39 @@ class NeighborhoodPanel:
     def record(self, geo_id: int, year: int) -> NeighborhoodYearRecord | None:
         return self._index.get((geo_id, year))
 
-    def rate_5plus(self, geo_id: int, year: int) -> float | None:
-        rec = self.record(geo_id, year)
-        if rec is None:
-            return None
-        return rec.rate_5plus()
+    @cached_property
+    def view(self) -> PanelView:
+        """The (geo x year) arrays, built on first use in one pass over the
+        cells; records outside ``geo_ids`` or ``years`` are left out."""
+        row = {geo: i for i, geo in enumerate(self.geo_ids)}
+        col = {year: j for j, year in enumerate(self.years)}
+        shape = (len(self.geo_ids), len(self.years))
+        cells, counts = [], []
+        for (geo, year), rec in self._index.items():
+            i, j = row.get(geo), col.get(year)
+            if i is not None and j is not None:
+                cells.append(i * shape[1] + j)
+                counts.append((rec.tests, rec.cases_5plus, rec.child_population))
+        # int64 sums wrap where Python's grow, so no sum over the view may reach 2**63
+        if counts and max(max(map(max, counts)), -min(map(min, counts))) * len(cells) >= 2**63:
+            raise DataError("panel counts are too large to sum as 64-bit integers")
+        flat = np.zeros((3, shape[0] * shape[1]), dtype=np.int64)
+        flat[:, cells] = np.array(counts, dtype=np.int64).reshape(-1, 3).T
+        present = np.zeros(shape[0] * shape[1], dtype=bool)
+        present[cells] = True
+        flat.flags.writeable = present.flags.writeable = False
+        tests, cases, population = flat.reshape(3, *shape)
+        return PanelView(tests, cases, population, present.reshape(shape))
+
+    def column(self, year: int) -> int:
+        """Column of a panel year in ``view``; DataError for any other year."""
+        if year not in self.years:
+            raise DataError(f"year {year} is not a panel year")
+        return self.years.index(year)
 
     def yearly_test_totals(self) -> list[int]:
         """Citywide test count per panel year, in year order."""
-        totals = dict.fromkeys(self.years, 0)
-        for rec in self.records:
-            if rec.year in totals:
-                totals[rec.year] += rec.tests
-        return list(totals.values())
+        return self.view.tests.sum(axis=0).tolist()
 
 
 def _record_invariant_errors(rec: NeighborhoodYearRecord, year_range) -> list[str]:

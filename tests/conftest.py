@@ -1,49 +1,11 @@
-"""Shared fixtures and small panel builders for the test suite."""
+"""Shared fixtures for the test suite; the panel builders are in panel_helpers."""
 
 from pathlib import Path
 
 import pytest
 
-from leadalloc.panel import NeighborhoodPanel, NeighborhoodYearRecord, parse_panel
-
-DATA_DIR = Path(__file__).resolve().parent / "data"
-FIXTURE_CSV = DATA_DIR / "panel_fixture.csv"
-
-
-def make_record(
-    geo_id: int,
-    year: int,
-    tests: int,
-    cases_5plus: int,
-    cases_10plus: int | None = None,
-    cases_15plus: int | None = None,
-    child_population: int | None = None,
-    geo_name: str | None = None,
-    borough: str = "Riverside",
-) -> NeighborhoodYearRecord:
-    """A valid record with sensible defaults for the unconstrained fields."""
-    if cases_10plus is None:
-        cases_10plus = int(0.4 * cases_5plus)
-    if cases_15plus is None:
-        cases_15plus = int(0.15 * cases_5plus)
-    if child_population is None:
-        child_population = 3 * tests
-    return NeighborhoodYearRecord(
-        geo_id=geo_id,
-        geo_name=geo_name if geo_name is not None else f"Area {geo_id}",
-        borough=borough,
-        year=year,
-        tests=tests,
-        cases_5plus=cases_5plus,
-        cases_10plus=cases_10plus,
-        cases_15plus=cases_15plus,
-        child_population=child_population,
-    )
-
-
-def make_panel(cells) -> NeighborhoodPanel:
-    """Panel from (geo_id, year, tests, cases_5plus) tuples."""
-    return NeighborhoodPanel.from_records([make_record(*cell) for cell in cells])
+from leadalloc.panel import NeighborhoodPanel, parse_panel
+from panel_helpers import FIXTURE_CSV
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_record
+from panel_helpers import GAPS_CSV, make_record
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
@@ -379,6 +379,23 @@ FIXTURE_ARTIFACT_SHA256 = {
     "validation.json": "7a02f573705046a2b2056b789f6f624d7c5c0a3df46b83de6f96834691bc9249",
 }
 
+# The same for tests/data/panel_gaps.csv: 150 geos x 17 years with missing
+# cells, zero-test cells and rows that break case nesting. It was written
+# once by perfbench/gen.py's generator, seed 7, with
+# PanelSpec(n_geos=150, mean_tests=300.0, missing_frac=0.03,
+# zero_test_frac=0.03, bad_row_frac=0.005).
+GAP_PANEL_ARTIFACT_SHA256 = {
+    "clusters.csv": "826c299936fb1b05c8069286a33c7a9f0a9117f751292316e854c47c2cc21b55",
+    "clusters.json": "71f640a0e01a678f3fce146ac9062010ce71210dbaa474ec007008979d5e00f1",
+    "evaluation.json": "fb0696fa96cf5351a3e34483dfd081e4ca41ea2ee7dd021577db54af2d64fca0",
+    "evaluation.txt": "b140b2cbded2c160d8595176d4080f7ba45fccf5bf63c1d8411249f267d44048",
+    "normalized.csv": "d05fe0ba9ce64e8a5cf1bf7a1f91401a25e384b26d8f3a624d44b7a168975619",
+    "plan.csv": "4e21b01fe910310924d5a3bb249abb2eee3c192ba511281b51b834af32f0103c",
+    "plan.json": "5951c2aa8b9109c99ab2e082973b232aa2864cceed554b0001681954622dc7be",
+    "trace.csv": "1693c3aa3714de2b93cd75fc7a427064671b88eb85337aeed39e17f8309fc0f2",
+    "validation.json": "2c596ee0f47f0d8a3057809d89dab15e068a05272b255e3473830e646355eb57",
+}
+
 
 class TestGoldenArtifacts:
     def test_fixture_run_bytes_are_pinned(self, fixture_path, tmp_path):
@@ -388,6 +405,14 @@ class TestGoldenArtifacts:
             for path in sorted(tmp_path.iterdir())
         }
         assert digests == FIXTURE_ARTIFACT_SHA256
+
+    def test_gap_panel_run_bytes_are_pinned(self, tmp_path):
+        assert cli_main(["run", "--input", str(GAPS_CSV), "--out", str(tmp_path), "--emit-trace"]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert digests == GAP_PANEL_ARTIFACT_SHA256
 
 
 class TestApportionment:

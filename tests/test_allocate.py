@@ -6,13 +6,14 @@ arithmetic is exact and assertions can use plain equality.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel, make_record
+from panel_helpers import make_panel, make_record, random_panel
 from leadalloc.allocate import (
     AllocationPlan,
     ConstraintConfig,
@@ -39,7 +40,7 @@ from leadalloc.allocate import (
     write_plan,
     write_trace,
 )
-from leadalloc.errors import ConfigError
+from leadalloc.errors import ConfigError, DataError
 from leadalloc.panel import NeighborhoodPanel
 
 
@@ -149,6 +150,58 @@ class TestCaseRates:
         with pytest.raises(ConfigError, match="missing"):
             case_rates(panel, 2025, window=1)
         assert case_rates(panel, 2021, window=17).tolist() == [0.05, 0.05]
+
+
+def cell(panel, geo, year, fieldname):
+    rec = panel.record(geo, year)
+    return 0 if rec is None else getattr(rec, fieldname)
+
+
+class TestAgainstPerCellLoops:
+    """Shares and rates equal the per-cell loops over ``panel.record`` that
+    the view's column slices replaced, bit for bit."""
+
+    def test_random_panels(self):
+        rng = np.random.default_rng(29)
+        computed = 0
+        for _ in range(300):
+            panel = random_panel(rng)
+            if not panel.years:
+                continue
+            year = panel.years[-1]
+            window = int(rng.integers(1, 4))
+            window_years = range(year - window + 1, year + 1)
+            try:
+                rates = case_rates(panel, year, window)
+            except ConfigError:
+                assert any(y not in panel.years for y in window_years)
+                continue
+            expected = []
+            for geo in panel.geo_ids:
+                tests = sum(cell(panel, geo, y, "tests") for y in window_years)
+                cases = sum(cell(panel, geo, y, "cases_5plus") for y in window_years)
+                expected.append(cases / tests if tests > 0 else 0.0)
+            assert rates.tolist() == expected
+            tests = np.array([cell(panel, g, year, "tests") for g in panel.geo_ids], dtype=float)
+            cases = np.array(
+                [sum(cell(panel, g, y, "cases_5plus") for y in window_years) for g in panel.geo_ids],
+                dtype=float,
+            )
+            if np.sum(tests) <= 0 or np.sum(cases) <= 0:
+                with pytest.raises((ZeroCityTests, ZeroCityCases)):
+                    compute_shares(panel, year, window)
+                continue
+            shares = compute_shares(panel, year, window)
+            assert shares.x.tolist() == (tests / float(np.sum(tests))).tolist()
+            assert shares.y.tolist() == (cases / float(np.sum(cases))).tolist()
+            assert shares.window_years == tuple(window_years)
+            population = [
+                math.inf if panel.record(g, year) is None else float(panel.record(g, year).child_population)
+                for g in panel.geo_ids
+            ]
+            assert population_vector(panel, year).tolist() == population
+            computed += 1
+        assert computed >= 100
 
 
 class TestV2Share:
@@ -342,7 +395,7 @@ class TestCheckConstraints:
                     for g, pop in zip(geo_ids, populations)
                 ]
             )
-            population = population_vector(panel, geo_ids, 2021)
+            population = population_vector(panel, 2021)
             delta, code = _evaluate_block(
                 share_vectors(baseline, candidate),
                 rates,
@@ -373,6 +426,38 @@ class TestCheckConstraints:
             kinds.add(kind)
         assert kinds == {None, "floor", "population_cap", "negative_delta"}
         assert at_floor > 100 and at_cap > 100
+
+    def test_plan_for_other_neighborhoods_rejected(self, fixture_panel):
+        shares = compute_shares(fixture_panel, 2021)
+        plan = grid_search(fixture_panel, shares, 12480).plan
+        tiny = NeighborhoodPanel.from_records(
+            [replace(r, child_population=1) for r in fixture_panel.records]
+        )
+        assert len(check_constraints(plan, tiny, ConstraintConfig())) == 6
+        shifted = NeighborhoodPanel.from_records(
+            [replace(r, geo_id=r.geo_id + 800, child_population=r.tests) for r in fixture_panel.records]
+        )
+        with pytest.raises(ShareMismatch, match="plan"):
+            check_constraints(plan, shifted, ConstraintConfig())
+        with pytest.raises(ShareMismatch, match="share vectors"):
+            grid_search(shifted, shares, 12480)
+
+
+class TestPopulationVector:
+    def test_absent_cell_is_uncapped(self):
+        panel = NeighborhoodPanel.from_records(
+            [
+                make_record(1, 2020, 50, 1, child_population=70),
+                make_record(1, 2021, 50, 1, child_population=80),
+                make_record(2, 2020, 50, 1, child_population=90),
+            ]
+        )
+        assert population_vector(panel, 2020).tolist() == [70.0, 90.0]
+        assert population_vector(panel, 2021).tolist() == [80.0, math.inf]
+
+    def test_year_outside_panel_rejected(self):
+        with pytest.raises(DataError, match="2019"):
+            population_vector(two_geo_panel(), 2019)
 
 
 class TestBuildPlan:

@@ -10,7 +10,7 @@ the block apportionment must reproduce its per-row apportionment.
 import numpy as np
 import pytest
 
-from conftest import make_record
+from panel_helpers import make_record
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
@@ -114,12 +114,15 @@ def random_instance(rng, n):
     population = np.maximum(population, 0)
     uncapped = rng.random(n) < 0.1
     geo_ids = tuple(range(1, n + 1))
-    panel = NeighborhoodPanel.from_records(
-        [
+    # an uncapped geo is a panel geo with no record in the target year
+    panel = NeighborhoodPanel(
+        records=tuple(
             make_record(g, TARGET_YEAR, 50, 1, child_population=int(pop))
             for g, pop, free in zip(geo_ids, population, uncapped)
             if not free
-        ]
+        ),
+        years=(TARGET_YEAR,),
+        geo_ids=geo_ids,
     )
     shares = ShareVectors(
         geo_ids=geo_ids, x=x, y=y, window_years=(TARGET_YEAR,), target_year=TARGET_YEAR
@@ -147,7 +150,7 @@ def counters():
 
 def compare(panel, shares, rates, total, config, grid, seen):
     """Run both searches and assert they agree; returns the trace reasons."""
-    population = population_vector(panel, shares.geo_ids, TARGET_YEAR)
+    population = population_vector(panel, TARGET_YEAR)
     floor = config.floor_fraction * shares.x
     trace, best = reference_search(
         shares.x, shares.y, rates, total, grid.p1_values(), grid.p2_values(),

@@ -140,6 +140,32 @@ class TestConfigMerging:
         assert rc == 2
         assert "window" in capsys.readouterr().err
 
+    def test_rate_window_zero_rejected(self, fixture_path, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps({"input": str(fixture_path), "out": str(tmp_path), "rate_window": 0})
+        )
+        rc = run_cli("optimize", "--config", str(cfg))
+        assert rc == 2
+        assert "rate_window must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "plan.csv").exists()
+
+    def test_fractional_integer_rejected(self, fixture_path, tmp_path, capsys):
+        for key, value in (("k", 2.7), ("year", 2020.5)):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(
+                json.dumps({"input": str(fixture_path), "out": str(tmp_path), key: value})
+            )
+            rc = run_cli("cluster", "--config", str(cfg))
+            assert rc == 2
+            assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "clusters.csv").exists()
+
+    def test_whole_float_accepted_as_integer(self, fixture_path, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": str(fixture_path), "out": str(tmp_path), "k": 3.0}))
+        assert build_config(self.parse("cluster", "--config", str(cfg))).k == 3
+
     def test_window_and_k_bounds(self, fixture_path, tmp_path):
         base = ("optimize", "--input", str(fixture_path), "--out", str(tmp_path))
         assert run_cli(*base, "--window", "0") == 2

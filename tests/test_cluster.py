@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel
+from panel_helpers import make_panel
 from leadalloc.cluster import (
     RISK_LABELS,
     ClusterAssignment,
@@ -26,11 +26,10 @@ from leadalloc.cluster import (
     k_medoids,
     read_assignment,
     seed_medoids,
-    series_distance,
     write_assignment,
 )
 from leadalloc.errors import DataError
-from leadalloc.normalize import NormalizedPanel, normalize_panel
+from leadalloc.normalize import NormalizedPanel, normalize_panel, ols_line
 
 
 def flat_series(geo_id: int, value: float, length: int = 4) -> SeriesVector:
@@ -75,21 +74,6 @@ class TestBuildSeries:
         norm = NormalizedPanel(values={(1, 2020): 1.0}, years=(2020,), geo_ids=(1, 2))
         with pytest.raises(DataError, match="2"):
             build_series(norm)
-
-
-class TestSeriesDistance:
-    def test_hand_value(self):
-        a = SeriesVector(1, np.array([0.0, 3.0]))
-        b = SeriesVector(2, np.array([4.0, 0.0]))
-        assert series_distance(a, b) == 5.0
-
-    def test_zero_for_identical(self):
-        a = flat_series(1, 1.5)
-        assert series_distance(a, flat_series(2, 1.5)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            series_distance(flat_series(1, 1.0, 3), flat_series(2, 1.0, 4))
 
 
 def broadcast_distances(series) -> np.ndarray:
@@ -147,11 +131,15 @@ class TestKMedoids:
         assignment = k_medoids(series, 3)
         by_geo = {s.geo_id: s for s in series}
         expected = sum(
-            series_distance(by_geo[geo], by_geo[assignment.medoids[label]])
+            float(np.linalg.norm(by_geo[geo].values - by_geo[assignment.medoids[label]].values))
             for geo, label in assignment.labels.items()
         )
         assert math.isclose(assignment.total_cost, expected, abs_tol=1e-12)
         assert assignment.cost_history[-1] == assignment.total_cost
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            k_medoids([flat_series(1, 1.0, 3), flat_series(2, 1.0, 4)], 1)
 
     def test_input_order_invariance(self):
         forward = k_medoids(line_instance(), 3)
@@ -231,6 +219,33 @@ class TestSeeding:
                 values[(geo, year)] = level
         seeds = seed_medoids(norm_from_values(values))
         assert seeds == [1, 2, 3, 4, 5]
+
+    def test_row_reductions_match_per_series_criteria(self):
+        """The seeds equal those of the per-series criteria they replaced:
+        np.mean, the distance to a flat 1.0 and ols_line on each series,
+        including duplicated series, whose ties go to the smaller geo_id."""
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, years = int(rng.integers(5, 40)), int(rng.integers(1, 18))
+            values = rng.lognormal(0.0, 0.5, size=(n, years))
+            values[rng.random(n) < 0.2] = values[0]
+            geo_ids = sorted(rng.choice(np.arange(100, 999), size=n, replace=False).tolist())
+            norm = norm_from_values(
+                {(g, 2000 + j): float(v) for g, row in zip(geo_ids, values) for j, v in enumerate(row)}
+            )
+            series = build_series(norm)
+            means = {s.geo_id: float(np.mean(s.values)) for s in series}
+            flat = {s.geo_id: float(np.sqrt(np.sum((s.values - 1.0) ** 2))) for s in series}
+            slopes = {
+                s.geo_id: ols_line(np.arange(years, dtype=float), s.values)[0] if years > 1 else 0.0
+                for s in series
+            }
+            expected = []
+            for score in (means, {g: -v for g, v in means.items()}, {g: -v for g, v in flat.items()},
+                          slopes, {g: -v for g, v in slopes.items()}):
+                candidates = [g for g in geo_ids if g not in expected]
+                expected.append(max(candidates, key=lambda g: (score[g], -g)))
+            assert seed_medoids(norm) == expected
 
     def test_seeds_are_distinct_on_fixture(self, fixture_panel):
         seeds = seed_medoids(normalize_panel(fixture_panel))

@@ -33,7 +33,6 @@ from leadalloc.evaluate import (
     report_to_dict,
     round_half_up,
     two_proportion_ztest,
-    write_case_study,
     write_report,
 )
 
@@ -227,14 +226,6 @@ class TestCaseStudy:
     def test_missing_year(self, fixture_panel):
         with pytest.raises(MissingYear):
             neighborhood_case_study(fixture_panel, 101, year=2005)
-
-    def test_write_csv(self, fixture_panel, tmp_path):
-        rows = neighborhood_case_study(fixture_panel, 101, 102, year=2021)
-        path = tmp_path / "case_study.csv"
-        write_case_study(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "geo_id,year,tests,cases_5plus,rate_5plus,share_of_tests"
-        assert len(lines) == 3
 
 
 class TestEvaluatePlan:

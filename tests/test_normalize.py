@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel
+from panel_helpers import make_panel, random_panel
+from leadalloc.cluster import build_series
 from leadalloc.errors import DataError
 from leadalloc.normalize import (
     DegenerateInput,
@@ -108,10 +109,39 @@ class TestNormalizePanel:
             normalize_panel(panel)
         assert excinfo.value.year == 2020
 
+    def test_matches_per_cell_loop_on_random_panels(self):
+        """normalize_panel equals the per-year loop over ``panel.record`` that
+        the view replaced, bit for bit."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            panel = random_panel(rng)
+            expected = {}
+            try:
+                for year in panel.years:
+                    cells = [(g, panel.record(g, year)) for g in panel.geo_ids]
+                    cells = [(g, r) for g, r in cells if r is not None and r.tests != 0]
+                    if cells:
+                        rates = mean_normalize_year([r.cases_5plus / r.tests for _, r in cells])
+                        for (geo, _), value in zip(cells, rates):
+                            expected[(geo, year)] = float(value)
+            except ZeroMean:
+                with pytest.raises(ZeroMean):
+                    normalize_panel(panel)
+                continue
+            norm = normalize_panel(panel)
+            assert norm.values == expected
+            assert list(norm.values) == list(expected)
+
     def test_series_accessor_ordered(self):
-        panel = make_panel([(1, 2021, 100, 5), (1, 2019, 100, 5), (1, 2020, 100, 5)])
+        panel = make_panel(
+            [(1, 2021, 100, 5), (1, 2019, 100, 1), (1, 2020, 100, 3), (2, 2019, 100, 3),
+             (2, 2020, 100, 3), (2, 2021, 100, 5)]
+        )
         norm = normalize_panel(panel)
-        assert [year for year, _ in norm.series(1)] == [2019, 2020, 2021]
+        assert norm.years == (2019, 2020, 2021)
+        series = build_series(norm)[0]
+        assert series.geo_id == 1
+        assert series.values.tolist() == pytest.approx([0.5, 1.0, 1.0])
 
 
 class TestOlsLine:

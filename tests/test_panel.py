@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from conftest import make_panel, make_record
+from panel_helpers import make_panel, make_record, random_panel
 from leadalloc.panel import (
     DEFAULT_SCHEMA,
     DuplicateCell,
@@ -150,12 +151,12 @@ class TestPanelContainer:
         panel = make_panel([(1, 2020, 10, 1), (1, 2021, 10, 1), (2, 2020, 10, 1)])
         assert panel.gaps == (Gap(2, 2021, "missing"),)
         assert panel.record(2, 2021) is None
-        assert panel.rate_5plus(2, 2021) is None
+        assert not panel.view.present[1, 1]
 
     def test_gap_registry_for_zero_tests(self):
         panel = make_panel([(1, 2020, 0, 0), (1, 2021, 10, 1)])
         assert panel.gaps == (Gap(1, 2020, "zero_tests"),)
-        assert panel.rate_5plus(1, 2020) is None
+        assert panel.record(1, 2020).rate_5plus() is None
 
     def test_records_sorted_by_geo_then_year(self):
         panel = make_panel([(2, 2021, 5, 0), (1, 2021, 5, 0), (1, 2020, 5, 0)])
@@ -182,6 +183,62 @@ class TestPanelContainer:
         records = (make_record(1, 2019, 30, 1), make_record(1, 2020, 8, 1))
         panel = NeighborhoodPanel(records=records, years=(2018, 2020), geo_ids=(1,))
         assert panel.yearly_test_totals() == [0, 8]
+
+
+class TestPanelView:
+    def test_view_agrees_with_record_on_random_panels(self):
+        rng = np.random.default_rng(17)
+        seen = dict.fromkeys(("missing", "zero_tests", "outside"), 0)
+        for _ in range(300):
+            panel = random_panel(rng)
+            view = panel.view
+            shape = (len(panel.geo_ids), len(panel.years))
+            for array in (view.tests, view.cases_5plus, view.child_population, view.present):
+                assert array.shape == shape
+            assert view.tests.dtype == view.cases_5plus.dtype == view.child_population.dtype == np.int64
+            for i, geo in enumerate(panel.geo_ids):
+                for j, year in enumerate(panel.years):
+                    rec = panel.record(geo, year)
+                    got = (
+                        bool(view.present[i, j]),
+                        int(view.tests[i, j]),
+                        int(view.cases_5plus[i, j]),
+                        int(view.child_population[i, j]),
+                    )
+                    if rec is None:
+                        assert got == (False, 0, 0, 0)
+                        seen["missing"] += 1
+                    else:
+                        assert got == (True, rec.tests, rec.cases_5plus, rec.child_population)
+                        seen["zero_tests"] += rec.tests == 0
+            inside = [
+                r for r in panel.records if r.geo_id in panel.geo_ids and r.year in panel.years
+            ]
+            seen["outside"] += len(panel.records) - len(inside)
+            assert panel.yearly_test_totals() == [
+                sum(r.tests for r in inside if r.year == year) for year in panel.years
+            ]
+            assert panel.view is view
+        assert min(seen.values()) >= 50
+
+    def test_counts_too_large_for_int64_sums_rejected(self):
+        for tests in (2**70, 2**62):
+            panel = make_panel([(1, 2020, tests, 1), (2, 2020, tests, 1)])
+            with pytest.raises(DataError, match="64-bit"):
+                panel.view
+        largest = NeighborhoodPanel.from_records(
+            [make_record(g, 2020, 2**61, 1, child_population=1) for g in (1, 2)]
+        )
+        assert largest.yearly_test_totals() == [2**62]
+
+    def test_view_is_read_only(self, fixture_panel):
+        with pytest.raises(ValueError):
+            fixture_panel.view.tests[0, 0] = 1
+
+    def test_column_of_a_year_outside_the_panel(self, fixture_panel):
+        assert fixture_panel.column(2010) == 0
+        with pytest.raises(DataError, match="2030"):
+            fixture_panel.column(2030)
 
 
 class TestValidatePanel:
