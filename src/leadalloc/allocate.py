@@ -121,10 +121,12 @@ class GridConfig:
 
     def __post_init__(self):
         for name, (lo, hi) in (("p1_range", self.p1_range), ("p2_range", self.p2_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"{name} bounds must be finite, got {lo} and {hi}")
             if lo > hi:
                 raise ConfigError(f"{name} has lo > hi: {lo} > {hi}")
-        if self.step <= 0:
-            raise ConfigError(f"step must be positive, got {self.step}")
+        if not math.isfinite(self.step) or self.step <= 0:
+            raise ConfigError(f"step must be positive and finite, got {self.step}")
 
     def p1_values(self) -> list[float]:
         return grid_values(*self.p1_range, self.step)

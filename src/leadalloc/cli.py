@@ -131,12 +131,33 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
     return data.years[-1]
 
 
+def _read_artifact(reader, *paths: Path):
+    """Read back an earlier stage's files; one that does not parse is a DataError naming it."""
+    try:
+        return reader(*paths)
+    # a missing key, a value of the wrong type or text that is not a number
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        names = " and ".join(str(p) for p in paths)
+        raise DataError(f"cannot read {names}: {exc!r}; delete it to recompute") from exc
+
+
+def _check_reused_geos(path: Path, geo_ids, config: RunConfig, data: panel.NeighborhoodPanel):
+    """An earlier stage's file made from another panel must not be reused."""
+    if tuple(geo_ids) != data.geo_ids:
+        raise DataError(
+            f"{path} holds other neighborhoods than {config.input_path}; "
+            "delete it to recompute"
+        )
+
+
 def _normalized(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
     """Prefer a previously written normalized.csv; otherwise compute."""
     existing = config.output_dir / "normalized.csv"
     with _stage("normalize"):
         if existing.exists():
-            return normalize.read_normalized(existing)
+            norm = _read_artifact(normalize.read_normalized, existing)
+            _check_reused_geos(existing, norm.geo_ids, config, data)
+            return norm
         return normalize.normalize_panel(data)
 
 
@@ -216,12 +237,8 @@ def cmd_evaluate(config: RunConfig) -> None:
     plan_json = config.output_dir / "plan.json"
     if plan_csv.exists() and plan_json.exists():
         with _stage("evaluate"):
-            plan = allocate.read_plan(plan_csv, plan_json)
-            if plan.geo_ids != data.geo_ids:
-                raise DataError(
-                    f"{plan_csv} plans other neighborhoods than {config.input_path} holds; "
-                    "rerun optimize on this panel"
-                )
+            plan = _read_artifact(allocate.read_plan, plan_csv, plan_json)
+            _check_reused_geos(plan_csv, plan.geo_ids, config, data)
         with _stage("optimize"):
             rate_window = config.window if config.rate_window is None else config.rate_window
             rates = allocate.case_rates(data, plan.target_year, rate_window)
@@ -234,7 +251,8 @@ def cmd_evaluate(config: RunConfig) -> None:
     clusters_json = config.output_dir / "clusters.json"
     if clusters_csv.exists() and clusters_json.exists():
         with _stage("cluster"):
-            assignment = cluster.read_assignment(clusters_csv, clusters_json)
+            assignment = _read_artifact(cluster.read_assignment, clusters_csv, clusters_json)
+            _check_reused_geos(clusters_csv, sorted(assignment.labels), config, data)
     else:
         norm = _normalized(config, data)
         with _stage("cluster"):

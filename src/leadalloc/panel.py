@@ -39,6 +39,7 @@ DEFAULT_COLUMNS = {
 }
 
 CANONICAL_FIELDS = tuple(DEFAULT_COLUMNS)
+_TEXT_FIELDS = frozenset({"geo_name", "borough"})  # every other field is an integer
 
 
 class MissingColumn(DataError):
@@ -160,34 +161,30 @@ class NeighborhoodPanel:
         records: list[NeighborhoodYearRecord],
         rejected: tuple[RejectedRow, ...] = (),
     ) -> "NeighborhoodPanel":
-        """Build a panel, deriving the gap registry from the records."""
+        """Build a panel and its view, deriving the gap registry from the view."""
         years = tuple(sorted({r.year for r in records}))
         geo_ids = tuple(sorted({r.geo_id for r in records}))
-        index = {(r.geo_id, r.year): r for r in records}
-        gaps = []
-        for geo in geo_ids:
-            for year in years:
-                rec = index.get((geo, year))
-                if rec is None:
-                    gaps.append(Gap(geo, year, "missing"))
-                elif rec.tests == 0:
-                    gaps.append(Gap(geo, year, "zero_tests"))
         ordered = sorted(records, key=lambda r: (r.geo_id, r.year))
-        return cls(
-            records=tuple(ordered),
-            years=years,
-            geo_ids=geo_ids,
-            gaps=tuple(gaps),
-            rejected=rejected,
+        panel = cls(records=tuple(ordered), years=years, geo_ids=geo_ids, rejected=rejected)
+        view = panel.view
+        # absent cells hold 0 tests in the view, so one mask finds both kinds
+        rows, cols = np.nonzero(view.tests == 0)
+        present = view.present[rows, cols].tolist()
+        gaps = tuple(
+            Gap(geo_ids[i], years[j], "zero_tests" if here else "missing")
+            for i, j, here in zip(rows.tolist(), cols.tolist(), present)
         )
+        object.__setattr__(panel, "gaps", gaps)
+        return panel
 
     def record(self, geo_id: int, year: int) -> NeighborhoodYearRecord | None:
         return self._index.get((geo_id, year))
 
     @cached_property
     def view(self) -> PanelView:
-        """The (geo x year) arrays, built on first use in one pass over the
-        cells; records outside ``geo_ids`` or ``years`` are left out."""
+        """The (geo x year) arrays, built in one pass over the cells by
+        ``from_records`` or else on first use; records outside ``geo_ids`` or
+        ``years`` are left out."""
         row = {geo: i for i, geo in enumerate(self.geo_ids)}
         col = {year: j for j, year in enumerate(self.years)}
         shape = (len(self.geo_ids), len(self.years))
@@ -257,18 +254,22 @@ def parse_panel(
     except OSError as exc:
         raise DataError(f"cannot read panel file {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # a repeated column name reads its last column, as csv.DictReader does
+        position = {name: i for i, name in enumerate(header)}
         for canonical in CANONICAL_FIELDS:
-            if schema.columns[canonical] not in header:
+            if schema.columns[canonical] not in position:
                 raise MissingColumn(schema.columns[canonical])
+        fields = [(name, position[schema.columns[name]]) for name in CANONICAL_FIELDS]
 
         records: list[NeighborhoodYearRecord] = []
         rejected: list[RejectedRow] = []
         seen: set[tuple[int, int]] = set()
-        for row_num, row in enumerate(reader, start=1):
+        # blank lines are skipped without a row number, as csv.DictReader does
+        for row_num, row in enumerate(filter(None, reader), start=1):
             try:
-                rec = _coerce_row(row, schema)
+                rec = _coerce_row(row, fields)
             except ValueError as exc:
                 if on_error == "raise":
                     raise MalformedRow(row_num, str(exc)) from exc
@@ -289,31 +290,22 @@ def parse_panel(
     return NeighborhoodPanel.from_records(records, rejected=tuple(rejected))
 
 
-def _coerce_row(row: dict, schema: PanelSchema) -> NeighborhoodYearRecord:
-    def text(fieldname: str) -> str:
-        raw = row.get(schema.columns[fieldname])
-        if raw is None or raw.strip() == "":
-            raise ValueError(f"{fieldname} is empty")
-        return raw.strip()
-
-    def integer(fieldname: str) -> int:
-        raw = text(fieldname)
+def _coerce_row(row: list[str], fields) -> NeighborhoodYearRecord:
+    """One record from a CSV row, given each canonical field's column; a
+    column past the end of a short row reads as empty."""
+    values = []
+    for name, pos in fields:
+        raw = row[pos].strip() if pos < len(row) else ""
+        if not raw:
+            raise ValueError(f"{name} is empty")
+        if name in _TEXT_FIELDS:
+            values.append(raw)
+            continue
         try:
-            return int(raw)
+            values.append(int(raw))
         except ValueError:
-            raise ValueError(f"{fieldname} is not an integer: {raw!r}") from None
-
-    return NeighborhoodYearRecord(
-        geo_id=integer("geo_id"),
-        geo_name=text("geo_name"),
-        borough=text("borough"),
-        year=integer("year"),
-        tests=integer("tests"),
-        cases_5plus=integer("cases_5plus"),
-        cases_10plus=integer("cases_10plus"),
-        cases_15plus=integer("cases_15plus"),
-        child_population=integer("child_population"),
-    )
+            raise ValueError(f"{name} is not an integer: {raw!r}") from None
+    return NeighborhoodYearRecord(*values)
 
 
 def validate_panel(

@@ -426,3 +426,109 @@ class TestFailureExits:
         )
         assert rc == 3
         assert "error at stage optimize" in capsys.readouterr().err
+
+
+def write_fixture_variant(fixture_path, path, edit):
+    """Copy the fixture CSV to ``path``, passing each row dict through ``edit``
+    (a row it returns None for is dropped)."""
+    with open(fixture_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fieldnames = reader.fieldnames
+        rows = [row for row in map(edit, reader) if row is not None]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def shift_geo(row):
+    row["geo_id"] = str(int(row["geo_id"]) + 800)
+    return row
+
+
+class TestReusedArtifacts:
+    """An earlier stage's file made from another panel, or one that does not
+    parse, ends the run with exit 1 and a message, not a report or a traceback."""
+
+    def assert_data_error(self, rc, capsys, stage, name):
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"error at stage {stage}" in captured.err
+        assert name in captured.err
+        assert "clustered into" not in captured.out
+        assert "case difference" not in captured.out
+
+    def test_cluster_rejects_normalized_of_another_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        other = write_fixture_variant(fixture_path, tmp_path / "shifted.csv", shift_geo)
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", str(other), "--out", str(out))
+        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
+
+    def test_evaluate_rejects_clusters_of_another_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        (out / "plan.csv").unlink()
+        (out / "plan.json").unlink()
+        other = write_fixture_variant(
+            fixture_path, tmp_path / "five.csv", lambda row: None if row["geo_id"] == "106" else row
+        )
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
+        self.assert_data_error(rc, capsys, "cluster", "clusters.csv")
+
+    def test_plan_json_without_a_key(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = read_json(out / "plan.json")
+        del doc["p1"]
+        (out / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+
+    def test_normalized_rate_not_a_number(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
+        path = out / "normalized.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["zz"])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
+
+    def test_clusters_json_without_a_key_or_with_a_list(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        written = read_json(out / "clusters.json")
+        for medoids in (None, list(written["medoids"].values())):
+            doc = dict(written)
+            if medoids is None:
+                del doc["medoids"]
+            else:
+                doc["medoids"] = medoids
+            (out / "clusters.json").write_text(json.dumps(doc))
+            capsys.readouterr()
+            rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+            self.assert_data_error(rc, capsys, "cluster", "clusters.json")
+
+
+class TestLatticeBounds:
+    def test_non_finite_bounds_and_steps_are_config_errors(self, fixture_path, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"p1_range": [0, 1e400, 0.1]}')
+        cases = (
+            ["--config", str(cfg)],
+            ["--p1-range=0:nan:0.1"],
+            ["--p2-range=-inf:1:0.1"],
+            ["--p1-range=0:1:inf", "--p2-range=0:1:inf"],
+            ["--p1-range=0:1:nan"],
+        )
+        for flags in cases:
+            capsys.readouterr()
+            rc = run_cli("optimize", "--input", str(fixture_path), "--out", str(tmp_path), *flags)
+            assert rc == 2, flags
+            assert "finite" in capsys.readouterr().err

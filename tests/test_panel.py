@@ -223,9 +223,8 @@ class TestPanelView:
 
     def test_counts_too_large_for_int64_sums_rejected(self):
         for tests in (2**70, 2**62):
-            panel = make_panel([(1, 2020, tests, 1), (2, 2020, tests, 1)])
             with pytest.raises(DataError, match="64-bit"):
-                panel.view
+                make_panel([(1, 2020, tests, 1), (2, 2020, tests, 1)])
         largest = NeighborhoodPanel.from_records(
             [make_record(g, 2020, 2**61, 1, child_population=1) for g in (1, 2)]
         )
