@@ -37,6 +37,9 @@ DEFAULT_FLOOR_FRACTION = 0.25
 DEFAULT_WINDOW = 3
 DEFAULT_WEIGHT_RANGE = (-10.0, 10.0)
 DEFAULT_STEP = 0.1
+# the search scores every lattice point, so a finer or wider lattice than
+# this is refused before any of it is built
+MAX_LATTICE_POINTS = 10**7
 
 # float64 elements per (points, geos) block of the lattice search: enough
 # points per block to amortize numpy's per-call cost, few enough that the
@@ -127,6 +130,12 @@ class GridConfig:
                 raise ConfigError(f"{name} has lo > hi: {lo} > {hi}")
         if not math.isfinite(self.step) or self.step <= 0:
             raise ConfigError(f"step must be positive and finite, got {self.step}")
+        points = _axis_size(*self.p1_range, self.step) * _axis_size(*self.p2_range, self.step)
+        if points > MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"the (p1, p2) lattice has {points:,} points, more than the "
+                f"{MAX_LATTICE_POINTS:,} allowed; use a coarser step or narrower ranges"
+            )
 
     def p1_values(self) -> list[float]:
         return grid_values(*self.p1_range, self.step)
@@ -141,8 +150,14 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     The snap removes accumulated float error so canonical points such as
     (1, 0) land exactly on lattices like [-10, 10] step 0.1.
     """
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + i * step, 12) for i in range(count)]
+    return [round(lo + i * step, 12) for i in range(_axis_size(lo, hi, step))]
+
+
+def _axis_size(lo: float, hi: float, step: float) -> int | float:
+    """How many values grid_values(lo, hi, step) returns; inf when
+    (hi - lo) / step overflows a float."""
+    count = (hi - lo) / step + 1e-9
+    return math.floor(count) + 1 if math.isfinite(count) else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,7 +541,7 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
             v2_tests.append(int(row["v2_tests"]))
     with open(json_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return AllocationPlan(
+    plan = AllocationPlan(
         geo_ids=tuple(geo_ids),
         p1=float(doc["p1"]),
         p2=float(doc["p2"]),
@@ -540,6 +555,10 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
         projected_cases_v2=float(doc["projected_cases_v2"]),
         delta_cases=float(doc["delta_cases"]),
     )
+    scalars = (plan.p1, plan.p2, plan.projected_cases_v1, plan.projected_cases_v2, plan.delta_cases)
+    if not all(map(math.isfinite, (*scalars, *baseline, *candidate))):
+        raise ValueError(f"{csv_path} or {json_path} holds a number that is not finite")
+    return plan
 
 
 def write_trace(trace, path: str | Path) -> None:

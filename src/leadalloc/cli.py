@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
-Subcommands mirror the pipeline stages: ingest, normalize, cluster,
+Commands mirror the pipeline stages: ingest, normalize, cluster,
 optimize, evaluate, and run (all stages end to end). Stages read the raw
 panel CSV from --input and write their artifacts into --out with fixed
 names, so a later stage can pick up a previous stage's files for partial
 reruns. Settings come from an optional flat JSON config file plus flags;
-flags win over file values.
+flags win over file values and pass the same checks. Options may come
+before or after the command.
 
 Artifacts, by stage:
   ingest     panel.csv (canonical layout), validation.json
@@ -28,29 +29,12 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import allocate, cluster, evaluate, normalize, panel
 from .errors import ConfigError, DataError, InfeasibleError, LeadAllocError
-
-CONFIG_KEYS = frozenset(
-    {
-        "input",
-        "out",
-        "year",
-        "window",
-        "p1_range",
-        "p2_range",
-        "floor",
-        "population_cap",
-        "require_nonnegative_delta",
-        "total_tests",
-        "emit_trace",
-        "k",
-        "rate_window",
-        "forecast_window",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -64,15 +48,15 @@ class RunConfig:
 
     input_path: Path
     output_dir: Path
-    target_year: int | None = None
-    window: int = allocate.DEFAULT_WINDOW
-    grid: allocate.GridConfig = allocate.GridConfig()
-    constraints: allocate.ConstraintConfig = allocate.ConstraintConfig()
-    k: int = 5
-    total_tests_override: int | None = None
-    emit_trace: bool = False
-    rate_window: int | None = None
-    forecast_window: int | None = None
+    grid: allocate.GridConfig
+    constraints: allocate.ConstraintConfig
+    target_year: int | None
+    window: int
+    k: int
+    total_tests_override: int | None
+    emit_trace: bool
+    rate_window: int | None
+    forecast_window: int | None
 
     def __post_init__(self):
         if self.window < 1:
@@ -86,12 +70,10 @@ class RunConfig:
                 f"total tests override must be positive, got {self.total_tests_override}"
             )
 
-
-class _StageFailure(Exception):
-    def __init__(self, stage: str, error: LeadAllocError):
-        super().__init__(f"{stage}: {error}")
-        self.stage = stage
-        self.error = error
+    @property
+    def case_rate_window(self) -> int:
+        """Trailing years pooled for the case rates."""
+        return self.window if self.rate_window is None else self.rate_window
 
 
 @contextmanager
@@ -99,10 +81,9 @@ def _stage(name: str):
     """Tag any pipeline error with the stage it came from."""
     try:
         yield
-    except _StageFailure:
-        raise
     except LeadAllocError as exc:
-        raise _StageFailure(name, exc) from exc
+        exc.stage = name
+        raise
 
 
 def _exit_code(error: LeadAllocError) -> int:
@@ -131,69 +112,100 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
     return data.years[-1]
 
 
-def _read_artifact(reader, *paths: Path):
-    """Read back an earlier stage's files; one that does not parse is a DataError naming it."""
+def _reused(config: RunConfig, data: panel.NeighborhoodPanel, reader, *names: str):
+    """An earlier stage's files read back, or None when one of them is missing.
+
+    Files that do not parse, or that were made from another panel, are a
+    DataError naming them.
+    """
+    paths = [config.output_dir / name for name in names]
+    if not all(path.exists() for path in paths):
+        return None
     try:
-        return reader(*paths)
-    # a missing key, a value of the wrong type or text that is not a number
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        names = " and ".join(str(p) for p in paths)
-        raise DataError(f"cannot read {names}: {exc!r}; delete it to recompute") from exc
-
-
-def _check_reused_geos(path: Path, geo_ids, config: RunConfig, data: panel.NeighborhoodPanel):
-    """An earlier stage's file made from another panel must not be reused."""
-    if tuple(geo_ids) != data.geo_ids:
+        value = reader(*paths)
+    # a missing key, a value of the wrong type, text that is not a number, or
+    # an infinite JSON number where an integer belongs
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        listed = " and ".join(str(p) for p in paths)
+        raise DataError(f"cannot read {listed}: {exc!r}; delete it to recompute") from exc
+    if tuple(value.geo_ids) != data.geo_ids:
         raise DataError(
-            f"{path} holds other neighborhoods than {config.input_path}; "
+            f"{paths[0]} holds other neighborhoods than {config.input_path}; "
             "delete it to recompute"
         )
+    return value
+
+
+def _validate(config: RunConfig, data: panel.NeighborhoodPanel) -> list:
+    """Check the panel and write validation.json; returns the violations."""
+    with _stage("ingest"):
+        violations = panel.validate_panel(data)
+        out = _ensure_out(config)
+        panel.write_validation_report(data, violations, out / "validation.json")
+    return violations
+
+
+def _normalize(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
+    with _stage("normalize"):
+        norm = normalize.normalize_panel(data)
+        normalize.write_normalized(norm, _ensure_out(config) / "normalized.csv")
+    return norm
 
 
 def _normalized(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
     """Prefer a previously written normalized.csv; otherwise compute."""
-    existing = config.output_dir / "normalized.csv"
     with _stage("normalize"):
-        if existing.exists():
-            norm = _read_artifact(normalize.read_normalized, existing)
-            _check_reused_geos(existing, norm.geo_ids, config, data)
-            return norm
-        return normalize.normalize_panel(data)
+        norm = _reused(config, data, normalize.read_normalized, "normalized.csv")
+        return normalize.normalize_panel(data) if norm is None else norm
+
+
+def _cluster(config: RunConfig, norm: normalize.NormalizedPanel) -> cluster.ClusterAssignment:
+    with _stage("cluster"):
+        assignment = cluster.cluster_neighborhoods(norm, config.k)
+        out = _ensure_out(config)
+        cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
+    return assignment
 
 
 def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
-    """Run the optimize stage in memory; returns (search result, rates)."""
+    """Search the weights and write plan.* (and trace.csv); returns (plan, rates)."""
     with _stage("optimize"):
         year = _target_year(config, data)
         shares = allocate.compute_shares(data, year, config.window)
-        if config.total_tests_override is not None:
-            total_tests = config.total_tests_override
-        else:
+        total_tests = config.total_tests_override
+        if total_tests is None:
             total_tests = normalize.forecast_total_tests(
                 data.yearly_test_totals(), config.forecast_window
             )
-        rate_window = config.window if config.rate_window is None else config.rate_window
-        rates = allocate.case_rates(data, year, rate_window)
+            if total_tests < 1:
+                raise DataError(
+                    f"the test-total trend forecasts {total_tests} tests, "
+                    "which leaves nothing to allocate; set a budget with --total-tests"
+                )
+        rates = allocate.case_rates(data, year, config.case_rate_window)
         result = allocate.grid_search(
             data, shares, total_tests, config.grid, config.constraints, rates=rates
         )
-    return result, rates
+        out = _ensure_out(config)
+        allocate.write_plan(result.plan, out / "plan.csv", out / "plan.json")
+        if config.emit_trace:
+            allocate.write_trace(result.trace, out / "trace.csv")
+    return result.plan, rates
 
 
-def _write_plan_artifacts(config: RunConfig, result: allocate.SearchResult) -> None:
-    out = _ensure_out(config)
-    allocate.write_plan(result.plan, out / "plan.csv", out / "plan.json")
-    if config.emit_trace:
-        allocate.write_trace(result.trace, out / "trace.csv")
+def _evaluate(config: RunConfig, plan, rates, assignment) -> evaluate.EvaluationReport:
+    with _stage("evaluate"):
+        report = evaluate.evaluate_plan(plan, rates, assignment)
+        out = _ensure_out(config)
+        evaluate.write_report(report, out / "evaluation.json")
+        (out / "evaluation.txt").write_text(evaluate.format_report(report), encoding="utf-8")
+    return report
 
 
 def cmd_ingest(config: RunConfig) -> None:
     data = _load_panel(config)
-    with _stage("ingest"):
-        violations = panel.validate_panel(data)
-        out = _ensure_out(config)
-        panel.write_panel(data, out / "panel.csv")
-        panel.write_validation_report(data, violations, out / "validation.json")
+    violations = _validate(config, data)
+    panel.write_panel(data, config.output_dir / "panel.csv")
     print(
         f"ingested {len(data.geo_ids)} neighborhoods x {len(data.years)} years "
         f"({len(data.rejected)} rejected rows, {len(violations)} violations)"
@@ -201,30 +213,19 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_normalize(config: RunConfig) -> None:
-    data = _load_panel(config)
-    with _stage("normalize"):
-        norm = normalize.normalize_panel(data)
-        out = _ensure_out(config)
-        normalize.write_normalized(norm, out / "normalized.csv")
+    norm = _normalize(config, _load_panel(config))
     print(f"normalized {len(norm.values)} cells across {len(norm.years)} years")
 
 
 def cmd_cluster(config: RunConfig) -> None:
     data = _load_panel(config)
-    norm = _normalized(config, data)
-    with _stage("cluster"):
-        assignment = cluster.cluster_neighborhoods(norm, config.k)
-        out = _ensure_out(config)
-        cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
+    assignment = _cluster(config, _normalized(config, data))
     medoid_text = ", ".join(f"{label}={geo}" for label, geo in assignment.medoids.items())
     print(f"clustered into {config.k} profiles ({medoid_text})")
 
 
 def cmd_optimize(config: RunConfig) -> None:
-    data = _load_panel(config)
-    result, _ = _optimize(config, data)
-    _write_plan_artifacts(config, result)
-    plan = result.plan
+    plan, _ = _optimize(config, _load_panel(config))
     print(
         f"best weights p1={plan.p1:g}, p2={plan.p2:g}: "
         f"projected case difference {plan.delta_cases:+.2f} at T={plan.total_tests}"
@@ -233,38 +234,19 @@ def cmd_optimize(config: RunConfig) -> None:
 
 def cmd_evaluate(config: RunConfig) -> None:
     data = _load_panel(config)
-    plan_csv = config.output_dir / "plan.csv"
-    plan_json = config.output_dir / "plan.json"
-    if plan_csv.exists() and plan_json.exists():
-        with _stage("evaluate"):
-            plan = _read_artifact(allocate.read_plan, plan_csv, plan_json)
-            _check_reused_geos(plan_csv, plan.geo_ids, config, data)
-        with _stage("optimize"):
-            rate_window = config.window if config.rate_window is None else config.rate_window
-            rates = allocate.case_rates(data, plan.target_year, rate_window)
-    else:
-        result, rates = _optimize(config, data)
-        _write_plan_artifacts(config, result)
-        plan = result.plan
-
-    clusters_csv = config.output_dir / "clusters.csv"
-    clusters_json = config.output_dir / "clusters.json"
-    if clusters_csv.exists() and clusters_json.exists():
-        with _stage("cluster"):
-            assignment = _read_artifact(cluster.read_assignment, clusters_csv, clusters_json)
-            _check_reused_geos(clusters_csv, sorted(assignment.labels), config, data)
-    else:
-        norm = _normalized(config, data)
-        with _stage("cluster"):
-            assignment = cluster.cluster_neighborhoods(norm, config.k)
-            out = _ensure_out(config)
-            cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
-
     with _stage("evaluate"):
-        report = evaluate.evaluate_plan(plan, rates, assignment)
-        out = _ensure_out(config)
-        evaluate.write_report(report, out / "evaluation.json")
-        (out / "evaluation.txt").write_text(evaluate.format_report(report), encoding="utf-8")
+        plan = _reused(config, data, allocate.read_plan, "plan.csv", "plan.json")
+    if plan is None:
+        plan, rates = _optimize(config, data)
+    else:
+        with _stage("optimize"):
+            rates = allocate.case_rates(data, plan.target_year, config.case_rate_window)
+    with _stage("cluster"):
+        assignment = _reused(config, data, cluster.read_assignment, "clusters.csv", "clusters.json")
+    if assignment is None:
+        assignment = _cluster(config, _normalized(config, data))
+
+    report = _evaluate(config, plan, rates, assignment)
     if report.ztest is not None:
         print(
             f"case difference {report.delta_cases:+.2f}; "
@@ -276,55 +258,33 @@ def cmd_evaluate(config: RunConfig) -> None:
 
 def cmd_run(config: RunConfig) -> None:
     data = _load_panel(config)
-    with _stage("ingest"):
-        violations = panel.validate_panel(data)
-        out = _ensure_out(config)
-        panel.write_validation_report(data, violations, out / "validation.json")
-
-    with _stage("normalize"):
-        norm = normalize.normalize_panel(data)
-        normalize.write_normalized(norm, out / "normalized.csv")
-
-    with _stage("cluster"):
-        assignment = cluster.cluster_neighborhoods(norm, config.k)
-        cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
-
-    result, rates = _optimize(config, data)
-    _write_plan_artifacts(config, result)
-    plan = result.plan
-
-    with _stage("evaluate"):
-        report = evaluate.evaluate_plan(plan, rates, assignment)
-        evaluate.write_report(report, out / "evaluation.json")
-        (out / "evaluation.txt").write_text(evaluate.format_report(report), encoding="utf-8")
-
+    _validate(config, data)
+    assignment = _cluster(config, _normalize(config, data))
+    plan, rates = _optimize(config, data)
+    _evaluate(config, plan, rates, assignment)
     print(
         f"pipeline complete: p1={plan.p1:g}, p2={plan.p2:g}, "
-        f"case difference {plan.delta_cases:+.2f}, artifacts in {out}"
+        f"case difference {plan.delta_cases:+.2f}, artifacts in {config.output_dir}"
     )
 
 
-def _parse_range_text(text: str, key: str) -> tuple[tuple[float, float], float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{key} must be lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(part) for part in parts)
-    except ValueError:
-        raise ConfigError(f"{key} must be numeric lo:hi:step, got {text!r}") from None
-    return (lo, hi), step
+def _as_path(value, key: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return Path(value)
 
 
-def _range_value(value, key: str) -> tuple[tuple[float, float], float]:
-    if isinstance(value, str):
-        return _parse_range_text(value, key)
-    if isinstance(value, (list, tuple)) and len(value) == 3:
+def _as_range(value, key: str) -> tuple[tuple[float, float], float]:
+    parts = value.split(":") if isinstance(value, str) else value
+    if isinstance(parts, (list, tuple)) and len(parts) == 3:
         try:
-            lo, hi, step = (float(part) for part in value)
+            lo, hi, step = (float(part) for part in parts)
+            return (lo, hi), step
         except (TypeError, ValueError):
-            raise ConfigError(f"{key} must hold three numbers, got {value!r}") from None
-        return (lo, hi), step
-    raise ConfigError(f"{key} must be 'lo:hi:step' or [lo, hi, step], got {value!r}")
+            pass
+    raise ConfigError(
+        f"{key} must be three numbers, 'lo:hi:step' or [lo, hi, step], got {value!r}"
+    )
 
 
 def _as_int(value, key: str) -> int:
@@ -352,6 +312,43 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
+class _Setting(NamedTuple):
+    read: Callable[[object, str], object]  # checks a flag or config-file value
+    default: object = None
+    help: str | None = None  # flag help; a setting without it has no flag
+    missing: str | None = None  # the error when a required setting is unset or empty
+
+
+# Every setting, in the order build_config checks it. That is also the order
+# of the fields the values fill: RunConfig's two paths, the two lattice
+# ranges, ConstraintConfig's fields, then the rest of RunConfig's.
+SETTINGS = {
+    "input": _Setting(
+        _as_path, None, "panel CSV path", "an input CSV is required (--input or config key 'input')"
+    ),
+    "out": _Setting(
+        _as_path,
+        None,
+        "output directory for artifacts",
+        "an output directory is required (--out or config key 'out')",
+    ),
+    "p1_range": _Setting(_as_range, help="testing-weight lattice, lo:hi:step"),
+    "p2_range": _Setting(_as_range, help="case-weight lattice, lo:hi:step"),
+    "floor": _Setting(
+        _as_float, allocate.DEFAULT_FLOOR_FRACTION, "minimum share kept, as fraction of baseline"
+    ),
+    "population_cap": _Setting(_as_bool, True, "drop the child-population ceiling on test counts"),
+    "require_nonnegative_delta": _Setting(_as_bool, False),
+    "year": _Setting(_as_int, help="target year (default: latest in panel)"),
+    "window": _Setting(_as_int, allocate.DEFAULT_WINDOW, "trailing years pooled for case shares"),
+    "k": _Setting(_as_int, 5, "cluster count (default 5)"),
+    "total_tests": _Setting(_as_int, help="override forecast T"),
+    "emit_trace": _Setting(_as_bool, False, "also write the full search trace CSV"),
+    "rate_window": _Setting(_as_int),
+    "forecast_window": _Setting(_as_int),
+}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -362,135 +359,77 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold one flat JSON object")
-    unknown = sorted(set(values) - CONFIG_KEYS)
+    unknown = sorted(set(values) - SETTINGS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return values
+
+
+def _grid(p1_range, p2_range) -> allocate.GridConfig:
+    """The lattice from the two range settings, each ((lo, hi), step) or None."""
+    steps = [given[1] for given in (p1_range, p2_range) if given is not None]
+    if len(steps) == 2 and steps[0] != steps[1]:
+        raise ConfigError(
+            f"p1_range and p2_range must share one step, got {steps[0]} and {steps[1]}"
+        )
+    # a range left unset takes the default bounds and the other range's step
+    default = (allocate.DEFAULT_WEIGHT_RANGE, steps[0] if steps else allocate.DEFAULT_STEP)
+    (p1_bounds, step), (p2_bounds, _) = p1_range or default, p2_range or default
+    return allocate.GridConfig(p1_bounds, p2_bounds, step)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file values and flags into a RunConfig; flags win."""
     file_values = _load_config_file(args.config) if args.config else {}
 
-    def setting(key: str, flag_value):
-        return flag_value if flag_value is not None else file_values.get(key)
+    def read(key: str, setting: _Setting):
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key)
+        if setting.missing and not value:
+            raise ConfigError(setting.missing)
+        return setting.default if value is None else setting.read(value, key)
 
-    input_value = setting("input", args.input)
-    if not input_value:
-        raise ConfigError("an input CSV is required (--input or config key 'input')")
-    out_value = setting("out", args.out)
-    if not out_value:
-        raise ConfigError("an output directory is required (--out or config key 'out')")
-
-    p1_range, p2_range = allocate.DEFAULT_WEIGHT_RANGE, allocate.DEFAULT_WEIGHT_RANGE
-    steps = []
-    p1_value = setting("p1_range", args.p1_range)
-    if p1_value is not None:
-        p1_range, step = _range_value(p1_value, "p1_range")
-        steps.append(step)
-    p2_value = setting("p2_range", args.p2_range)
-    if p2_value is not None:
-        p2_range, step = _range_value(p2_value, "p2_range")
-        steps.append(step)
-    if len(steps) == 2 and steps[0] != steps[1]:
-        raise ConfigError(
-            f"p1_range and p2_range must share one step, got {steps[0]} and {steps[1]}"
-        )
-    grid = allocate.GridConfig(
-        p1_range=p1_range,
-        p2_range=p2_range,
-        step=steps[0] if steps else allocate.DEFAULT_STEP,
-    )
-
-    floor_value = setting("floor", args.floor)
-    if args.no_population_cap is not None:
-        cap_flag = False
-    elif "population_cap" in file_values:
-        cap_flag = _as_bool(file_values["population_cap"], "population_cap")
-    else:
-        cap_flag = True
-    nonneg_value = file_values.get("require_nonnegative_delta")
-    constraints = allocate.ConstraintConfig(
-        floor_fraction=allocate.DEFAULT_FLOOR_FRACTION
-        if floor_value is None
-        else _as_float(floor_value, "floor"),
-        population_cap=cap_flag,
-        require_nonnegative_delta=False
-        if nonneg_value is None
-        else _as_bool(nonneg_value, "require_nonnegative_delta"),
-    )
-
-    year_value = setting("year", args.year)
-    window_value = setting("window", args.window)
-    total_value = setting("total_tests", args.total_tests)
-    k_value = setting("k", args.k)
-    trace_value = setting("emit_trace", args.emit_trace)
-    rate_window = file_values.get("rate_window")
-    forecast_window = file_values.get("forecast_window")
-
-    return RunConfig(
-        input_path=Path(input_value),
-        output_dir=Path(out_value),
-        target_year=None if year_value is None else _as_int(year_value, "year"),
-        window=allocate.DEFAULT_WINDOW if window_value is None else _as_int(window_value, "window"),
-        grid=grid,
-        constraints=constraints,
-        k=5 if k_value is None else _as_int(k_value, "k"),
-        total_tests_override=None if total_value is None else _as_int(total_value, "total_tests"),
-        emit_trace=False if trace_value is None else _as_bool(trace_value, "emit_trace"),
-        rate_window=None if rate_window is None else _as_int(rate_window, "rate_window"),
-        forecast_window=None
-        if forecast_window is None
-        else _as_int(forecast_window, "forecast_window"),
-    )
+    # read lazily, so each setting is checked only after the ones before it
+    values = (read(key, setting) for key, setting in SETTINGS.items())
+    input_path, output_dir = next(values), next(values)
+    grid = _grid(next(values), next(values))
+    constraints = allocate.ConstraintConfig(*islice(values, 3))
+    return RunConfig(input_path, output_dir, grid, constraints, *values)
 
 
-COMMANDS = (
-    ("ingest", cmd_ingest, "parse and validate the panel CSV"),
-    ("normalize", cmd_normalize, "mean-normalize rates year by year"),
-    ("cluster", cmd_cluster, "group neighborhoods into risk profiles"),
-    ("optimize", cmd_optimize, "search test-allocation weights"),
-    ("evaluate", cmd_evaluate, "statistically summarize the chosen plan"),
-    ("run", cmd_run, "run every stage end to end"),
-)
+COMMANDS = {
+    "ingest": (cmd_ingest, "parse and validate the panel CSV"),
+    "normalize": (cmd_normalize, "mean-normalize rates year by year"),
+    "cluster": (cmd_cluster, "group neighborhoods into risk profiles"),
+    "optimize": (cmd_optimize, "search test-allocation weights"),
+    "evaluate": (cmd_evaluate, "statistically summarize the chosen plan"),
+    "run": (cmd_run, "run every stage end to end"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leadalloc",
         description="Allocate blood-lead testing capacity across neighborhoods.",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    # every subcommand takes the same options; argparse copies them from one
-    # parent parser instead of building them once per subcommand
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--input", help="panel CSV path")
-    shared.add_argument("--out", help="output directory for artifacts")
-    shared.add_argument("--config", help="flat JSON config file; flags override it")
-    shared.add_argument("--year", type=int, help="target year (default: latest in panel)")
-    shared.add_argument("--window", type=int, help="trailing years pooled for case shares")
-    shared.add_argument("--p1-range", dest="p1_range", help="testing-weight lattice, lo:hi:step")
-    shared.add_argument("--p2-range", dest="p2_range", help="case-weight lattice, lo:hi:step")
-    shared.add_argument("--floor", type=float, help="minimum share kept, as fraction of baseline")
-    shared.add_argument(
-        "--no-population-cap",
-        dest="no_population_cap",
-        action="store_true",
-        default=None,
-        help="drop the child-population ceiling on test counts",
+    parser.add_argument(
+        "command",
+        choices=COMMANDS,
+        metavar="command",
+        help="\n".join(f"{name:<10} {text}" for name, (_, text) in COMMANDS.items()),
     )
-    shared.add_argument("--total-tests", dest="total_tests", type=int, help="override forecast T")
-    shared.add_argument(
-        "--emit-trace",
-        dest="emit_trace",
-        action="store_true",
-        default=None,
-        help="also write the full search trace CSV",
-    )
-    shared.add_argument("--k", type=int, help="cluster count (default 5)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in COMMANDS:
-        cmd = sub.add_parser(name, help=help_text, parents=[shared])
-        cmd.set_defaults(func=func)
+    parser.add_argument("--config", help="flat JSON config file; flags override it")
+    for key, (read, default, help_text, _) in SETTINGS.items():
+        name = key.replace("_", "-")
+        if read is _as_bool and help_text:
+            # a switch that turns the setting away from its default
+            flag = f"--no-{name}" if default else f"--{name}"
+            const = not default
+            parser.add_argument(flag, dest=key, action="store_const", const=const, help=help_text)
+        elif help_text:
+            parser.add_argument(f"--{name}", dest=key, help=help_text)
     return parser
 
 
@@ -498,12 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
-        args.func(config)
-    except _StageFailure as failure:
-        print(f"error at stage {failure.stage}: {failure.error}", file=sys.stderr)
-        return _exit_code(failure.error)
+        COMMANDS[args.command][0](config)
     except LeadAllocError as exc:
-        print(f"error at stage config: {exc}", file=sys.stderr)
+        # an error raised outside every stage is one in the settings
+        print(f"error at stage {getattr(exc, 'stage', 'config')}: {exc}", file=sys.stderr)
         return _exit_code(exc)
     return 0
 

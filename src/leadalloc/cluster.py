@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +60,10 @@ class ClusterAssignment:
     total_cost: float
     n_iter: int
     cost_history: tuple[float, ...]
+
+    @property
+    def geo_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.labels))
 
 
 def build_series(norm: NormalizedPanel) -> list[SeriesVector]:
@@ -278,10 +283,13 @@ def read_assignment(csv_path: str | Path, json_path: str | Path) -> ClusterAssig
             labels[int(row["geo_id"])] = row["label"]
     with open(json_path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    total_cost = float(doc["total_cost"])
+    if not math.isfinite(total_cost):
+        raise ValueError(f"{json_path} holds a total_cost that is not a finite number")
     return ClusterAssignment(
         labels=labels,
         medoids={label: int(geo) for label, geo in doc["medoids"].items()},
-        total_cost=float(doc["total_cost"]),
+        total_cost=total_cost,
         n_iter=int(doc["n_iter"]),
         cost_history=(),
     )

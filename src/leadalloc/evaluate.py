@@ -199,12 +199,15 @@ def evaluate_plan(
     (ShareMismatch otherwise), and the assignment must label every plan
     neighborhood (UnassignedGeo otherwise), so a plan read back from another
     run's artifacts fails rather than being scored against the wrong
-    neighborhoods.
+    neighborhoods. A plan of no tests, which only a hand-edited plan.json
+    can hold, is a DataError.
     """
     if len(rates) != len(plan.geo_ids):
         raise ShareMismatch(
             f"{len(rates)} case rates for a plan of {len(plan.geo_ids)} neighborhoods"
         )
+    if plan.total_tests <= 0:
+        raise DataError(f"a plan of {plan.total_tests} tests cannot be evaluated")
     cases_v1 = round_half_up(plan.projected_cases_v1)
     cases_v2 = round_half_up(plan.projected_cases_v2)
     ztest: ZTestResult | None

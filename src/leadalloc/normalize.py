@@ -186,6 +186,8 @@ def read_normalized(path: str | Path) -> NormalizedPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             values[(int(row["geo_id"]), int(row["year"]))] = float(row["normalized_rate"])
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"{path} holds a rate that is not a finite number")
     years = tuple(sorted({year for _, year in values}))
     geo_ids = tuple(sorted({geo for geo, _ in values}))
     return NormalizedPanel(values=values, years=years, geo_ids=geo_ids)

@@ -9,8 +9,11 @@ observable without subprocesses.
 import csv
 import json
 
+import pytest
+
 from leadalloc import allocate, cluster, normalize, panel
-from leadalloc.cli import build_config, build_parser, main
+from leadalloc.cli import COMMANDS, build_config, build_parser, main
+from leadalloc.errors import ConfigError
 
 
 def run_cli(*argv):
@@ -515,6 +518,46 @@ class TestReusedArtifacts:
             rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
             self.assert_data_error(rc, capsys, "cluster", "clusters.json")
 
+    def test_normalized_rate_not_finite(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
+        path = out / "normalized.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
+        assert not (out / "clusters.json").exists()
+
+    def test_plan_number_not_finite(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        written = read_json(out / "plan.json")
+        for key in ("projected_cases_v2", "total_tests"):
+            (out / "plan.json").write_text(json.dumps(dict(written, **{key: float("inf")})))
+            capsys.readouterr()
+            rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+            self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+
+    def test_clusters_total_cost_not_finite(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = dict(read_json(out / "clusters.json"), total_cost=float("nan"))
+        (out / "clusters.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "cluster", "clusters.json")
+
+    def test_plan_of_no_tests(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = dict(read_json(out / "plan.json"), total_tests=0)
+        (out / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", "0 tests")
+
 
 class TestLatticeBounds:
     def test_non_finite_bounds_and_steps_are_config_errors(self, fixture_path, tmp_path, capsys):
@@ -532,3 +575,167 @@ class TestLatticeBounds:
             rc = run_cli("optimize", "--input", str(fixture_path), "--out", str(tmp_path), *flags)
             assert rc == 2, flags
             assert "finite" in capsys.readouterr().err
+
+    def test_lattice_too_large_is_refused_before_it_is_built(
+        self, fixture_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_lattice(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(allocate, "grid_values", no_lattice)
+        rc = run_cli(
+            "optimize",
+            "--input",
+            str(fixture_path),
+            "--out",
+            str(tmp_path),
+            "--p1-range=0:1e9:0.1",
+            "--p2-range=0:1:0.1",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error at stage config" in err
+        assert "110,000,000,011 points" in err
+        # a 0.01 step over the default ranges, 2001 x 2001 points, is allowed
+        fine = ["--p1-range=-10:10:0.01", "--p2-range=-10:10:0.01"]
+        argv = ["optimize", "--input", str(fixture_path), "--out", str(tmp_path), *fine]
+        assert build_config(build_parser().parse_args(argv)).grid.step == 0.01
+
+    def test_lattice_cap_is_exact(self):
+        cap = allocate.MAX_LATTICE_POINTS
+        allocate.GridConfig((0.0, cap - 1.0), (0.0, 0.0), 1.0)
+        with pytest.raises(ConfigError, match=f"{cap + 1:,} points"):
+            allocate.GridConfig((0.0, float(cap)), (0.0, 0.0), 1.0)
+
+
+class TestFrontEnd:
+    """Flags and config-file keys go through the same readers, and options
+    may come before the command."""
+
+    def config(self, *argv):
+        return build_config(build_parser().parse_args(list(argv)))
+
+    @pytest.mark.parametrize(
+        "flags, values",
+        [
+            (["--no-population-cap"], {"population_cap": False}),
+            (["--emit-trace"], {"emit_trace": True}),
+            (["--p1-range=0:2:0.5"], {"p1_range": "0:2:0.5"}),
+            (["--p1-range=0:2:0.5"], {"p1_range": [0, 2, 0.5]}),
+            (["--p2-range=-1:1:0.25"], {"p2_range": "-1:1:0.25"}),
+            (["--floor", "0.1"], {"floor": 0.1}),
+            (["--total-tests", "5000"], {"total_tests": 5000}),
+            (["--k", "3"], {"k": 3}),
+            (["--year", "2020"], {"year": 2020}),
+            (["--window", "2"], {"window": 2}),
+        ],
+    )
+    def test_flag_equals_config_key(self, fixture_path, tmp_path, flags, values):
+        paths = {"input": str(fixture_path), "out": str(tmp_path)}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(paths, **values)))
+        from_file = self.config("optimize", "--config", str(cfg))
+        base = ["optimize", "--input", paths["input"], "--out", paths["out"]]
+        assert self.config(*base, *flags) == from_file
+        assert self.config(*base) != from_file
+
+    def test_file_only_key_fills_its_own_field(self, fixture_path, tmp_path):
+        cfg = tmp_path / "run.json"
+        doc = {"input": str(fixture_path), "out": str(tmp_path), "require_nonnegative_delta": True}
+        cfg.write_text(json.dumps(doc))
+        constraints = self.config("optimize", "--config", str(cfg)).constraints
+        assert constraints == allocate.ConstraintConfig(require_nonnegative_delta=True)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"p1_range": "0:1:0.5", "p2_range": "0:1:0.25", "floor": "x"}, "share one step"),
+            ({"p1_range": "0:nan:0.1", "year": "x"}, "p1_range bounds must be finite"),
+            ({"floor": 2, "year": "abc"}, "floor_fraction must be in [0, 1]"),
+            ({"window": 0, "k": "x"}, "k must be an integer"),
+            ({"input": "", "out": 5}, "an input CSV is required"),
+        ],
+    )
+    def test_first_bad_setting_in_check_order_is_reported(self, tmp_path, capsys, values, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict({"input": "panel.csv", "out": "o"}, **values)))
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_rate_window_sets_the_case_rates(self, fixture_path, tmp_path):
+        plans = {}
+        for rate_window in (None, 3, 1):
+            cfg = tmp_path / "run.json"
+            out = tmp_path / f"rates{rate_window}"
+            doc = {"input": str(fixture_path), "out": str(out), "rate_window": rate_window}
+            cfg.write_text(json.dumps(doc))
+            assert run_cli("optimize", "--config", str(cfg)) == 0
+            plans[rate_window] = read_json(out / "plan.json")
+        # rate_window defaults to window, which defaults to 3
+        assert plans[None] == plans[3]
+        assert plans[1]["projected_cases_v1"] != plans[3]["projected_cases_v1"]
+
+    def test_options_before_the_command(self, fixture_path, tmp_path, capsys):
+        options = ["--input", str(fixture_path), "--out", str(tmp_path / "a"), "--k", "3"]
+        options.append("--emit-trace")
+        assert self.config(*options, "cluster") == self.config("cluster", *options)
+        assert run_cli(*options, "cluster") == 0
+        before = capsys.readouterr().out
+        assert run_cli("cluster", *options) == 0
+        assert capsys.readouterr().out == before
+        assert before.startswith("clustered into 3 profiles")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, text) in COMMANDS.items():
+            assert name in out and text in out
+        assert len(COMMANDS) == 6
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--year", "abc"], "year must be an integer, got 'abc'"),
+            (["--floor", "x"], "floor must be a number, got 'x'"),
+            (["--k", "2.0"], "k must be an integer, got '2.0'"),
+        ],
+    )
+    def test_bad_flag_value_is_a_config_error(self, fixture_path, tmp_path, capsys, flags, message):
+        rc = run_cli("optimize", "--input", str(fixture_path), "--out", str(tmp_path), *flags)
+        assert rc == 2
+        assert f"error at stage config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [{"input": 5, "out": "o"}, {"out": ["a"]}])
+    def test_path_that_is_not_a_string(self, fixture_path, tmp_path, capsys, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict({"input": str(fixture_path)}, **values)))
+        rc = run_cli("ingest", "--config", str(cfg))
+        assert rc == 2
+        assert "must be a path string" in capsys.readouterr().err
+
+    def test_zero_test_forecast_stops_before_the_search(self, tmp_path, capsys):
+        # tests fall from 1,000 to 300 per neighborhood, so the trend forecasts
+        # a negative total, which the forecast floors at 0
+        falling = tmp_path / "falling.csv"
+        with open(falling, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["geo_id", "geo_name", "borough", "year", "tests", "cases_5plus",
+                 "cases_10plus", "cases_15plus", "child_population"]
+            )
+            for geo in range(1, 6):
+                for year, tests in ((2019, 1000), (2020, 300)):
+                    row = [geo, f"Area {geo}", "Riverside", year, tests, 10 * geo, 4, 1, 5000]
+                    writer.writerow(row)
+        out = tmp_path / "artifacts"
+        rc = run_cli("run", "--input", str(falling), "--out", str(out), "--window", "1")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error at stage optimize" in err
+        assert "forecasts 0 tests" in err and "--total-tests" in err
+        assert not (out / "plan.json").exists()
+        assert not (out / "evaluation.json").exists()
+        argv = ["run", "--input", str(falling), "--out", str(out), "--window", "1"]
+        assert run_cli(*argv, "--total-tests", "1000") == 0
