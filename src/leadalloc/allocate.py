@@ -503,16 +503,25 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     return delta, code
 
 
+def pct_of_former(plan: AllocationPlan) -> list[float | None]:
+    """Chosen tests as a percentage of former tests, per neighborhood in plan
+    order; None where there were no former tests and the ratio is undefined."""
+    return [
+        100.0 * v2 / v1 if v1 > 0 else None
+        for v1, v2 in zip(plan.v1_tests.tolist(), plan.v2_tests.tolist())
+    ]
+
+
 def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["geo_id", "baseline_share", "v2_share", "v1_tests", "v2_tests", "pct_of_former"]
         )
+        kept = pct_of_former(plan)
         for i, geo in enumerate(plan.geo_ids):
-            v1 = int(plan.v1_tests[i])
-            v2 = int(plan.v2_tests[i])
-            pct = repr(100.0 * v2 / v1) if v1 > 0 else ""
+            v1, v2 = int(plan.v1_tests[i]), int(plan.v2_tests[i])
+            pct = "" if kept[i] is None else repr(kept[i])
             writer.writerow(
                 [geo, repr(float(plan.baseline_share[i])), repr(float(plan.v2_share[i])), v1, v2, pct]
             )

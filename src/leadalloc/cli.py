@@ -29,6 +29,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -155,7 +156,8 @@ def _normalize(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.No
 def _normalized(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
     """Prefer a previously written normalized.csv; otherwise compute."""
     with _stage("normalize"):
-        norm = _reused(config, data, normalize.read_normalized, "normalized.csv")
+        read = partial(normalize.read_normalized, years=data.years)
+        norm = _reused(config, data, read, "normalized.csv")
         return normalize.normalize_panel(data) if norm is None else norm
 
 
@@ -249,11 +251,11 @@ def cmd_evaluate(config: RunConfig) -> None:
     report = _evaluate(config, plan, rates, assignment)
     if report.ztest is not None:
         print(
-            f"case difference {report.delta_cases:+.2f}; "
+            f"case difference {report.plan.delta_cases:+.2f}; "
             f"z={report.ztest.z:.4f}, p={report.ztest.p_value:.4g}"
         )
     else:
-        print(f"case difference {report.delta_cases:+.2f}; z-test degenerate")
+        print(f"case difference {report.plan.delta_cases:+.2f}; z-test degenerate")
 
 
 def cmd_run(config: RunConfig) -> None:

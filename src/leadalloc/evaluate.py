@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocate import AllocationPlan, ShareMismatch
+from .allocate import AllocationPlan, ShareMismatch, pct_of_former
 from .cluster import ClusterAssignment
 from .errors import DataError
 from .panel import NeighborhoodPanel
@@ -111,12 +111,7 @@ def reallocation_percentages(plan: AllocationPlan) -> dict[int, float | None]:
     None marks neighborhoods with no former tests, where the ratio is
     undefined.
     """
-    out: dict[int, float | None] = {}
-    for i, geo in enumerate(plan.geo_ids):
-        v1 = int(plan.v1_tests[i])
-        v2 = int(plan.v2_tests[i])
-        out[geo] = 100.0 * v2 / v1 if v1 > 0 else None
-    return out
+    return dict(zip(plan.geo_ids, pct_of_former(plan)))
 
 
 @dataclass(frozen=True)
@@ -167,13 +162,7 @@ def neighborhood_case_study(
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    target_year: int
-    total_tests: int
-    p1: float
-    p2: float
-    projected_cases_v1: float
-    projected_cases_v2: float
-    delta_cases: float
+    plan: AllocationPlan
     improvement_pct: float | None
     cases_v1_rounded: int
     cases_v2_rounded: int
@@ -199,8 +188,9 @@ def evaluate_plan(
     (ShareMismatch otherwise), and the assignment must label every plan
     neighborhood (UnassignedGeo otherwise), so a plan read back from another
     run's artifacts fails rather than being scored against the wrong
-    neighborhoods. A plan of no tests, which only a hand-edited plan.json
-    can hold, is a DataError.
+    neighborhoods. A plan of no tests, or one whose projected case count
+    rounds to a value outside [0, total_tests], is a DataError: only a
+    hand-edited plan.json can hold either.
     """
     if len(rates) != len(plan.geo_ids):
         raise ShareMismatch(
@@ -210,6 +200,12 @@ def evaluate_plan(
         raise DataError(f"a plan of {plan.total_tests} tests cannot be evaluated")
     cases_v1 = round_half_up(plan.projected_cases_v1)
     cases_v2 = round_half_up(plan.projected_cases_v2)
+    for name, cases in (("projected_cases_v1", cases_v1), ("projected_cases_v2", cases_v2)):
+        if not 0 <= cases <= plan.total_tests:
+            raise DataError(
+                f"{name} {getattr(plan, name)!r} rounds to {cases} cases, "
+                f"outside [0, {plan.total_tests}]"
+            )
     ztest: ZTestResult | None
     reason: str | None
     try:
@@ -227,13 +223,7 @@ def evaluate_plan(
         else None
     )
     return EvaluationReport(
-        target_year=plan.target_year,
-        total_tests=plan.total_tests,
-        p1=plan.p1,
-        p2=plan.p2,
-        projected_cases_v1=plan.projected_cases_v1,
-        projected_cases_v2=plan.projected_cases_v2,
-        delta_cases=plan.delta_cases,
+        plan=plan,
         improvement_pct=improvement,
         cases_v1_rounded=cases_v1,
         cases_v2_rounded=cases_v2,
@@ -254,14 +244,15 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "rate2": report.ztest.rate2,
             "pooled_rate": report.ztest.pooled_rate,
         }
+    plan = report.plan
     return {
-        "target_year": report.target_year,
-        "total_tests": report.total_tests,
-        "p1": report.p1,
-        "p2": report.p2,
-        "projected_cases_v1": report.projected_cases_v1,
-        "projected_cases_v2": report.projected_cases_v2,
-        "delta_cases": report.delta_cases,
+        "target_year": plan.target_year,
+        "total_tests": plan.total_tests,
+        "p1": plan.p1,
+        "p2": plan.p2,
+        "projected_cases_v1": plan.projected_cases_v1,
+        "projected_cases_v2": plan.projected_cases_v2,
+        "delta_cases": plan.delta_cases,
         "improvement_pct": report.improvement_pct,
         "cases_v1_rounded": report.cases_v1_rounded,
         "cases_v2_rounded": report.cases_v2_rounded,
@@ -285,13 +276,14 @@ def write_report(report: EvaluationReport, json_path: str | Path) -> None:
 
 def format_report(report: EvaluationReport) -> str:
     """Plain-text rendering of the evaluation, one fact per line."""
+    plan = report.plan
     lines = [
-        f"Allocation evaluation, target year {report.target_year}",
-        f"Total tests: {report.total_tests}",
-        f"Chosen weights: p1={report.p1:g}, p2={report.p2:g}",
-        f"Projected cases, former shares: {report.projected_cases_v1:.2f} (rounded {report.cases_v1_rounded})",
-        f"Projected cases, chosen shares: {report.projected_cases_v2:.2f} (rounded {report.cases_v2_rounded})",
-        f"Projected case difference: {report.delta_cases:+.2f}",
+        f"Allocation evaluation, target year {plan.target_year}",
+        f"Total tests: {plan.total_tests}",
+        f"Chosen weights: p1={plan.p1:g}, p2={plan.p2:g}",
+        f"Projected cases, former shares: {plan.projected_cases_v1:.2f} (rounded {report.cases_v1_rounded})",
+        f"Projected cases, chosen shares: {plan.projected_cases_v2:.2f} (rounded {report.cases_v2_rounded})",
+        f"Projected case difference: {plan.delta_cases:+.2f}",
     ]
     if report.improvement_pct is not None:
         lines.append(f"Detection improvement: {report.improvement_pct:+.1f}%")

@@ -181,13 +181,20 @@ def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
             writer.writerow([geo, year, repr(value)])
 
 
-def read_normalized(path: str | Path) -> NormalizedPanel:
+def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> NormalizedPanel:
+    """Read back a normalized.csv. Given the panel's ``years``, a year with no
+    defined cell is kept and a cell in any other year is a ValueError."""
     values: dict[tuple[int, int], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             values[(int(row["geo_id"]), int(row["year"]))] = float(row["normalized_rate"])
     if not all(map(math.isfinite, values.values())):
         raise ValueError(f"{path} holds a rate that is not a finite number")
-    years = tuple(sorted({year for _, year in values}))
+    found = {year for _, year in values}
+    if years is None:
+        years = tuple(sorted(found))
+    elif not found <= set(years):
+        outside = sorted(found - set(years))
+        raise ValueError(f"{path} holds cells in years {outside}, outside the panel's years")
     geo_ids = tuple(sorted({geo for geo, _ in values}))
     return NormalizedPanel(values=values, years=years, geo_ids=geo_ids)

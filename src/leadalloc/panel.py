@@ -140,15 +140,14 @@ class PanelView:
 class NeighborhoodPanel:
     """Immutable panel over (geo_id, year) cells.
 
-    ``gaps`` is the explicit registry of cells with no record or with an
-    undefined rate; ``rejected`` records input rows dropped during parsing.
-    ``view`` holds the same cells as arrays, for arithmetic over the panel.
+    ``rejected`` records input rows dropped during parsing. ``view`` holds
+    the cells as arrays, for arithmetic over the panel, and ``gaps`` is
+    derived from it.
     """
 
     records: tuple[NeighborhoodYearRecord, ...]
     years: tuple[int, ...]
     geo_ids: tuple[int, ...]
-    gaps: tuple[Gap, ...] = ()
     rejected: tuple[RejectedRow, ...] = ()
 
     def __post_init__(self):
@@ -161,20 +160,12 @@ class NeighborhoodPanel:
         records: list[NeighborhoodYearRecord],
         rejected: tuple[RejectedRow, ...] = (),
     ) -> "NeighborhoodPanel":
-        """Build a panel and its view, deriving the gap registry from the view."""
+        """Build a panel with its view and gap registry."""
         years = tuple(sorted({r.year for r in records}))
         geo_ids = tuple(sorted({r.geo_id for r in records}))
         ordered = sorted(records, key=lambda r: (r.geo_id, r.year))
         panel = cls(records=tuple(ordered), years=years, geo_ids=geo_ids, rejected=rejected)
-        view = panel.view
-        # absent cells hold 0 tests in the view, so one mask finds both kinds
-        rows, cols = np.nonzero(view.tests == 0)
-        present = view.present[rows, cols].tolist()
-        gaps = tuple(
-            Gap(geo_ids[i], years[j], "zero_tests" if here else "missing")
-            for i, j, here in zip(rows.tolist(), cols.tolist(), present)
-        )
-        object.__setattr__(panel, "gaps", gaps)
+        panel.gaps  # builds the view too, so counts too large for int64 raise here
         return panel
 
     def record(self, geo_id: int, year: int) -> NeighborhoodYearRecord | None:
@@ -204,6 +195,19 @@ class NeighborhoodPanel:
         flat.flags.writeable = present.flags.writeable = False
         tests, cases, population = flat.reshape(3, *shape)
         return PanelView(tests, cases, population, present.reshape(shape))
+
+    @cached_property
+    def gaps(self) -> tuple[Gap, ...]:
+        """The registry of cells with no record or with an undefined rate,
+        in (geo_id, year) order."""
+        view = self.view
+        # absent cells hold 0 tests in the view, so one mask finds both kinds
+        rows, cols = np.nonzero(view.tests == 0)
+        present = view.present[rows, cols].tolist()
+        return tuple(
+            Gap(self.geo_ids[i], self.years[j], "zero_tests" if here else "missing")
+            for i, j, here in zip(rows.tolist(), cols.tolist(), present)
+        )
 
     def column(self, year: int) -> int:
         """Column of a panel year in ``view``; DataError for any other year."""
@@ -312,7 +316,7 @@ def validate_panel(
     panel: NeighborhoodPanel,
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
 ) -> list[Violation]:
-    """Check every record invariant and the gap-registry consistency.
+    """Check every record invariant and that no (geo_id, year) cell repeats.
 
     Violations are returned as data, never raised: an empty list means the
     panel is clean. parse_panel output always validates clean because bad
@@ -330,24 +334,6 @@ def validate_panel(
                 Violation("duplicate", rec.geo_id, rec.year, "geo appears twice in year")
             )
         seen.add(key)
-
-    registry = {(g.geo_id, g.year): g.reason for g in panel.gaps}
-    for geo in panel.geo_ids:
-        for year in panel.years:
-            rec = panel.record(geo, year)
-            reason = registry.get((geo, year))
-            if rec is None and reason != "missing":
-                violations.append(
-                    Violation("gap", geo, year, "cell absent but not registered as missing")
-                )
-            elif rec is not None and rec.tests == 0 and reason != "zero_tests":
-                violations.append(
-                    Violation("gap", geo, year, "undefined rate (tests=0) not registered")
-                )
-            elif rec is not None and rec.tests > 0 and reason is not None:
-                violations.append(
-                    Violation("gap", geo, year, f"registered as {reason} but cell is defined")
-                )
     return violations
 
 

@@ -355,6 +355,21 @@ class TestPartialReruns:
         assert doc["delta_cases"] == 0.0
         assert (out / "plan.json").read_bytes() == plan_bytes
 
+    def test_recluster_keeps_a_year_with_no_defined_cell(self, fixture_path, tmp_path):
+        def untested_2016(row):
+            if row["year"] == "2016":
+                row.update(tests="0", cases_5plus="0", cases_10plus="0", cases_15plus="0")
+            return row
+
+        source = write_fixture_variant(fixture_path, tmp_path / "zero2016.csv", untested_2016)
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(source), "--out", str(out)) == 0
+        written = {name: (out / name).read_bytes() for name in ("clusters.csv", "clusters.json")}
+        for name in written:
+            (out / name).unlink()
+        assert run_cli("cluster", "--input", str(source), "--out", str(out)) == 0
+        assert {name: (out / name).read_bytes() for name in written} == written
+
 
 class TestFailureExits:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -557,6 +572,29 @@ class TestReusedArtifacts:
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
         self.assert_data_error(rc, capsys, "evaluate", "0 tests")
+
+    @pytest.mark.parametrize(
+        "projected", [lambda total: -5.0, lambda total: total + 1.0], ids=["below_0", "above_T"]
+    )
+    def test_projected_cases_outside_the_budget(self, fixture_path, tmp_path, capsys, projected):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        written = read_json(out / "plan.json")
+        value = projected(written["total_tests"])
+        (out / "plan.json").write_text(json.dumps(dict(written, projected_cases_v2=value)))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", f"projected_cases_v2 {value!r}")
+
+    def test_normalized_cell_in_a_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
+        with open(out / "normalized.csv", "a") as fh:
+            fh.write("101,2030,1.0\n")
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
+        assert not (out / "clusters.json").exists()
 
 
 class TestLatticeBounds:

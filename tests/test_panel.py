@@ -251,28 +251,24 @@ class TestValidatePanel:
         assert [v.kind for v in violations] == ["record"]
         assert violations[0].geo_id == 1
 
-    def test_unregistered_gap_reported(self):
-        rec = make_record(1, 2020, 10, 1)
-        other = make_record(2, 2021, 10, 1)
+    def test_hand_built_registry_lists_missing_and_zero_test_cells(self):
         panel = NeighborhoodPanel(
-            records=(rec, other),
+            records=(make_record(1, 2020, 10, 1), make_record(2, 2021, 0, 0)),
             years=(2020, 2021),
             geo_ids=(1, 2),
-            gaps=(),
         )
-        kinds = {v.kind for v in validate_panel(panel)}
-        assert kinds == {"gap"}
+        assert panel.gaps == (
+            Gap(1, 2021, "missing"),
+            Gap(2, 2020, "missing"),
+            Gap(2, 2021, "zero_tests"),
+        )
+        assert validate_panel(panel) == []
 
-    def test_stale_gap_reported(self):
-        rec = make_record(1, 2020, 10, 1)
-        panel = NeighborhoodPanel(
-            records=(rec,),
-            years=(2020,),
-            geo_ids=(1,),
-            gaps=(Gap(1, 2020, "missing"),),
-        )
+    def test_duplicated_cell_reported(self):
+        first, again = make_record(1, 2020, 10, 1), make_record(1, 2020, 12, 2)
+        panel = NeighborhoodPanel(records=(first, again), years=(2020,), geo_ids=(1,))
         violations = validate_panel(panel)
-        assert violations and violations[0].kind == "gap"
+        assert [(v.kind, v.geo_id, v.year) for v in violations] == [("duplicate", 1, 2020)]
 
 
 class TestPanelSchema:
