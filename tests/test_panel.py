@@ -251,7 +251,9 @@ class TestValidatePanel:
         assert [v.kind for v in violations] == ["record"]
         assert violations[0].geo_id == 1
 
-    def test_hand_built_registry_lists_missing_and_zero_test_cells(self):
+    def test_unregistered_gap_reported(self):
+        # a hand-built panel gets no registry from its caller; every cell
+        # without a record or with zero tests is still reported
         panel = NeighborhoodPanel(
             records=(make_record(1, 2020, 10, 1), make_record(2, 2021, 0, 0)),
             years=(2020, 2021),
@@ -262,6 +264,17 @@ class TestValidatePanel:
             Gap(2, 2020, "missing"),
             Gap(2, 2021, "zero_tests"),
         )
+        assert validate_panel(panel) == []
+
+    def test_stale_gap_reported(self):
+        # a cell that holds tests is never listed, so the registry has no
+        # stale entry for a filled cell
+        gap = make_record(1, 2020, 0, 0)
+        filled = make_record(1, 2020, 10, 1)
+        with_gap = NeighborhoodPanel(records=(gap,), years=(2020,), geo_ids=(1,))
+        assert with_gap.gaps == (Gap(1, 2020, "zero_tests"),)
+        panel = NeighborhoodPanel(records=(filled,), years=(2020,), geo_ids=(1,))
+        assert panel.gaps == ()
         assert validate_panel(panel) == []
 
     def test_duplicated_cell_reported(self):
