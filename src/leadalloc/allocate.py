@@ -10,10 +10,14 @@ fixed citywide test budget T:
     delta_cases = T * sum_i( R_i * (candidate_share_i - baseline_share_i) )
 
 where R_i is the neighborhood's cases-per-test rate over the window. The
-weights are chosen by exhaustive search over a (p1, p2) lattice, skipping
-combinations that produce a negative score anywhere (never clamping: a clamp
-would quietly reshape the objective surface) and combinations whose plan
-violates the fairness floor or the child-population cap.
+weights are chosen by a search that gives every point of a (p1, p2) lattice
+a verdict, skipping combinations that produce a negative score anywhere
+(never clamping: a clamp would quietly reshape the objective surface) and
+combinations whose plan violates the fairness floor or the child-population
+cap. Every point is still traced. The negative-score points are not scored
+in full: x and y are non-negative, so every score is non-decreasing in p1
+and in p2, bit for bit, and those points form a staircase in the corner of
+small weights that one walk along its edge finds exactly.
 
 Everything is deterministic: the lattice is enumerated in sorted order, equal
 objectives resolve to the lexicographically smallest (p1, p2), and integer
@@ -420,18 +424,22 @@ def grid_search(
     constraints: ConstraintConfig = ConstraintConfig(),
     rates: np.ndarray | None = None,
 ) -> SearchResult:
-    """Exhaustively evaluate the weight lattice and return the best plan.
+    """Give every point of the weight lattice a verdict and return the best plan.
 
-    Every (p1, p2) combination is scored; infeasible weight combinations and
-    constraint-violating plans are recorded in the trace and skipped. The
-    winner maximizes delta_cases, with exact ties resolved to the smallest
-    (p1, p2) in lexicographic order. When (1, 0) is on the lattice and
-    feasible the winner's delta_cases is never negative, because that point
-    reproduces the baseline at delta exactly 0.
+    Every (p1, p2) combination is in the trace, in p1-major order, with its
+    verdict; infeasible weight combinations and constraint-violating plans
+    are recorded there and skipped. The winner maximizes delta_cases, with
+    exact ties resolved to the smallest (p1, p2) in lexicographic order.
+    When (1, 0) is on the lattice and feasible the winner's delta_cases is
+    never negative, because that point reproduces the baseline at delta
+    exactly 0.
 
-    The lattice is scored in blocks of points, each a 2-D (points, geos)
-    array, with the same element operations as scoring one point at a time,
-    so the trace and the winner are the per-point ones bit for bit.
+    The points with a negative score come from the staircase walk of
+    ``_nonnegative_starts``, which is exact because the shares are finite
+    and non-negative; shares that are not raise DataError. Only the other
+    points are scored in full, in blocks of points, each a 2-D (points,
+    geos) array, with the same element operations as scoring one point at
+    a time, so the trace and the winner are the per-point ones bit for bit.
     """
     if rates is None:
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
@@ -439,20 +447,35 @@ def grid_search(
     case_difference(total_tests, rates, shares.x, shares.x)
     if shares.geo_ids != panel.geo_ids:
         raise ShareMismatch("the share vectors cover other neighborhoods than the panel")
+    for name, share in (("x", shares.x), ("y", shares.y)):
+        if not np.all(np.isfinite(share) & (share >= 0.0)):
+            raise DataError(f"share vector {name} holds a negative or non-finite value")
     population = population_vector(panel, shares.target_year)
     floor = constraints.floor_fraction * shares.x
     p1_values = grid.p1_values()
     p2_values = grid.p2_values()
     p1_array = np.array(p1_values, dtype=float)
     p2_array = np.array(p2_values, dtype=float)
-    points = len(p1_values) * len(p2_values)
+    n2 = len(p2_values)
     block = max(1, _BLOCK_ELEMENTS // max(1, shares.x.size))
+    # row a's points before p2_values[starts[a]] have a negative score; the
+    # rest are scored in full, packed row after row, and row a's end at
+    # position ends[a] of the packing
+    starts = _nonnegative_starts(shares.x, shares.y, p1_array, p2_array)
+    ends = np.cumsum([n2 - first for first in starts])
+    scored = int(ends[-1])
 
+    # starts never grows with p1, so the rows with only negative-score points
+    # come first
     trace: list[TracePoint] = []
+    for p1 in p1_values[: starts.count(n2)]:
+        trace.extend(_negative_score_row(p1, p2_values))
     best: tuple[float, int] | None = None  # (delta, lattice index)
-    for start in range(0, points, block):
-        # lattice points in p1-major order, as indices into the two value lists
-        i, j = np.divmod(np.arange(start, min(start + block, points)), len(p2_values))
+    for start in range(0, scored, block):
+        # the block's points, as indices into the two value lists
+        k = np.arange(start, min(start + block, scored))
+        i = np.searchsorted(ends, k, side="right")
+        j = k - ends[i] + n2
         delta, code = _evaluate_block(
             shares, rates, total_tests, p1_array[i], p2_array[j], floor, population, constraints
         )
@@ -460,22 +483,55 @@ def grid_search(
         if feasible.size:
             top = delta[feasible].max()
             if best is None or top > best[0]:
-                best = (top, start + int(feasible[delta[feasible] == top][0]))
+                first = feasible[delta[feasible] == top][0]
+                best = (top, int(i[first]) * n2 + int(j[first]))
         # the trace shares the lattice's float objects instead of one per point
         for a, b, d, c in zip(i.tolist(), j.tolist(), delta.tolist(), code.tolist()):
             p1, p2 = p1_values[a], p2_values[b]
-            if c == _NEGATIVE_SCORE or c == _NONPOSITIVE_TOTAL:
+            if b == starts[a]:
+                trace.extend(_negative_score_row(p1, p2_values[:b]))
+            if c == _NONPOSITIVE_TOTAL:
                 trace.append(TracePoint(p1, p2, None, False, _REASONS[c].format(p1=p1, p2=p2)))
             else:
                 trace.append(TracePoint(p1, p2, d, c == _FEASIBLE, _REASONS[c]))
 
     if best is None:
-        raise NoFeasiblePoint(
-            f"no feasible (p1, p2) on the {len(p1_values)}x{len(p2_values)} lattice"
-        )
+        raise NoFeasiblePoint(f"no feasible (p1, p2) on the {len(p1_values)}x{n2} lattice")
     winner = trace[best[1]]
     plan = build_plan(shares, rates, total_tests, winner.p1, winner.p2)
     return SearchResult(plan=plan, trace=tuple(trace))
+
+
+def _negative_score_row(p1: float, p2_values: list[float]) -> list[TracePoint]:
+    return [
+        TracePoint(p1, p2, None, False, _REASONS[_NEGATIVE_SCORE].format(p1=p1, p2=p2))
+        for p2 in p2_values
+    ]
+
+
+def _nonnegative_starts(x, y, p1: np.ndarray, p2: np.ndarray) -> list[int]:
+    """For each p1 value, the index of the first p2 value whose point has no
+    negative score; len(p2) when every point of that row has one.
+
+    With x and y finite and non-negative, each score x_i*p1 + y_i*p2 is
+    non-decreasing in p1 and in p2 bit for bit: a product with a
+    non-negative factor and a sum are both monotone under round-to-nearest,
+    and signed zeros compare equal. Over sorted p1 and p2 values the points
+    with some negative score are therefore a prefix of every row, and that
+    prefix never grows as p1 does. One walk, p1 rising while the p2 index
+    falls, finds every row's cutoff with at most len(p1) + len(p2) one-point
+    calls of ``_candidate_shares``, the function that scores the blocks.
+    """
+    starts = []
+    j = p2.size
+    for a in range(p1.size):
+        while j > 0:
+            _, code = _candidate_shares(x, y, p1[a : a + 1], p2[j - 1 : j])
+            if code[0] == _NEGATIVE_SCORE:
+                break
+            j -= 1
+        starts.append(j)
+    return starts
 
 
 def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints):
@@ -567,6 +623,12 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
     scalars = (plan.p1, plan.p2, plan.projected_cases_v1, plan.projected_cases_v2, plan.delta_cases)
     if not all(map(math.isfinite, (*scalars, *baseline, *candidate))):
         raise ValueError(f"{csv_path} or {json_path} holds a number that is not finite")
+    for name, counts in (("v1_tests", v1_tests), ("v2_tests", v2_tests)):
+        if sum(counts) != plan.total_tests:
+            raise ValueError(
+                f"sum({name}) = {sum(counts)} in {csv_path}, not the "
+                f"{plan.total_tests} tests of {json_path}"
+            )
     return plan
 
 

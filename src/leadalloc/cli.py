@@ -238,6 +238,11 @@ def cmd_evaluate(config: RunConfig) -> None:
     data = _load_panel(config)
     with _stage("evaluate"):
         plan = _reused(config, data, allocate.read_plan, "plan.csv", "plan.json")
+        if plan is not None and plan.target_year not in data.years:
+            raise DataError(
+                f"{config.output_dir / 'plan.json'} targets {plan.target_year}, which is not "
+                f"a year of {config.input_path}; delete it to recompute"
+            )
     if plan is None:
         plan, rates = _optimize(config, data)
     else:

@@ -92,17 +92,19 @@ def build_series(norm: NormalizedPanel) -> list[SeriesVector]:
 
 
 def _distance_matrix(series: list[SeriesVector]) -> np.ndarray:
-    """Pairwise Euclidean distances, filled one row at a time.
+    """Pairwise Euclidean distances, filled one row of the upper triangle at
+    a time and mirrored below the diagonal.
 
     Each element takes the same subtraction, square, sum over years and
     square root as a full (n, n, years) broadcast, so the matrix is
-    bit-identical to it, while the working memory stays at one (n, years)
-    block instead of two (n, n, years) arrays.
+    bit-identical to it: (a - b)**2 equals (b - a)**2 exactly, so each
+    mirrored element is the one the broadcast computes. The working memory
+    stays at one (n, years) block instead of two (n, n, years) arrays.
     """
     values = np.stack([s.values for s in series])
     dist = np.empty((len(series), len(series)))
     for i, row in enumerate(values):
-        dist[i] = np.sqrt(np.sum((row - values) ** 2, axis=1))
+        dist[i, i:] = dist[i:, i] = np.sqrt(np.sum((row - values[i:]) ** 2, axis=1))
     return dist
 
 

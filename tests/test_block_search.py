@@ -7,10 +7,14 @@ The block search must reproduce its trace and its winner bit for bit, and
 the block apportionment must reproduce its per-row apportionment.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from panel_helpers import make_record
+from leadalloc import allocate
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
@@ -19,11 +23,13 @@ from leadalloc.allocate import (
     ShareVectors,
     _apportion,
     _BLOCK_ELEMENTS,
+    _candidate_shares,
     case_difference,
     finalize_tests,
     grid_search,
     population_vector,
 )
+from leadalloc.errors import DataError
 from leadalloc.panel import NeighborhoodPanel
 
 TARGET_YEAR = 2021
@@ -239,3 +245,95 @@ class TestBlockApportionment:
         assert finalize_tests(np.array([]), 5).tolist() == []
         assert finalize_tests([1.0], 7).tolist() == [7]
         assert finalize_tests([1 / 3] * 3, 10).tolist() == [4, 3, 3]
+
+
+def staircase_grid(rng, quadrant):
+    """A lattice in one sign quadrant of (p1, p2), or one across both axes
+    whose snapped values include -0.0."""
+    if quadrant == "across":
+        # from these bounds, lo + i*0.3 lands a rounding error below 0 and
+        # snaps to -0.0
+        ranges = [float(rng.choice([-0.9, -1.8, -2.7])) for _ in range(2)]
+        return GridConfig(*((lo, -lo + 0.3 * int(rng.integers(0, 3))) for lo in ranges), step=0.3)
+    step = float(rng.choice([0.1, 0.25, 0.5]))
+    ranges = []
+    for _ in range(2):
+        width = int(rng.integers(0, 15)) * step
+        lo = int(rng.integers(1, 4)) * step
+        ranges.append((-lo - width, -lo) if quadrant == "negative" else (lo, lo + width))
+    return GridConfig(*ranges, step=step)
+
+
+def negative_score_points(shares, grid):
+    return sum(
+        bool(np.any(shares.x * p1 + shares.y * p2 < 0.0))
+        for p1 in grid.p1_values()
+        for p2 in grid.p2_values()
+    )
+
+
+class TestNegativeScoreStaircase:
+    def test_matches_reference_across_quadrants(self):
+        rng = np.random.default_rng(23)
+        seen = counters()
+        found = dict.fromkeys(("negative", "positive", "signed_zero", "zero_share", "n1"), 0)
+        for _ in range(150):
+            n = int(rng.choice([1, 2, 3, 8, 42]))
+            panel, shares, rates, total, config, _ = random_instance(rng, n)
+            quadrant = str(rng.choice(["negative", "positive", "across"]))
+            grid = staircase_grid(rng, quadrant)
+            no_feasible = seen["no_feasible"]
+            compare(panel, shares, rates, total, config, grid, seen)
+            if quadrant == "negative":
+                assert seen["no_feasible"] == no_feasible + 1
+                found["negative"] += 1
+            found["positive"] += quadrant == "positive"
+            values = grid.p1_values() + grid.p2_values()
+            found["signed_zero"] += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values)
+            found["zero_share"] += bool(np.any(shares.x == 0.0) or np.any(shares.y == 0.0))
+            found["n1"] += n == 1
+        assert min(found.values()) >= 10, found
+
+    def test_scores_only_nonnegative_points_and_the_walk(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        scored = []
+
+        def counting(x, y, p1, p2):
+            scored.append(p1.size)
+            return _candidate_shares(x, y, p1, p2)
+
+        monkeypatch.setattr(allocate, "_candidate_shares", counting)
+        pruned = 0
+        for _ in range(60):
+            n = int(rng.choice([1, 3, 42, 150]))
+            panel, shares, rates, total, config, _ = random_instance(rng, n)
+            grid = staircase_grid(rng, str(rng.choice(["negative", "positive", "across"])))
+            scored.clear()
+            try:
+                grid_search(panel, shares, total, grid, config, rates=rates)
+                plan_rows = 1  # build_plan scores the winner once more
+            except NoFeasiblePoint:
+                plan_rows = 0
+            n1, n2 = len(grid.p1_values()), len(grid.p2_values())
+            negative = negative_score_points(shares, grid)
+            kept = n1 * n2 - negative + plan_rows
+            assert kept <= sum(scored) <= kept + n1 + n2
+            pruned += negative > 0
+        assert pruned >= 20
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"x": np.array([1.25, -0.25])},
+            {"y": np.array([1.5, -0.5])},
+            {"y": np.array([np.nan, 1.0])},
+            {"y": np.array([np.inf, 0.0])},
+        ],
+        ids=["negative_x", "negative_y", "nan_y", "inf_y"],
+    )
+    def test_negative_or_non_finite_shares_are_a_data_error(self, changes):
+        panel, shares, rates, total, config, grid = random_instance(np.random.default_rng(25), 2)
+        shares = replace(shares, x=np.array([0.5, 0.5]), y=np.array([0.25, 0.75]))
+        shares = replace(shares, **changes)
+        with pytest.raises(DataError, match="negative or non-finite"):
+            grid_search(panel, shares, total, grid, config, rates=rates)

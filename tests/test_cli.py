@@ -596,6 +596,24 @@ class TestReusedArtifacts:
         self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
         assert not (out / "clusters.json").exists()
 
+    def test_plan_budget_other_than_its_counts(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = dict(read_json(out / "plan.json"), total_tests=99999)
+        (out / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", "plan.csv and")
+
+    def test_plan_target_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = dict(read_json(out / "plan.json"), target_year=2030)
+        (out / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+
 
 class TestLatticeBounds:
     def test_non_finite_bounds_and_steps_are_config_errors(self, fixture_path, tmp_path, capsys):
