@@ -553,10 +553,26 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     code[rows[floored]] = _FLOOR
     if constraints.population_cap:
         rows, share = rows[~floored], share[~floored]
-        code[rows[np.any(_apportion(share, total_tests) > population, axis=1)]] = _POPULATION_CAP
+        code[rows[_over_population(share, total_tests, population)]] = _POPULATION_CAP
     if constraints.require_nonnegative_delta:
         code[(code == _FEASIBLE) & (delta < 0.0)] = _NEGATIVE_DELTA
     return delta, code
+
+
+def _over_population(share: np.ndarray, total_tests: int, population: np.ndarray) -> np.ndarray:
+    """Rows of a share block whose apportioned counts exceed the population
+    anywhere: ``np.any(_apportion(share, total_tests) > population, axis=1)``.
+
+    Each apportioned count is its floored share or one more, so only rows
+    where a floored share equals the population, and none is above it, are
+    apportioned.
+    """
+    base = np.floor(share * float(total_tests))
+    over = np.any(base > population, axis=1)
+    unsure = np.flatnonzero(~over & np.any(base == population, axis=1))
+    if unsure.size:
+        over[unsure] = np.any(_apportion(share[unsure], total_tests) > population, axis=1)
+    return over
 
 
 def pct_of_former(plan: AllocationPlan) -> list[float | None]:

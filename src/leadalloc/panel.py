@@ -6,6 +6,13 @@ thresholds, and the child population. Case rates are always derived from the
 count columns (cases / tests), never read from a rate column, so there is a
 single source of truth for units.
 
+Rows are read into columns, one array per field, and checked column by
+column. Only a row that fails a check is read on its own, to word the reason
+it is rejected, so bad rows are reported by row number and first bad field
+as before. The panel keeps the columns: ``view`` and the gap registry are
+built from them, and record objects only when something reads ``records``
+or ``record()``.
+
 Cells with ``tests == 0`` have an undefined rate. They are kept in the panel
 but listed in the gap registry together with any (geo, year) cells that are
 absent outright, so no cell ever goes missing silently.
@@ -17,6 +24,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -136,23 +145,51 @@ class PanelView:
     present: np.ndarray
 
 
-@dataclass(frozen=True)
 class NeighborhoodPanel:
     """Immutable panel over (geo_id, year) cells.
 
-    ``rejected`` records input rows dropped during parsing. ``view`` holds
-    the cells as arrays, for arithmetic over the panel, and ``gaps`` is
-    derived from it.
+    The cells are held as columns, one read-only array per canonical field:
+    integers as int64, or as Python ints where a value does not fit, and
+    text as Python strings. ``parse_panel`` and ``from_records`` order them
+    by (geo_id, year); a panel built from ``records`` keeps their order.
+    ``view`` holds the cells as arrays, for arithmetic over the panel, and
+    ``gaps`` is derived from it. ``records`` and ``record()`` build record
+    objects the first time they are read. ``rejected`` records input rows
+    dropped during parsing.
     """
 
-    records: tuple[NeighborhoodYearRecord, ...]
-    years: tuple[int, ...]
-    geo_ids: tuple[int, ...]
-    rejected: tuple[RejectedRow, ...] = ()
+    def __init__(
+        self,
+        records: tuple[NeighborhoodYearRecord, ...],
+        years: tuple[int, ...],
+        geo_ids: tuple[int, ...],
+        rejected: tuple[RejectedRow, ...] = (),
+    ):
+        records = tuple(records)
+        self._set(_columns_of(records), years, geo_ids, rejected)
+        self.__dict__["records"] = records
 
-    def __post_init__(self):
-        index = {(r.geo_id, r.year): r for r in self.records}
-        object.__setattr__(self, "_index", index)
+    def _set(self, columns, years, geo_ids, rejected) -> None:
+        for column in columns.values():
+            column.flags.writeable = False
+        self.__dict__.update(
+            _columns=columns, years=tuple(years), geo_ids=tuple(geo_ids), rejected=tuple(rejected)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NeighborhoodPanel is immutable: cannot set {name!r}")
+
+    @classmethod
+    def _from_columns(cls, columns: dict[str, np.ndarray], rejected=()) -> "NeighborhoodPanel":
+        """A panel over the columns' rows in (geo_id, year) order, with its
+        view and gap registry built."""
+        order = np.lexsort((columns["year"], columns["geo_id"]))
+        columns = {name: column[order] for name, column in columns.items()}
+        panel = cls.__new__(cls)
+        years, geo_ids = (sorted(set(columns[name].tolist())) for name in ("year", "geo_id"))
+        panel._set(columns, years, geo_ids, rejected)
+        panel.gaps  # builds the view too, so counts too large for int64 raise here
+        return panel
 
     @classmethod
     def from_records(
@@ -161,35 +198,42 @@ class NeighborhoodPanel:
         rejected: tuple[RejectedRow, ...] = (),
     ) -> "NeighborhoodPanel":
         """Build a panel with its view and gap registry."""
-        years = tuple(sorted({r.year for r in records}))
-        geo_ids = tuple(sorted({r.geo_id for r in records}))
-        ordered = sorted(records, key=lambda r: (r.geo_id, r.year))
-        panel = cls(records=tuple(ordered), years=years, geo_ids=geo_ids, rejected=rejected)
-        panel.gaps  # builds the view too, so counts too large for int64 raise here
-        return panel
+        return cls._from_columns(_columns_of(records), rejected)
+
+    @cached_property
+    def records(self) -> tuple[NeighborhoodYearRecord, ...]:
+        """One record per row of the columns, in their order."""
+        columns = self._columns
+        return tuple(map(NeighborhoodYearRecord, *(columns[name].tolist() for name in CANONICAL_FIELDS)))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], NeighborhoodYearRecord]:
+        return {(r.geo_id, r.year): r for r in self.records}
 
     def record(self, geo_id: int, year: int) -> NeighborhoodYearRecord | None:
         return self._index.get((geo_id, year))
 
     @cached_property
     def view(self) -> PanelView:
-        """The (geo x year) arrays, built in one pass over the cells by
-        ``from_records`` or else on first use; records outside ``geo_ids`` or
-        ``years`` are left out."""
-        row = {geo: i for i, geo in enumerate(self.geo_ids)}
-        col = {year: j for j, year in enumerate(self.years)}
+        """The (geo x year) arrays, built from the columns by ``parse_panel``
+        and ``from_records`` or else on first use. Rows outside ``geo_ids`` or
+        ``years`` are left out; of rows that repeat a cell, the last one is
+        kept, as ``record()`` does."""
+        columns = self._columns
         shape = (len(self.geo_ids), len(self.years))
-        cells, counts = [], []
-        for (geo, year), rec in self._index.items():
-            i, j = row.get(geo), col.get(year)
-            if i is not None and j is not None:
-                cells.append(i * shape[1] + j)
-                counts.append((rec.tests, rec.cases_5plus, rec.child_population))
+        rows = _positions(self.geo_ids, columns["geo_id"])
+        cols = _positions(self.years, columns["year"])
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        cells = rows[kept] * shape[1] + cols[kept]
+        if np.any(cells[1:] <= cells[:-1]):  # rows out of cell order, or repeated
+            _, last = np.unique(cells[::-1], return_index=True)
+            kept, cells = kept[::-1][last], cells[::-1][last]
+        counts = [columns[name][kept] for name in ("tests", "cases_5plus", "child_population")]
         # int64 sums wrap where Python's grow, so no sum over the view may reach 2**63
-        if counts and max(max(map(max, counts)), -min(map(min, counts))) * len(cells) >= 2**63:
+        if cells.size and max(max(int(c.max()), -int(c.min())) for c in counts) * cells.size >= 2**63:
             raise DataError("panel counts are too large to sum as 64-bit integers")
         flat = np.zeros((3, shape[0] * shape[1]), dtype=np.int64)
-        flat[:, cells] = np.array(counts, dtype=np.int64).reshape(-1, 3).T
+        flat[:, cells] = np.array(counts, dtype=np.int64)
         present = np.zeros(shape[0] * shape[1], dtype=bool)
         present[cells] = True
         flat.flags.writeable = present.flags.writeable = False
@@ -220,9 +264,49 @@ class NeighborhoodPanel:
         return self.view.tests.sum(axis=0).tolist()
 
 
+def _object_column(values) -> np.ndarray:
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+def _int_column(values) -> np.ndarray:
+    """int64, or Python ints where a value does not fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return _object_column(values)
+
+
+def _columns_of(records) -> dict[str, np.ndarray]:
+    """The records' fields as columns, in record order."""
+    fields = list(zip(*map(attrgetter(*CANONICAL_FIELDS), records))) or [()] * len(CANONICAL_FIELDS)
+    return {
+        name: _object_column(values) if name in _TEXT_FIELDS else _int_column(values)
+        for name, values in zip(CANONICAL_FIELDS, fields)
+    }
+
+
+def _positions(keys: tuple, values: np.ndarray) -> np.ndarray:
+    """The index in ``keys`` of each value, or -1 where it is not one of them."""
+    if not keys:
+        return np.full(values.size, -1)
+    keys = _int_column(keys)
+    order = np.argsort(keys, kind="stable")
+    found = order[np.minimum(np.searchsorted(keys, values, sorter=order), order.size - 1)]
+    return np.where(keys[found] == values, found, -1)
+
+
+# rows parse_panel reads and coerces at a time: the text of one chunk is
+# held at once, so a parse's memory high-water mark stays small
+_CHUNK_ROWS = 1024
+
+_COUNT_FIELDS = ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population")
+
+
 def _record_invariant_errors(rec: NeighborhoodYearRecord, year_range) -> list[str]:
     errs = []
-    for name in ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population"):
+    for name in _COUNT_FIELDS:
         if getattr(rec, name) < 0:
             errs.append(f"{name} is negative")
     if not rec.cases_15plus <= rec.cases_10plus <= rec.cases_5plus <= rec.tests:
@@ -234,6 +318,26 @@ def _record_invariant_errors(rec: NeighborhoodYearRecord, year_range) -> list[st
     if not lo <= rec.year <= hi:
         errs.append(f"year {rec.year} outside {lo}-{hi}")
     return errs
+
+
+def _breaks_invariant(columns: dict[str, np.ndarray], year_range) -> np.ndarray:
+    """The rows ``_record_invariant_errors`` finds fault with, as a mask."""
+    lo, hi = year_range
+    tests, c5, c10, c15, _ = (columns[name] for name in _COUNT_FIELDS)
+    year = columns["year"]
+    broken = (c15 > c10) | (c10 > c5) | (c5 > tests) | (year < lo) | (year > hi)
+    for name in _COUNT_FIELDS:
+        broken |= columns[name] < 0
+    return broken
+
+
+def _repeats(geo: np.ndarray, year: np.ndarray) -> np.ndarray:
+    """The rows whose (geo, year) cell an earlier row holds, as a mask."""
+    order = np.lexsort((year, geo))  # stable, so each cell's rows stay in row order
+    geo, year = geo[order], year[order]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[order[1:][(geo[1:] == geo[:-1]) & (year[1:] == year[:-1])]] = True
+    return repeat
 
 
 def parse_panel(
@@ -248,7 +352,11 @@ def parse_panel(
     (the default) rejects accumulate on ``panel.rejected``; with
     ``on_error="raise"`` the first bad row raises MalformedRow. A duplicate
     (geo_id, year) cell always raises DuplicateCell: there is no principled
-    way to pick which duplicate to keep.
+    way to pick which duplicate to keep. Errors come in row order, and a
+    cell counts as taken only by a row that was not rejected.
+
+    The rows are read into columns and checked column by column; only a
+    rejected row is coerced on its own, to word its reason.
     """
     if on_error not in ("collect", "raise"):
         raise ValueError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
@@ -265,41 +373,88 @@ def parse_panel(
         for canonical in CANONICAL_FIELDS:
             if schema.columns[canonical] not in position:
                 raise MissingColumn(schema.columns[canonical])
-        fields = [(name, position[schema.columns[name]]) for name in CANONICAL_FIELDS]
+        positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
+        pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
+        # each row's canonical fields; blank lines are skipped without a row
+        # number, as csv.DictReader does, and a field past the end of a short
+        # row reads as empty
+        rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
+        # in chunks, so the text of every row is never held at once
+        chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
+        while chunks[-1][1].size == _CHUNK_ROWS:
+            chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
 
-        records: list[NeighborhoodYearRecord] = []
-        rejected: list[RejectedRow] = []
-        seen: set[tuple[int, int]] = set()
-        # blank lines are skipped without a row number, as csv.DictReader does
-        for row_num, row in enumerate(filter(None, reader), start=1):
-            try:
-                rec = _coerce_row(row, fields)
-            except ValueError as exc:
-                if on_error == "raise":
-                    raise MalformedRow(row_num, str(exc)) from exc
-                rejected.append(RejectedRow(row_num, str(exc)))
-                continue
-            errs = _record_invariant_errors(rec, schema.year_range)
-            if errs:
-                if on_error == "raise":
-                    raise MalformedRow(row_num, "; ".join(errs))
-                rejected.append(RejectedRow(row_num, "; ".join(errs)))
-                continue
-            key = (rec.geo_id, rec.year)
-            if key in seen:
-                raise DuplicateCell(rec.geo_id, rec.year)
-            seen.add(key)
-            records.append(rec)
-
-    return NeighborhoodPanel.from_records(records, rejected=tuple(rejected))
+    columns = {name: np.concatenate([c[name] for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
+    accepted = np.concatenate([a for _, a, _ in chunks])
+    rejects = [fields for _, _, bad_rows in chunks for fields in bad_rows]
+    kept = np.flatnonzero(accepted)
+    repeats = kept[_repeats(columns["geo_id"][kept], columns["year"][kept])]
+    bad = np.flatnonzero(~accepted).tolist()
+    if on_error == "raise" and bad and not (repeats.size and repeats[0] < bad[0]):
+        raise MalformedRow(bad[0] + 1, _rejection(rejects[0], schema.year_range))
+    if repeats.size:
+        first = repeats[0]
+        raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
+    rejected = tuple(
+        RejectedRow(i + 1, _rejection(fields, schema.year_range)) for i, fields in zip(bad, rejects)
+    )
+    return NeighborhoodPanel._from_columns(
+        {name: column[kept] for name, column in columns.items()}, rejected
+    )
 
 
-def _coerce_row(row: list[str], fields) -> NeighborhoodYearRecord:
-    """One record from a CSV row, given each canonical field's column; a
-    column past the end of a short row reads as empty."""
+def _coerce_rows(rows: list[tuple[str, ...]], year_range):
+    """(columns, accepted, rejected rows) for rows of canonical fields: the
+    accepted mask marks rows whose every field coerces and that break no
+    record invariant, and the rejected rows' fields are kept, in order."""
+    raw = list(zip(*rows)) or [()] * len(CANONICAL_FIELDS)
+    failed = np.zeros(len(rows), dtype=bool)
+    columns = {}
+    for name, strings in zip(CANONICAL_FIELDS, raw):
+        columns[name], refused = _coerce_column(name, strings)
+        failed[refused] = True
+    accepted = ~(failed | _breaks_invariant(columns, year_range))
+    return columns, accepted, [rows[i] for i in np.flatnonzero(~accepted).tolist()]
+
+
+def _coerce_column(name: str, strings: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
+    """One field's column, and the rows where ``_coerce_row`` refuses the
+    field; those rows hold a placeholder."""
+    if name in _TEXT_FIELDS:
+        values = [s.strip() for s in strings]
+        return _object_column(values), [i for i, s in enumerate(values) if not s]
+    try:
+        values, refused = list(map(int, map(str.strip, strings))), []
+    except ValueError:  # find the fields int() refuses; they read as 0
+        values = [_int_or_none(s) for s in strings]
+        refused = [i for i, v in enumerate(values) if v is None]
+        values = [0 if v is None else v for v in values]
+    return _int_column(values), refused
+
+
+def _int_or_none(s: str) -> int | None:
+    try:
+        return int(s.strip())
+    except ValueError:
+        return None
+
+
+def _rejection(fields: tuple[str, ...], year_range) -> str:
+    """Why parse_panel rejects a row: its first field that is empty or not
+    an integer, or else every record invariant it breaks."""
+    try:
+        rec = _coerce_row(fields)
+    except ValueError as exc:
+        return str(exc)
+    return "; ".join(_record_invariant_errors(rec, year_range))
+
+
+def _coerce_row(fields: tuple[str, ...]) -> NeighborhoodYearRecord:
+    """One record from a row's fields in CANONICAL_FIELDS order; ValueError
+    names the first field that is empty or not an integer."""
     values = []
-    for name, pos in fields:
-        raw = row[pos].strip() if pos < len(row) else ""
+    for name, raw in zip(CANONICAL_FIELDS, fields):
+        raw = raw.strip()
         if not raw:
             raise ValueError(f"{name} is empty")
         if name in _TEXT_FIELDS:
@@ -321,19 +476,23 @@ def validate_panel(
     Violations are returned as data, never raised: an empty list means the
     panel is clean. parse_panel output always validates clean because bad
     rows were rejected up front; this exists for panels assembled by hand
-    or round-tripped through files.
+    or round-tripped through files. The checks run on the columns; a row
+    that fails one gets each of its record errors, then its duplicate, in
+    row order.
     """
+    columns = panel._columns
+    broken = _breaks_invariant(columns, year_range)
+    repeat = _repeats(columns["geo_id"], columns["year"])
     violations: list[Violation] = []
-    seen: set[tuple[int, int]] = set()
-    for rec in panel.records:
+    for i in np.flatnonzero(broken | repeat).tolist():
+        # a one-row slice's tolist() holds Python ints, as records do
+        rec = NeighborhoodYearRecord(*(columns[name][i : i + 1].tolist()[0] for name in CANONICAL_FIELDS))
         for err in _record_invariant_errors(rec, year_range):
             violations.append(Violation("record", rec.geo_id, rec.year, err))
-        key = (rec.geo_id, rec.year)
-        if key in seen:
+        if repeat[i]:
             violations.append(
                 Violation("duplicate", rec.geo_id, rec.year, "geo appears twice in year")
             )
-        seen.add(key)
     return violations
 
 
@@ -353,7 +512,7 @@ def write_validation_report(
 ) -> None:
     """Emit parse diagnostics, the gap registry, and violations as JSON."""
     doc = {
-        "n_records": len(panel.records),
+        "n_records": len(panel._columns["geo_id"]),
         "n_years": len(panel.years),
         "n_neighborhoods": len(panel.geo_ids),
         "rejected_rows": [

@@ -241,6 +241,31 @@ class TestBlockApportionment:
                     split_ties += 1
         assert split_ties > 500
 
+    def test_population_cap_verdict_matches_apportionment(self):
+        rng = np.random.default_rng(31)
+        kinds = dict.fromkeys(("floored over", "apportioned over", "apportioned under", "under"), 0)
+        for _ in range(500):
+            n = int(rng.choice([1, 2, 3, 5, 12, 40]))
+            rows = int(rng.integers(1, 12))
+            weights = rng.random((rows, n)) + (rng.random((rows, n)) < 0.2)
+            block = weights / weights.sum(axis=1, keepdims=True)
+            total = int(rng.choice([1, 7, 100, 999, 12480, 10**6]))
+            base = np.floor(block * float(total))
+            # each geo's population sits at, just above or just below a floored count
+            population = base[int(rng.integers(rows))] + rng.integers(-1, 2, size=n)
+            population = np.maximum(population, 0.0)
+            population[rng.random(n) < 0.1] = math.inf  # no record in the target year
+            got = allocate._over_population(block, total, population)
+            want = np.any(_apportion(block, total) > population, axis=1)
+            assert np.array_equal(got, want)
+            floored_over = np.any(base > population, axis=1)
+            unsure = ~floored_over & np.any(base == population, axis=1)
+            kinds["floored over"] += int(np.sum(floored_over))
+            kinds["apportioned over"] += int(np.sum(unsure & want))
+            kinds["apportioned under"] += int(np.sum(unsure & ~want))
+            kinds["under"] += int(np.sum(~want & ~unsure))
+        assert min(kinds.values()) > 200, kinds
+
     def test_empty_and_single_geo(self):
         assert finalize_tests(np.array([]), 5).tolist() == []
         assert finalize_tests([1.0], 7).tolist() == [7]

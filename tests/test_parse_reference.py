@@ -9,6 +9,7 @@ rejected rows (numbers and reasons), gaps and raised exceptions.
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,13 @@ from leadalloc.panel import (
     NeighborhoodYearRecord,
     PanelSchema,
     RejectedRow,
+    Violation,
     _record_invariant_errors,
     parse_panel,
+    validate_panel,
 )
+from leadalloc import panel as panel_module
+from leadalloc.errors import DataError
 from panel_helpers import random_panel
 
 
@@ -252,3 +257,273 @@ class TestGapsFromView:
         panel = NeighborhoodPanel.from_records([])
         assert panel.gaps == ()
         assert panel.view.tests.shape == (0, 0)
+
+
+# int() reads all of these, though they are not plain ASCII digits
+UNUSUAL_DIGITS = (
+    lambda v: f"+{v}",
+    lambda v: f"00{v}",
+    lambda v: f" {v}　",  # no-break and ideographic spaces
+    lambda v: f"\t{v} ",
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),  # Arabic-Indic
+    lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),  # fullwidth
+    lambda v: f"{v:_}" if v < 10 else f"{str(v)[0]}_{str(v)[1:]}",
+)
+# int() refuses these
+NOT_INTEGERS = ("1__0", "_1", "1_", "+-1", "٣.0", "1e3", "0x10", "")
+
+
+def wide_value(rng, value):
+    """An integer field as int() may or may not read it: usually the plain
+    value, sometimes written unusually, 19 to 21 digits long, or broken."""
+    roll = rng.random()
+    if roll < 0.1:
+        return UNUSUAL_DIGITS[int(rng.integers(len(UNUSUAL_DIGITS)))](value)
+    if roll < 0.13:
+        digits = int(rng.integers(19, 22))
+        # half below 2**63, half above; a minus sign now and then
+        big = int(rng.integers(10 ** 18, 9 * 10 ** 18)) * 10 ** (digits - 19)
+        return f"-{big}" if rng.random() < 0.2 else str(big)
+    if roll < 0.15:
+        return NOT_INTEGERS[int(rng.integers(len(NOT_INTEGERS)))]
+    return str(value)
+
+
+def wide_csv(rng, path):
+    """A panel CSV in the default layout whose integer fields are written
+    by ``wide_value``, with short rows, duplicates, and cells that come
+    again after a rejected copy of themselves."""
+    geos = rng.choice(np.arange(1, 30), size=int(rng.integers(1, 5)), replace=False).tolist()
+    cells = [(g, y) for g in geos for y in range(2004, 2013) if rng.random() < 0.7]
+    rng.shuffle(cells)
+    lines = []
+    for geo, year in cells:
+        tests = int(rng.integers(0, 500))
+        c5 = int(rng.integers(0, tests + 1))
+        c10 = int(rng.integers(0, c5 + 1))
+        c15 = int(rng.integers(0, c10 + 1))
+        fields = [geo, "Area", "Queens", year, tests, c5, c10, c15, 3 * tests]
+        copies = [list(fields)]
+        roll = rng.random()
+        if roll < 0.1:
+            # a rejected copy first: a broken field or broken nesting
+            broken = list(fields)
+            if rng.random() < 0.5:
+                broken[int(rng.choice([0, 3, 4, 8]))] = "n/a"
+            else:
+                broken[6] = c5 + 1
+            copies.insert(0, broken)
+        elif roll < 0.13:
+            copies.append(list(fields))  # a duplicate
+        for row in copies:
+            text = [v if isinstance(v, str) else wide_value(rng, v) for v in row]
+            if rng.random() < 0.04:
+                text = text[: int(rng.integers(0, len(text)))]  # a short row
+            lines.append(text)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CANONICAL_FIELDS)
+    writer.writerows(lines)
+    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+
+
+TOO_LARGE = "panel counts are too large to sum as 64-bit integers"
+
+
+def reference_outcome(path, schema, on_error):
+    """The DictReader parser's outcome, with the int64 limit the panel's
+    view sets on accepted counts."""
+    kind, value = outcome(reference_parse, path, schema, on_error)
+    if kind == "ok":
+        records = value[0]
+        counts = [abs(v) for r in records for v in (r.tests, r.cases_5plus, r.child_population)]
+        if counts and max(counts) * len(records) >= 2**63:
+            return "error", (DataError, TOO_LARGE)
+    return kind, value
+
+
+def current_outcome(path, schema, on_error):
+    try:
+        return outcome(current, path, schema, on_error)
+    except DataError as exc:
+        return "error", (DataError, str(exc))
+
+
+class TestColumnParser:
+    def test_unusual_and_long_integers(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        seen = dict.fromkeys(("ok", "malformed", "duplicate", "too_large", "long_geo", "rejected"), 0)
+        schema = PanelSchema(year_range=(2005, 2012))
+        for case in range(300):
+            path = tmp_path / f"wide_{case}.csv"
+            wide_csv(rng, path)
+            on_error = "raise" if case % 4 == 0 else "collect"
+            want = reference_outcome(path, schema, on_error)
+            assert current_outcome(path, schema, on_error) == want, path.read_text()
+            kind, value = want
+            if kind == "ok":
+                seen["ok"] += 1
+                seen["rejected"] += len(value[1])
+                seen["long_geo"] += sum(r.geo_id >= 2**63 for r in value[0])
+            else:
+                seen[{MalformedRow: "malformed", DuplicateCell: "duplicate", DataError: "too_large"}[value[0]]] += 1
+        # every outcome is reached, and accepted panels hold geo ids past int64
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+    def test_rows_read_in_small_chunks(self, tmp_path, monkeypatch, chunk_rows):
+        # parse_panel reads _CHUNK_ROWS rows at a time; small chunks put
+        # rejected rows, duplicates and short rows on both sides of a boundary
+        monkeypatch.setattr(panel_module, "_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(20261020 + chunk_rows)
+        for case in range(60):
+            path = tmp_path / f"chunks_{case}.csv"
+            if case % 2:
+                wide_csv(rng, path)
+                schema = PanelSchema(year_range=(2005, 2012))
+            else:
+                schema = random_csv(rng, path)
+            on_error = "raise" if case % 3 == 0 else "collect"
+            want = reference_outcome(path, schema, on_error)
+            assert current_outcome(path, schema, on_error) == want, path.read_text()
+
+    def test_unusual_integers_parse_as_int_reads_them(self, tmp_path):
+        row = ["101", "A", "B", "2010", "12", "3", "2", "1", "40"]
+        for write in UNUSUAL_DIGITS:
+            path = tmp_path / "unusual.csv"
+            text = [row[0], row[1], row[2]] + [write(int(v)) for v in row[3:]]
+            path.write_text(",".join(CANONICAL_FIELDS) + "\n" + ",".join(text) + "\n", encoding="utf-8")
+            panel = parse_panel(path)
+            assert panel.rejected == ()
+            assert panel.records == (NeighborhoodYearRecord(101, "A", "B", 2010, 12, 3, 2, 1, 40),)
+
+    @pytest.mark.parametrize("geo", [2**63 - 1, 2**63, 10**20, -(2**63) - 1])
+    def test_geo_id_past_int64_still_parses(self, tmp_path, geo):
+        path = tmp_path / "long_geo.csv"
+        lines = [",".join(CANONICAL_FIELDS), f"{geo},A,B,2010,12,3,2,1,40", "7,A,B,2011,0,0,0,0,0"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        panel = parse_panel(path)
+        assert panel.geo_ids == tuple(sorted((geo, 7)))
+        assert panel.record(geo, 2010).tests == 12
+        assert panel.gaps == reference_gaps(panel.records)
+        assert all(type(g.geo_id) is int for g in panel.gaps)
+
+    @pytest.mark.parametrize(
+        "text, collected, raised",
+        [
+            # a rejected copy does not take the cell, so the next copy is accepted
+            ("1,A,B,2010,x,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n", "ok", "row 1: tests is not an integer: 'x'"),
+            (
+                "1,A,B,2010,5,1,2,0,9\n1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n",
+                "duplicate",
+                "row 1: case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus "
+                "<= tests (got 0, 2, 1, 5)",
+            ),
+            # in row order: a duplicate before the first bad row raises first
+            ("1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n1,A\n", "duplicate", "duplicate"),
+            ("1,A,B,2010,5,1,0,0,9\n1,A\n1,A,B,2010,5,1,0,0,9\n", "duplicate", "row 2: borough is empty"),
+            ("1,A,B\n\n,,,,,,,,\n1,A,B,2010,5,1,0,0\n", "ok", "row 1: year is empty"),
+        ],
+    )
+    def test_short_rows_and_duplicates_after_rejected_copies(self, tmp_path, text, collected, raised):
+        path = tmp_path / "copies.csv"
+        path.write_text(",".join(CANONICAL_FIELDS) + "\n" + text, encoding="utf-8", newline="")
+        for on_error, expected in (("collect", collected), ("raise", raised)):
+            want = outcome(reference_parse, path, DEFAULT_SCHEMA, on_error)
+            got = outcome(current, path, DEFAULT_SCHEMA, on_error)
+            assert got == want
+            if expected == "ok":
+                assert got[0] == "ok"
+            elif expected == "duplicate":
+                assert got[1] == (DuplicateCell, "duplicate cell for geo 1, year 2010")
+            else:
+                assert got[1] == (MalformedRow, expected)
+
+
+def reference_validate(panel, year_range=(2005, 2021)):
+    """validate_panel as it was written over the records, one at a time."""
+    violations = []
+    seen = set()
+    for rec in panel.records:
+        for err in _record_invariant_errors(rec, year_range):
+            violations.append(Violation("record", rec.geo_id, rec.year, err))
+        key = (rec.geo_id, rec.year)
+        if key in seen:
+            violations.append(
+                Violation("duplicate", rec.geo_id, rec.year, "geo appears twice in year")
+            )
+        seen.add(key)
+    return violations
+
+
+def broken_records(rng, records):
+    """The records, some with a broken invariant, some repeated (with their
+    own counts), and some out of (geo_id, year) order."""
+    out = []
+    for rec in records:
+        roll = rng.random()
+        if roll < 0.1:
+            field = str(rng.choice(["tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population"]))
+            # up to 21 digits, so some do not fit in int64
+            rec = replace(rec, **{field: -int(rng.integers(1, 10**6)) * 10 ** int(rng.integers(0, 16))})
+        elif roll < 0.15:
+            rec = replace(rec, cases_10plus=rec.cases_5plus + 1)
+        elif roll < 0.2:
+            rec = replace(rec, year=int(rng.choice([1999, 2004, 2022, 2030])))
+        elif roll < 0.23:
+            rec = replace(rec, geo_id=rec.geo_id + 10**20)
+        out.append(rec)
+        if rng.random() < 0.08:
+            out.append(replace(rec, tests=rec.tests + 1, cases_5plus=rec.cases_5plus))
+    if len(out) > 1 and rng.random() < 0.5:
+        i, j = sorted(rng.choice(len(out), size=2, replace=False).tolist())
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+class TestValidateAgainstRecordLoop:
+    def test_random_hand_built_panels(self):
+        rng = np.random.default_rng(12)
+        kinds = {"record": 0, "duplicate": 0}
+        for _ in range(300):
+            base = random_panel(rng)
+            records = broken_records(rng, base.records)
+            year_range = (2005, int(rng.integers(2006, 2022)))
+            for panel in (
+                NeighborhoodPanel(records=tuple(records), years=base.years, geo_ids=base.geo_ids),
+                NeighborhoodPanel.from_records(records) if _fits_int64_sums(records) else None,
+            ):
+                if panel is None:
+                    continue
+                want = reference_validate(panel, year_range)
+                assert validate_panel(panel, year_range) == want
+                assert all(type(v.geo_id) is int and type(v.year) is int for v in want)
+                for v in want:
+                    kinds[v.kind] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_repeated_cells_keep_the_last_record(self):
+        rng = np.random.default_rng(13)
+        repeated = 0
+        for _ in range(200):
+            base = random_panel(rng)
+            records = broken_records(rng, base.records)
+            panel = NeighborhoodPanel(records=tuple(records), years=base.years, geo_ids=base.geo_ids)
+            if not _fits_int64_sums(records):
+                continue
+            index = {(r.geo_id, r.year): r for r in records}
+            repeated += len(records) - len(index)
+            view = panel.view
+            for i, geo in enumerate(panel.geo_ids):
+                for j, year in enumerate(panel.years):
+                    rec = index.get((geo, year))
+                    assert panel.record(geo, year) is rec
+                    want = (False, 0, 0) if rec is None else (True, rec.tests, rec.child_population)
+                    got = (bool(view.present[i, j]), int(view.tests[i, j]), int(view.child_population[i, j]))
+                    assert got == want
+        assert repeated >= 50
+
+
+def _fits_int64_sums(records):
+    counts = [abs(v) for r in records for v in (r.tests, r.cases_5plus, r.child_population)]
+    return not counts or max(counts) * len(records) < 2**63
