@@ -24,7 +24,6 @@ from .allocate import (
 from .cluster import (
     RISK_LABELS,
     ClusterAssignment,
-    SeriesVector,
     build_series,
     cluster_neighborhoods,
     k_medoids,
@@ -77,7 +76,6 @@ __all__ = [
     "RISK_LABELS",
     "RegressionFit",
     "SearchResult",
-    "SeriesVector",
     "ShareVectors",
     "ZTestResult",
     "build_series",

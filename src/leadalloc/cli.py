@@ -216,7 +216,7 @@ def cmd_ingest(config: RunConfig) -> None:
 
 def cmd_normalize(config: RunConfig) -> None:
     norm = _normalize(config, _load_panel(config))
-    print(f"normalized {len(norm.values)} cells across {len(norm.years)} years")
+    print(f"normalized {int(norm.defined.sum())} cells across {len(norm.years)} years")
 
 
 def cmd_cluster(config: RunConfig) -> None:

@@ -45,18 +45,10 @@ class InsufficientNeighborhoods(DataError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesVector:
-    """One neighborhood's normalized rate series, gap-filled to full length."""
-
-    geo_id: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: dict[int, str]  # geo_id -> cluster label
-    medoids: dict[str, int]  # cluster label -> medoid geo_id
+    medoids: dict[str, int]  # cluster label -> medoid geo_id, in cluster order
     total_cost: float
     n_iter: int
     cost_history: tuple[float, ...]
@@ -66,60 +58,70 @@ class ClusterAssignment:
         return tuple(sorted(self.labels))
 
 
-def build_series(norm: NormalizedPanel) -> list[SeriesVector]:
-    """Gap-fill each neighborhood's series to the panel's full year span.
+def build_series(norm: NormalizedPanel) -> np.ndarray:
+    """Each neighborhood's series gap-filled to the panel's full year span.
 
+    Returns a (geo x year) float array, rows in ``norm.geo_ids`` order.
     Interior gaps are linearly interpolated; gaps at either end take the
     nearest defined value. Filling preserves trend shape, which is what the
     distance metric needs to see.
     """
-    row = {geo: i for i, geo in enumerate(norm.geo_ids)}
-    col = {year: j for j, year in enumerate(norm.years)}
-    values = np.zeros((len(norm.geo_ids), len(norm.years)))
-    defined = np.zeros(values.shape, dtype=bool)
-    for (geo, year), value in norm.values.items():
-        i, j = row.get(geo), col.get(year)
-        if i is not None and j is not None:
-            values[i, j] = value
-            defined[i, j] = True
+    defined = norm.defined
+    empty = np.flatnonzero(~defined.any(axis=1))
+    if empty.size:
+        geo = norm.geo_ids[empty[0]]
+        raise DataError(f"geo {geo} has no defined rate in any year; cannot build series")
+    values = np.array(norm.rates)
     positions = np.arange(len(norm.years), dtype=float)
-    for i, geo in enumerate(norm.geo_ids):
+    # np.interp returns a defined value itself, so complete rows are kept as they are
+    for i in np.flatnonzero(~defined.all(axis=1)).tolist():
         known = np.flatnonzero(defined[i])
-        if not known.size:
-            raise DataError(f"geo {geo} has no defined rate in any year; cannot build series")
         values[i] = np.interp(positions, positions[known], values[i, known])
-    return [SeriesVector(geo, filled) for geo, filled in zip(norm.geo_ids, values)]
+    return values
 
 
-def _distance_matrix(series: list[SeriesVector]) -> np.ndarray:
-    """Pairwise Euclidean distances, filled one row of the upper triangle at
-    a time and mirrored below the diagonal.
+def _distances(values: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Euclidean distance from one series to each row of ``values``.
 
-    Each element takes the same subtraction, square, sum over years and
-    square root as a full (n, n, years) broadcast, so the matrix is
-    bit-identical to it: (a - b)**2 equals (b - a)**2 exactly, so each
-    mirrored element is the one the broadcast computes. The working memory
-    stays at one (n, years) block instead of two (n, n, years) arrays.
+    Every distance in this module comes from here: a subtraction, a square,
+    a sum over the years of one contiguous row (``np.sum`` calls
+    ``np.add.reduce``) and a square root, as one (n, n, years) broadcast
+    computes each element. (a - b)**2 equals (b - a)**2 exactly, so d(i, j)
+    and d(j, i) are the same float whichever of the two rows is subtracted.
     """
-    values = np.stack([s.values for s in series])
-    dist = np.empty((len(series), len(series)))
+    return np.sqrt(np.add.reduce((row - values) ** 2, axis=1))
+
+
+def _pairwise_distances(values: np.ndarray) -> np.ndarray:
+    """Distances among the rows of ``values``: each row of the upper
+    triangle from ``_distances``, mirrored below the diagonal."""
+    dist = np.empty((len(values), len(values)))
     for i, row in enumerate(values):
-        dist[i, i:] = dist[i:, i] = np.sqrt(np.sum((row - values[i:]) ** 2, axis=1))
+        dist[i, i:] = dist[i:, i] = _distances(values[i:], row)
     return dist
 
 
-def _farthest_first_seeds(dist: np.ndarray, k: int) -> list[int]:
-    """Deterministic seed indices: the 1-medoid, then maximin additions."""
-    chosen = [int(np.argmin(np.sum(dist, axis=1)))]
+def _farthest_first_seeds(values: np.ndarray, k: int) -> list[int]:
+    """Deterministic seed indices: the 1-medoid, then maximin additions.
+
+    Each row of distances is computed and summed on its own, as one row of
+    the full matrix sums, and a seed's distances are computed when it is
+    chosen, so no (n, n) matrix is held.
+    """
+    sums = np.array([np.sum(_distances(values, row)) for row in values])
+    chosen = [int(np.argmin(sums))]
+    nearest = np.full(len(values), np.inf)
     while len(chosen) < k:
-        nearest = np.min(dist[:, chosen], axis=1)
-        nearest[chosen] = -1.0  # already selected
-        chosen.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, _distances(values, values[chosen[-1]]))
+        candidates = nearest.copy()
+        candidates[chosen] = -1.0  # already selected
+        chosen.append(int(np.argmax(candidates)))
     return chosen
 
 
 def k_medoids(
-    series,
+    series: np.ndarray,
+    geo_ids,
     k: int,
     initial_medoids: list[int] | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -127,34 +129,41 @@ def k_medoids(
 ) -> ClusterAssignment:
     """Alternating k-medoids: assign to nearest medoid, re-center, repeat.
 
+    ``series`` is a (geo x year) array, one row per entry of ``geo_ids``.
     Stops when the medoid set is unchanged between iterations or after
     ``max_iter`` update steps. The per-iteration total cost (sum of member
     distances to their medoid) never increases; the history is kept on the
     result so callers can check that.
+
+    Each iteration computes the distances of every series to the k medoids,
+    for both the assignment and the cost, and re-centers each cluster on the
+    distances among its own members. No (n, n) matrix is held: the largest
+    array is one cluster's block.
 
     With ``initial_medoids`` omitted, seeds come from a deterministic
     farthest-first traversal. Each cluster keeps the name of its seed slot,
     so with the profile-criterion seeds the High cluster is the one grown
     from the High seed even if its medoid later moves.
     """
-    series = sorted(series, key=lambda s: s.geo_id)
-    n = len(series)
+    geo_ids = list(geo_ids)
+    n = len(geo_ids)
     if n == 0:
         raise EmptyInput("no series to cluster")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > n:
         raise KTooLarge(f"k={k} exceeds the {n} series available")
-    lengths = {s.values.shape[0] for s in series}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 2 or len(values) != n:
+        raise LengthMismatch(f"{n} geo ids for series of shape {values.shape}")
 
-    geo_ids = [s.geo_id for s in series]
+    order = sorted(range(n), key=geo_ids.__getitem__)
+    values = values[order]
+    geo_ids = [geo_ids[i] for i in order]
     index_of = {g: i for i, g in enumerate(geo_ids)}
-    dist = _distance_matrix(series)
 
     if initial_medoids is None:
-        medoids = _farthest_first_seeds(dist, k)
+        medoids = _farthest_first_seeds(values, k)
     else:
         if len(initial_medoids) != k:
             raise ValueError(f"expected {k} initial medoids, got {len(initial_medoids)}")
@@ -170,25 +179,20 @@ def k_medoids(
     if len(cluster_names) != k:
         raise ValueError(f"expected {k} cluster names, got {len(cluster_names)}")
 
-    def assign(current: list[int]) -> np.ndarray:
-        slots = np.argmin(dist[:, current], axis=1)
-        # a medoid always belongs to its own cluster, even under distance ties
-        for slot, m in enumerate(current):
-            slots[m] = slot
-        return slots
-
     history: list[float] = []
     n_iter = 0
     while True:
-        slots = assign(medoids)
-        cost = float(np.sum(dist[np.arange(n), [medoids[s] for s in slots]]))
-        history.append(cost)
+        to_medoids = np.array([_distances(values, values[m]) for m in medoids])  # (k, n)
+        slots = np.argmin(to_medoids, axis=0)
+        # a medoid always belongs to its own cluster, even under distance ties
+        slots[medoids] = np.arange(k)
+        history.append(float(np.sum(to_medoids[slots, np.arange(n)])))
         if n_iter >= max_iter:
             break
         new_medoids = []
         for slot in range(k):
             members = np.flatnonzero(slots == slot)
-            within = np.sum(dist[np.ix_(members, members)], axis=1)
+            within = np.sum(_pairwise_distances(values[members]), axis=1)
             new_medoids.append(int(members[np.argmin(within)]))
         n_iter += 1
         if new_medoids == medoids:
@@ -215,17 +219,15 @@ def seed_medoids(norm: NormalizedPanel) -> list[int]:
     taking each criterion's best not-yet-chosen neighborhood; all ties
     break toward the smaller geo_id.
     """
-    return _profile_seeds(build_series(norm))
+    return _profile_seeds(build_series(norm), norm.geo_ids)
 
 
-def _profile_seeds(series: list[SeriesVector]) -> list[int]:
+def _profile_seeds(values: np.ndarray, geo_ids) -> list[int]:
     """``seed_medoids`` on built series; each criterion is a row reduction."""
-    if len(series) < 5:
+    if len(values) < 5:
         raise InsufficientNeighborhoods(
-            f"need at least 5 neighborhoods to seed profiles, have {len(series)}"
+            f"need at least 5 neighborhoods to seed profiles, have {len(values)}"
         )
-    geo_ids = [s.geo_id for s in series]
-    values = np.stack([s.values for s in series])
     means = np.mean(values, axis=1)
     flat_dist = np.sqrt(np.sum((values - 1.0) ** 2, axis=1))
     # least-squares slope of each row on the year positions; 0 for one year
@@ -254,11 +256,16 @@ def cluster_neighborhoods(
     """
     series = build_series(norm)
     if k == 5:
-        seeds = _profile_seeds(series)
+        seeds = _profile_seeds(series, norm.geo_ids)
         return k_medoids(
-            series, k, initial_medoids=seeds, max_iter=max_iter, cluster_names=RISK_LABELS
+            series,
+            norm.geo_ids,
+            k,
+            initial_medoids=seeds,
+            max_iter=max_iter,
+            cluster_names=RISK_LABELS,
         )
-    return k_medoids(series, k, max_iter=max_iter)
+    return k_medoids(series, norm.geo_ids, k, max_iter=max_iter)
 
 
 def write_assignment(assignment: ClusterAssignment, csv_path: str | Path, json_path: str | Path) -> None:
@@ -278,19 +285,50 @@ def write_assignment(assignment: ClusterAssignment, csv_path: str | Path, json_p
         fh.write("\n")
 
 
+def _cluster_order(label: str) -> tuple:
+    """Where a label stands in the order ``cluster_neighborhoods`` gives its
+    clusters: the risk labels in profile order, then ``cluster<i>`` by i,
+    then any other label by its text."""
+    if label in RISK_LABELS:
+        return (0, RISK_LABELS.index(label), label)
+    number = label.removeprefix("cluster")
+    return (1, int(number), label) if number.isdecimal() else (2, 0, label)
+
+
 def read_assignment(csv_path: str | Path, json_path: str | Path) -> ClusterAssignment:
+    """Read back clusters.csv and clusters.json, with the medoids in cluster
+    order, as ``cluster_neighborhoods`` returns them.
+
+    Each geo must be listed once in clusters.csv, each medoid must carry its
+    own label there, and each label there must have a medoid; otherwise
+    this is a ValueError.
+    """
     labels: dict[int, str] = {}
     with open(csv_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            labels[int(row["geo_id"])] = row["label"]
+            geo = int(row["geo_id"])
+            if geo in labels:
+                raise ValueError(f"{csv_path} lists geo {geo} twice")
+            labels[geo] = row["label"]
     with open(json_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     total_cost = float(doc["total_cost"])
     if not math.isfinite(total_cost):
         raise ValueError(f"{json_path} holds a total_cost that is not a finite number")
+    ordered = sorted(doc["medoids"].items(), key=lambda item: _cluster_order(item[0]))
+    medoids = {label: int(geo) for label, geo in ordered}
+    for label, geo in medoids.items():
+        if labels.get(geo) != label:
+            raise ValueError(
+                f"{json_path} makes geo {geo} the {label} medoid, "
+                f"but {csv_path} labels it {labels.get(geo)!r}"
+            )
+    unknown = sorted(set(labels.values()) - medoids.keys())
+    if unknown:
+        raise ValueError(f"{csv_path} holds labels {unknown} with no medoid in {json_path}")
     return ClusterAssignment(
         labels=labels,
-        medoids={label: int(geo) for label, geo in doc["medoids"].items()},
+        medoids=medoids,
         total_cost=total_cost,
         n_iter=int(doc["n_iter"]),
         cost_history=(),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +42,65 @@ class InsufficientData(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
 class NormalizedPanel:
-    """Mean-normalized rate per (geo_id, year), defined cells only.
+    """Mean-normalized rates of a panel's cells, as a (geo x year) array.
 
-    A cell is present iff the raw rate was defined (record exists and
-    tests > 0); gaps propagate rather than being imputed.
+    ``rates`` is float64 with rows in ``geo_ids`` order and columns in
+    ``years`` order. ``defined`` marks the cells whose raw rate was defined
+    (record exists and tests > 0); the others hold 0.0 in ``rates``, so
+    gaps propagate rather than being imputed.
+
+    ``NormalizedPanel(values=..., years=..., geo_ids=...)`` builds the
+    arrays from a {(geo_id, year): rate} dict of the defined cells, and
+    ``from_arrays`` takes them as they are. ``values`` is that dict: the one
+    given, or else built year by year the first time it is read.
     """
 
-    values: dict[tuple[int, int], float]
-    years: tuple[int, ...]
-    geo_ids: tuple[int, ...]
+    def __init__(
+        self,
+        values: dict[tuple[int, int], float],
+        years: tuple[int, ...],
+        geo_ids: tuple[int, ...],
+    ):
+        years, geo_ids = tuple(years), tuple(geo_ids)
+        row = {geo: i for i, geo in enumerate(geo_ids)}
+        col = {year: j for j, year in enumerate(years)}
+        rates = np.zeros((len(geo_ids), len(years)))
+        defined = np.zeros(rates.shape, dtype=bool)
+        for (geo, year), value in values.items():
+            i, j = row.get(geo), col.get(year)
+            if i is None or j is None:
+                raise ValueError(f"cell (geo {geo}, year {year}) lies outside geo_ids and years")
+            rates[i, j] = value
+            defined[i, j] = True
+        self._set(rates, defined, years, geo_ids)
+        self.__dict__["values"] = values
+
+    @classmethod
+    def from_arrays(cls, rates: np.ndarray, defined: np.ndarray, years, geo_ids) -> "NormalizedPanel":
+        """A panel over the arrays themselves, which become read-only."""
+        norm = cls.__new__(cls)
+        norm._set(rates, defined, tuple(years), tuple(geo_ids))
+        return norm
+
+    def _set(self, rates, defined, years, geo_ids) -> None:
+        if rates.shape != defined.shape or rates.shape != (len(geo_ids), len(years)):
+            raise ValueError(
+                f"rates {rates.shape} and defined {defined.shape} must both be "
+                f"{len(geo_ids)} geos x {len(years)} years"
+            )
+        rates.flags.writeable = defined.flags.writeable = False
+        self.__dict__.update(rates=rates, defined=defined, years=years, geo_ids=geo_ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NormalizedPanel is immutable: cannot set {name!r}")
+
+    @cached_property
+    def values(self) -> dict[tuple[int, int], float]:
+        cols, rows = np.nonzero(self.defined.T)  # year by year
+        geos = map(self.geo_ids.__getitem__, rows.tolist())
+        years = map(self.years.__getitem__, cols.tolist())
+        return dict(zip(zip(geos, years), self.rates[rows, cols].tolist()))
 
 
 @dataclass(frozen=True)
@@ -78,22 +127,18 @@ def mean_normalize_year(rates) -> np.ndarray:
 
 
 def normalize_panel(panel: NeighborhoodPanel) -> NormalizedPanel:
-    """Normalize each panel year independently; undefined cells stay absent."""
+    """Normalize each panel year independently; undefined cells stay undefined."""
     view = panel.view
     defined = view.present & (view.tests != 0)
     rates = np.divide(view.cases_5plus, view.tests, out=np.zeros(defined.shape), where=defined)
-    values: dict[tuple[int, int], float] = {}
     for column, year in enumerate(panel.years):
         rows = defined[:, column]
-        if not rows.any():
-            continue
-        try:
-            normalized = mean_normalize_year(rates[rows, column])
-        except ZeroMean:
-            raise ZeroMean(year) from None
-        for row, value in zip(np.flatnonzero(rows).tolist(), normalized.tolist()):
-            values[(panel.geo_ids[row], year)] = value
-    return NormalizedPanel(values=values, years=panel.years, geo_ids=panel.geo_ids)
+        if rows.any():
+            try:
+                rates[rows, column] = mean_normalize_year(rates[rows, column])
+            except ZeroMean:
+                raise ZeroMean(year) from None
+    return NormalizedPanel.from_arrays(rates, defined, panel.years, panel.geo_ids)
 
 
 def ols_line(x, y) -> tuple[float, float]:
@@ -174,20 +219,37 @@ def testing_population_shares(panel: NeighborhoodPanel, year: int) -> tuple[np.n
 
 
 def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
+    """One row per defined cell, in (geo_id, year) order."""
+    geo_order = sorted(range(len(norm.geo_ids)), key=norm.geo_ids.__getitem__)
+    year_order = sorted(range(len(norm.years)), key=norm.years.__getitem__)
+    geo_ids = [norm.geo_ids[i] for i in geo_order]
+    years = [norm.years[j] for j in year_order]
+    cells = np.ix_(geo_order, year_order)
+    rows, cols = np.nonzero(norm.defined[cells])
+    rates = norm.rates[cells][rows, cols]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["geo_id", "year", "normalized_rate"])
-        for (geo, year), value in sorted(norm.values.items()):
-            writer.writerow([geo, year, repr(value)])
+        writer.writerows(
+            zip(
+                map(geo_ids.__getitem__, rows.tolist()),
+                map(years.__getitem__, cols.tolist()),
+                map(repr, rates.tolist()),
+            )
+        )
 
 
 def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> NormalizedPanel:
     """Read back a normalized.csv. Given the panel's ``years``, a year with no
-    defined cell is kept and a cell in any other year is a ValueError."""
+    defined cell is kept and a cell in any other year is a ValueError, as is
+    a cell given twice."""
     values: dict[tuple[int, int], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            values[(int(row["geo_id"]), int(row["year"]))] = float(row["normalized_rate"])
+            cell = (int(row["geo_id"]), int(row["year"]))
+            if cell in values:
+                raise ValueError(f"{path} holds geo {cell[0]}, year {cell[1]} twice")
+            values[cell] = float(row["normalized_rate"])
     if not all(map(math.isfinite, values.values())):
         raise ValueError(f"{path} holds a rate that is not a finite number")
     found = {year for _, year in values}

@@ -33,7 +33,7 @@ from leadalloc.allocate import (
     v2_share,
 )
 from leadalloc.cli import main as cli_main
-from leadalloc.cluster import SeriesVector, k_medoids
+from leadalloc.cluster import k_medoids
 from leadalloc.evaluate import (
     normal_two_sided_p,
     reallocation_percentages,
@@ -265,11 +265,11 @@ class TestKMedoidsRecovery:
                 members = set()
                 for _ in range(4):
                     values = level + rng.uniform(-0.02, 0.02, size=8)
-                    series.append(SeriesVector(geo_id=geo, values=values))
+                    series.append(values)
                     members.add(geo)
                     geo += 1
                 expected.append(frozenset(members))
-            assignment = k_medoids(series, 3)
+            assignment = k_medoids(np.array(series), range(1, geo), 3)
             history = assignment.cost_history
             assert all(later <= earlier for earlier, later in zip(history, history[1:]))
             groups: dict[str, set[int]] = {}
@@ -397,6 +397,25 @@ GAP_PANEL_ARTIFACT_SHA256 = {
 }
 
 
+# The same panel with `run --k 3` and `run --k 7` (no trace), which seed the
+# clusters farthest-first rather than by the five profile criteria. Only
+# clusters.* and evaluation.* differ from the k=5 run.
+GAP_PANEL_K_ARTIFACT_SHA256 = {
+    3: {
+        "clusters.csv": "d7cb157a1d9cd0d4d60fb0942cd3ac6d07151043998eafed5d377b868d8ac6fb",
+        "clusters.json": "371f3f46a5d4f8f3a265562503b21a4c1e8c0d3fddbcc0350f78f0c1c556bc15",
+        "evaluation.json": "511c821211b58243a0829f441b2c721f7ab6fffc1557a44fbda7b2b8323d845f",
+        "evaluation.txt": "8cfe414002c0e7f8f9964a0e2786534d2f582f41c6fa53a5ad23df0e1babbdfe",
+    },
+    7: {
+        "clusters.csv": "e002d569a60c400e3e6fff0c2a207a3698098e96a88fba601878df972c05bf4d",
+        "clusters.json": "75f1e6ab86feb03372b25e828941268caca07eb883f294fbcee50be26889fe4c",
+        "evaluation.json": "0ffde3ce65b7d799382dc0dbbaf37a863c5f0120c9ce719516368b2202798f2f",
+        "evaluation.txt": "ac7906fc5d22552ebdfc702c325b1eff4f8182e8839252ea5802c068b0c7714d",
+    },
+}
+
+
 class TestGoldenArtifacts:
     def test_fixture_run_bytes_are_pinned(self, fixture_path, tmp_path):
         assert cli_main(["run", "--input", str(fixture_path), "--out", str(tmp_path), "--emit-trace"]) == 0
@@ -413,6 +432,16 @@ class TestGoldenArtifacts:
             for path in sorted(tmp_path.iterdir())
         }
         assert digests == GAP_PANEL_ARTIFACT_SHA256
+
+    @pytest.mark.parametrize("k", sorted(GAP_PANEL_K_ARTIFACT_SHA256))
+    def test_gap_panel_run_bytes_at_other_k_are_pinned(self, tmp_path, k):
+        assert cli_main(["run", "--input", str(GAPS_CSV), "--out", str(tmp_path), "--k", str(k)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        want = {name: sha for name, sha in GAP_PANEL_ARTIFACT_SHA256.items() if name != "trace.csv"}
+        assert digests == dict(want, **GAP_PANEL_K_ARTIFACT_SHA256[k])
 
 
 class TestApportionment:

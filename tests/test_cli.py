@@ -469,11 +469,12 @@ class TestReusedArtifacts:
     """An earlier stage's file made from another panel, or one that does not
     parse, ends the run with exit 1 and a message, not a report or a traceback."""
 
-    def assert_data_error(self, rc, capsys, stage, name):
+    def assert_data_error(self, rc, capsys, stage, *names):
         assert rc == 1
         captured = capsys.readouterr()
         assert f"error at stage {stage}" in captured.err
-        assert name in captured.err
+        for name in names:
+            assert name in captured.err
         assert "clustered into" not in captured.out
         assert "case difference" not in captured.out
 
@@ -595,6 +596,44 @@ class TestReusedArtifacts:
         rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
         self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
         assert not (out / "clusters.json").exists()
+
+    def test_normalized_cell_given_twice(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        for name in ("clusters.csv", "clusters.json"):
+            (out / name).unlink()
+        with open(out / "normalized.csv", "a") as fh:
+            fh.write("106,2012,9.5\n")
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "normalize", "normalized.csv", "106, year 2012 twice")
+        assert not (out / "clusters.json").exists()
+
+    @pytest.mark.parametrize(
+        "geo, label",
+        [("106", "Bogus"), ("104", "Bogus"), ("104", "Average")],
+        ids=["label_without_a_medoid", "medoid_with_a_new_label", "medoid_with_another_label"],
+    )
+    def test_clusters_csv_label_other_than_clusters_json(
+        self, fixture_path, tmp_path, capsys, geo, label
+    ):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        path = out / "clusters.csv"
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        path.write_text("".join(f"{g},{label if g == geo else old},{m}\n" for g, old, m in rows))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "cluster", "clusters.csv", "clusters.json", label)
+
+    def test_clusters_csv_geo_listed_twice(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        with open(out / "clusters.csv", "a") as fh:
+            fh.write("106,High,0\n")
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "cluster", "clusters.csv", "geo 106 twice")
 
     def test_plan_budget_other_than_its_counts(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

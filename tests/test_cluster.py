@@ -19,8 +19,8 @@ from leadalloc.cluster import (
     EmptyInput,
     KTooLarge,
     LengthMismatch,
-    SeriesVector,
-    _distance_matrix,
+    _distances,
+    _pairwise_distances,
     build_series,
     cluster_neighborhoods,
     k_medoids,
@@ -32,15 +32,9 @@ from leadalloc.errors import DataError
 from leadalloc.normalize import NormalizedPanel, normalize_panel, ols_line
 
 
-def flat_series(geo_id: int, value: float, length: int = 4) -> SeriesVector:
-    return SeriesVector(geo_id=geo_id, values=np.full(length, value))
-
-
-def line_instance() -> list[SeriesVector]:
-    return [
-        SeriesVector(geo_id=i + 1, values=np.array([v], dtype=float))
-        for i, v in enumerate([0.0, 1.0, 10.0, 11.0, 20.0, 21.0])
-    ]
+def line_instance() -> tuple[np.ndarray, list[int]]:
+    """(series, geo_ids): one one-year series per geo 1..6."""
+    return np.array([[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]]), [1, 2, 3, 4, 5, 6]
 
 
 def norm_from_values(values: dict) -> NormalizedPanel:
@@ -52,23 +46,20 @@ def norm_from_values(values: dict) -> NormalizedPanel:
 class TestBuildSeries:
     def test_complete_panel_passthrough(self, fixture_panel):
         norm = normalize_panel(fixture_panel)
-        series = build_series(norm)
-        assert [s.geo_id for s in series] == [101, 102, 103, 104, 105, 106]
-        assert all(s.values.shape == (12,) for s in series)
+        assert norm.geo_ids == (101, 102, 103, 104, 105, 106)
+        assert build_series(norm).shape == (6, 12)
 
     def test_interior_gap_interpolated(self):
         norm = norm_from_values(
             {(1, 2019): 1.0, (1, 2021): 3.0, (2, 2019): 1.0, (2, 2020): 1.0, (2, 2021): 1.0}
         )
-        series = {s.geo_id: s.values for s in build_series(norm)}
-        assert series[1].tolist() == [1.0, 2.0, 3.0]
+        assert build_series(norm)[0].tolist() == [1.0, 2.0, 3.0]
 
     def test_edge_gap_extends_nearest(self):
         norm = norm_from_values(
             {(1, 2020): 2.0, (1, 2021): 4.0, (2, 2019): 1.0, (2, 2020): 1.0, (2, 2021): 1.0}
         )
-        series = {s.geo_id: s.values for s in build_series(norm)}
-        assert series[1].tolist() == [2.0, 2.0, 4.0]
+        assert build_series(norm)[0].tolist() == [2.0, 2.0, 4.0]
 
     def test_all_gap_geo_rejected(self):
         norm = NormalizedPanel(values={(1, 2020): 1.0}, years=(2020,), geo_ids=(1, 2))
@@ -76,45 +67,46 @@ class TestBuildSeries:
             build_series(norm)
 
 
-def broadcast_distances(series) -> np.ndarray:
+def broadcast_distances(values) -> np.ndarray:
     """Reference pairwise distances through one (n, n, years) broadcast."""
-    values = np.stack([s.values for s in series])
     diff = values[:, None, :] - values[None, :, :]
     return np.sqrt(np.sum(diff**2, axis=2))
 
 
 class TestDistanceMatrix:
-    def assert_bit_identical(self, series):
-        got = _distance_matrix(series)
-        want = broadcast_distances(series)
+    def assert_bit_identical(self, values):
+        got = _pairwise_distances(values)
+        want = broadcast_distances(values)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # one full row, as re-centering and seeding compute it
+        for i, row in enumerate(values):
+            assert np.array_equal(_distances(values, row).view(np.uint64), want[i].view(np.uint64))
 
     def test_random_series(self):
         rng = np.random.default_rng(11)
         for n, length in ((2, 1), (7, 17), (60, 17), (33, 40)):
             values = rng.lognormal(0.0, 0.6, size=(n, length))
-            self.assert_bit_identical([SeriesVector(g, v) for g, v in enumerate(values)])
+            self.assert_bit_identical(values)
 
     def test_single_series(self):
-        series = [SeriesVector(1, np.array([0.7, 1.3, 2.9]))]
-        self.assert_bit_identical(series)
-        assert _distance_matrix(series).tolist() == [[0.0]]
+        values = np.array([[0.7, 1.3, 2.9]])
+        self.assert_bit_identical(values)
+        assert _pairwise_distances(values).tolist() == [[0.0]]
 
     def test_duplicate_series(self):
         rng = np.random.default_rng(12)
         base = rng.uniform(0.0, 3.0, size=(4, 17))
         values = np.concatenate([base, base[::-1], base[:1]])
-        series = [SeriesVector(g, v) for g, v in enumerate(values)]
-        self.assert_bit_identical(series)
-        dist = _distance_matrix(series)
+        self.assert_bit_identical(values)
+        dist = _pairwise_distances(values)
         assert dist[0, 7] == 0.0 and dist[0, 8] == 0.0
         assert np.array_equal(dist, dist.T)
 
 
 class TestKMedoids:
     def test_line_instance_partition(self):
-        assignment = k_medoids(line_instance(), 3)
+        assignment = k_medoids(*line_instance(), 3)
         assert set(assignment.medoids.values()) == {1, 3, 5}
         groups = {}
         for geo, label in assignment.labels.items():
@@ -122,16 +114,16 @@ class TestKMedoids:
         assert sorted(groups.values(), key=min) == [{1, 2}, {3, 4}, {5, 6}]
 
     def test_medoids_are_members_and_self_assigned(self):
-        assignment = k_medoids(line_instance(), 3)
+        assignment = k_medoids(*line_instance(), 3)
         for label, geo in assignment.medoids.items():
             assert assignment.labels[geo] == label
 
     def test_cost_matches_final_assignment(self):
-        series = line_instance()
-        assignment = k_medoids(series, 3)
-        by_geo = {s.geo_id: s for s in series}
+        series, geo_ids = line_instance()
+        assignment = k_medoids(series, geo_ids, 3)
+        by_geo = dict(zip(geo_ids, series))
         expected = sum(
-            float(np.linalg.norm(by_geo[geo].values - by_geo[assignment.medoids[label]].values))
+            float(np.linalg.norm(by_geo[geo] - by_geo[assignment.medoids[label]]))
             for geo, label in assignment.labels.items()
         )
         assert math.isclose(assignment.total_cost, expected, abs_tol=1e-12)
@@ -139,48 +131,49 @@ class TestKMedoids:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            k_medoids([flat_series(1, 1.0, 3), flat_series(2, 1.0, 4)], 1)
+            k_medoids(np.ones((2, 4)), [1, 2, 3], 1)
+        with pytest.raises(LengthMismatch):
+            k_medoids(np.ones(3), [1, 2, 3], 1)
 
     def test_input_order_invariance(self):
-        forward = k_medoids(line_instance(), 3)
-        backward = k_medoids(list(reversed(line_instance())), 3)
+        series, geo_ids = line_instance()
+        forward = k_medoids(series, geo_ids, 3)
+        backward = k_medoids(series[::-1], geo_ids[::-1], 3)
         assert forward.labels == backward.labels
         assert forward.medoids == backward.medoids
         assert forward.total_cost == backward.total_cost
 
     def test_explicit_seeds_respected(self):
-        series = line_instance()
-        assignment = k_medoids(series, 3, initial_medoids=[1, 3, 5])
+        assignment = k_medoids(*line_instance(), 3, initial_medoids=[1, 3, 5])
         assert set(assignment.medoids.values()) == {1, 3, 5}
 
     def test_k_equals_n_is_identity(self):
-        series = line_instance()
-        assignment = k_medoids(series, 6)
+        assignment = k_medoids(*line_instance(), 6)
         assert set(assignment.medoids.values()) == {1, 2, 3, 4, 5, 6}
         assert assignment.total_cost == 0.0
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
-            k_medoids(line_instance(), 7)
+            k_medoids(*line_instance(), 7)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            k_medoids([], 2)
+            k_medoids(np.empty((0, 1)), [], 2)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            k_medoids(line_instance(), 0)
+            k_medoids(*line_instance(), 0)
 
     def test_duplicate_seed_rejected(self):
         with pytest.raises(ValueError):
-            k_medoids(line_instance(), 3, initial_medoids=[1, 1, 3])
+            k_medoids(*line_instance(), 3, initial_medoids=[1, 1, 3])
 
     def test_unknown_seed_rejected(self):
         with pytest.raises(ValueError):
-            k_medoids(line_instance(), 3, initial_medoids=[1, 3, 99])
+            k_medoids(*line_instance(), 3, initial_medoids=[1, 3, 99])
 
     def test_custom_cluster_names(self):
-        assignment = k_medoids(line_instance(), 3, cluster_names=("a", "b", "c"))
+        assignment = k_medoids(*line_instance(), 3, cluster_names=("a", "b", "c"))
         assert set(assignment.medoids) == {"a", "b", "c"}
 
     @given(
@@ -193,11 +186,8 @@ class TestKMedoids:
     )
     @settings(max_examples=100, deadline=None)
     def test_cost_history_non_increasing(self, values, k):
-        series = [
-            SeriesVector(geo_id=i + 1, values=np.array([v], dtype=float))
-            for i, v in enumerate(values)
-        ]
-        assignment = k_medoids(series, k)
+        series = np.array(values, dtype=float)[:, None]
+        assignment = k_medoids(series, list(range(1, len(values) + 1)), k)
         history = assignment.cost_history
         assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
 
@@ -233,12 +223,12 @@ class TestSeeding:
             norm = norm_from_values(
                 {(g, 2000 + j): float(v) for g, row in zip(geo_ids, values) for j, v in enumerate(row)}
             )
-            series = build_series(norm)
-            means = {s.geo_id: float(np.mean(s.values)) for s in series}
-            flat = {s.geo_id: float(np.sqrt(np.sum((s.values - 1.0) ** 2))) for s in series}
+            series = dict(zip(norm.geo_ids, build_series(norm)))
+            means = {g: float(np.mean(s)) for g, s in series.items()}
+            flat = {g: float(np.sqrt(np.sum((s - 1.0) ** 2))) for g, s in series.items()}
             slopes = {
-                s.geo_id: ols_line(np.arange(years, dtype=float), s.values)[0] if years > 1 else 0.0
-                for s in series
+                g: ols_line(np.arange(years, dtype=float), s)[0] if years > 1 else 0.0
+                for g, s in series.items()
             }
             expected = []
             for score in (means, {g: -v for g, v in means.items()}, {g: -v for g, v in flat.items()},

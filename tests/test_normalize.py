@@ -144,9 +144,8 @@ class TestNormalizePanel:
         )
         norm = normalize_panel(panel)
         assert norm.years == (2019, 2020, 2021)
-        series = build_series(norm)[0]
-        assert series.geo_id == 1
-        assert series.values.tolist() == pytest.approx([0.5, 1.0, 1.0])
+        assert norm.geo_ids[0] == 1
+        assert build_series(norm)[0].tolist() == pytest.approx([0.5, 1.0, 1.0])
 
 
 class TestOlsLine:

@@ -44,19 +44,12 @@ def _chain_digests(run_sha256, panel_csv):
     return digests
 
 
-# evaluation.txt lists the clusters in the order of the assignment it was
-# given: the profile order when evaluate clusters the panel itself, as run
-# does, but sorted by label when it reads clusters.json back. So wherever
-# evaluate reuses clusters.json its evaluation.txt differs from run's; see
-# test_reused_clusters_keep_the_run_order below.
 PANELS = {
     "fixture": {
         "path": FIXTURE_CSV,
         "digests": _chain_digests(
             FIXTURE_ARTIFACT_SHA256, "f845c6ee5be8668292478367f692655315eea9dd6e2a41bb47380da67b4c3fb4"
         ),
-        "evaluation_txt_from_reused_clusters":
-            "921929441c0f5de4cb8ea3534540cdf1398c35664d115fb79c61efe16cf5df74",
         "stdout": {
             "ingest": "ingested 6 neighborhoods x 12 years (0 rejected rows, 0 violations)\n",
             "normalize": "normalized 72 cells across 12 years\n",
@@ -72,8 +65,6 @@ PANELS = {
         "digests": _chain_digests(
             GAP_PANEL_ARTIFACT_SHA256, "127f12d03ceb2d159ae5e67589eee07d9ce946c87355eabf5143b7e15c1f07f4"
         ),
-        "evaluation_txt_from_reused_clusters":
-            "7523436d598f14ceeb8d41d9692376a7f9784f1289515787d573aaf636da1ae8",
         "stdout": {
             "ingest": "ingested 150 neighborhoods x 17 years (11 rejected rows, 0 violations)\n",
             "normalize": "normalized 2396 cells across 17 years\n",
@@ -97,13 +88,6 @@ def run_stage(command, source, out, capsys):
     return code, capsys.readouterr().out
 
 
-def expected_after(panel, reused_clusters):
-    want = dict(panel["digests"])
-    if reused_clusters:
-        want["evaluation.txt"] = panel["evaluation_txt_from_reused_clusters"]
-    return want
-
-
 @pytest.fixture(params=sorted(PANELS))
 def chained(request, tmp_path_factory, capsys):
     """(panel facts, directory) after the five stage commands ran into it."""
@@ -117,7 +101,7 @@ def chained(request, tmp_path_factory, capsys):
 def test_chained_stages(chained):
     panel, out = chained
     # evaluate reads the clusters that the cluster stage wrote
-    assert digests(out) == expected_after(panel, reused_clusters=True)
+    assert digests(out) == panel["digests"]
 
 
 @pytest.mark.parametrize("rerun", sorted(RERUNS))
@@ -130,18 +114,25 @@ def test_partial_rerun(chained, rerun, tmp_path, capsys):
         (out / name).unlink()
     for command in commands:
         assert run_stage(command, panel["path"], out, capsys) == (0, panel["stdout"][command])
-    # evaluate clusters the panel itself only where no clusters.json is left
-    want = expected_after(panel, reused_clusters="clusters.json" not in deleted or "cluster" in commands)
+    want = dict(panel["digests"])
     for name in NOT_REWRITTEN.get(rerun, ()):
         del want[name]
     assert digests(out) == want
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="evaluation.txt orders clusters by label when clusters.json is read back, "
-    "and in profile order when run computes them",
-)
 def test_reused_clusters_keep_the_run_order(chained):
     panel, out = chained
     assert digests(out)["evaluation.txt"] == panel["digests"]["evaluation.txt"]
+
+
+def test_reused_generic_clusters_keep_the_run_order(tmp_path):
+    """With ten or more generic clusters, sorting by label would put
+    cluster10 before cluster2."""
+    out = tmp_path / "out"
+    flags = ["--input", str(GAPS_CSV), "--out", str(out), "--k", "12"]
+    assert main(["run", *flags]) == 0
+    written = (out / "evaluation.txt").read_text()
+    assert written.index("cluster2:") < written.index("cluster10:")
+    (out / "evaluation.txt").unlink()
+    assert main(["evaluate", *flags]) == 0
+    assert (out / "evaluation.txt").read_text() == written
