@@ -10,14 +10,15 @@ fixed citywide test budget T:
     delta_cases = T * sum_i( R_i * (candidate_share_i - baseline_share_i) )
 
 where R_i is the neighborhood's cases-per-test rate over the window. The
-weights are chosen by a search that gives every point of a (p1, p2) lattice
-a verdict, skipping combinations that produce a negative score anywhere
-(never clamping: a clamp would quietly reshape the objective surface) and
-combinations whose plan violates the fairness floor or the child-population
-cap. Every point is still traced. The negative-score points are not scored
-in full: x and y are non-negative, so every score is non-decreasing in p1
-and in p2, bit for bit, and those points form a staircase in the corner of
-small weights that one walk along its edge finds exactly.
+weights are chosen by a search over a (p1, p2) lattice that fills two arrays
+of the lattice's shape, a verdict and a delta per point, and reads the
+winner and the trace from them. It rejects combinations that produce a
+negative score anywhere (never clamping: a clamp would quietly reshape the
+objective surface) and combinations whose plan violates the fairness floor
+or the child-population cap. The negative-score verdicts need no scoring: x
+and y are non-negative, so every score is non-decreasing in p1 and in p2,
+bit for bit, and those points form a staircase in the corner of small
+weights that one walk along its edge finds exactly.
 
 Everything is deterministic: the lattice is enumerated in sorted order, equal
 objectives resolve to the lexicographically smallest (p1, p2), and integer
@@ -50,8 +51,9 @@ MAX_LATTICE_POINTS = 10**7
 # block's temporaries stay small next to the process
 _BLOCK_ELEMENTS = 2**14
 
-# verdict codes of one lattice point, in precedence order, and their trace
-# reasons; the two score reasons name the point's weights
+# verdict codes of one lattice point, in precedence order, their trace
+# reasons (the two score reasons name the point's weights) and their names
+# in the count of rejections when no point is feasible
 _FEASIBLE, _NEGATIVE_SCORE, _NONPOSITIVE_TOTAL, _FLOOR, _POPULATION_CAP, _NEGATIVE_DELTA = range(6)
 _REASONS = (
     None,
@@ -60,6 +62,9 @@ _REASONS = (
     "floor",
     "population_cap",
     "negative_delta",
+)
+_VERDICTS = (
+    "feasible", "negative score", "non-positive score total", "floor", "population cap", "negative delta"
 )
 
 
@@ -434,17 +439,22 @@ def grid_search(
     never negative, because that point reproduces the baseline at delta
     exactly 0.
 
-    The points with a negative score come from the staircase walk of
-    ``_nonnegative_starts``, which is exact because the shares are finite
-    and non-negative; shares that are not raise DataError. Only the other
-    points are scored in full, in blocks of points, each a 2-D (points,
-    geos) array, with the same element operations as scoring one point at
-    a time, so the trace and the winner are the per-point ones bit for bit.
+    The search fills a verdict code and a delta per point, in two arrays of
+    the lattice's shape. The negative-score verdicts come from the staircase
+    walk of ``_nonnegative_starts``, which is exact because the shares are
+    finite and non-negative; shares that are not, and rates that are not
+    finite, raise DataError. The other points are scored in blocks, each a
+    2-D (points, geos) array, with the same element operations as scoring
+    one point at a time. The winner is the first largest delta among the
+    feasible points, and the trace is read from the arrays row by row, so
+    both are the per-point ones bit for bit.
     """
     if rates is None:
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
     # the shape and baseline-sum checks of every point's case_difference
     case_difference(total_tests, rates, shares.x, shares.x)
+    if not np.all(np.isfinite(rates)):
+        raise DataError("case rates hold a non-finite value")
     if shares.geo_ids != panel.geo_ids:
         raise ShareMismatch("the share vectors cover other neighborhoods than the panel")
     for name, share in (("x", shares.x), ("y", shares.y)):
@@ -458,55 +468,44 @@ def grid_search(
     p2_array = np.array(p2_values, dtype=float)
     n2 = len(p2_values)
     block = max(1, _BLOCK_ELEMENTS // max(1, shares.x.size))
-    # row a's points before p2_values[starts[a]] have a negative score; the
-    # rest are scored in full, packed row after row, and row a's end at
-    # position ends[a] of the packing
+
+    # one verdict and one delta per lattice point, in the lattice's (p1, p2)
+    # shape; row a's points before p2_values[starts[a]] have a negative score
     starts = _nonnegative_starts(shares.x, shares.y, p1_array, p2_array)
-    ends = np.cumsum([n2 - first for first in starts])
-    scored = int(ends[-1])
-
-    # starts never grows with p1, so the rows with only negative-score points
-    # come first
-    trace: list[TracePoint] = []
-    for p1 in p1_values[: starts.count(n2)]:
-        trace.extend(_negative_score_row(p1, p2_values))
-    best: tuple[float, int] | None = None  # (delta, lattice index)
-    for start in range(0, scored, block):
-        # the block's points, as indices into the two value lists
-        k = np.arange(start, min(start + block, scored))
-        i = np.searchsorted(ends, k, side="right")
-        j = k - ends[i] + n2
-        delta, code = _evaluate_block(
-            shares, rates, total_tests, p1_array[i], p2_array[j], floor, population, constraints
+    negative = np.arange(n2) < np.array(starts)[:, None]
+    code = np.where(negative, _NEGATIVE_SCORE, _FEASIBLE).astype(np.int8)
+    delta = np.zeros(code.shape)
+    scored = np.flatnonzero(code == _FEASIBLE)
+    for start in range(0, scored.size, block):
+        k = scored[start : start + block]
+        delta.flat[k], code.flat[k] = _evaluate_block(
+            shares, rates, total_tests, p1_array[k // n2], p2_array[k % n2], floor, population, constraints
         )
-        feasible = np.flatnonzero(code == _FEASIBLE)
-        if feasible.size:
-            top = delta[feasible].max()
-            if best is None or top > best[0]:
-                first = feasible[delta[feasible] == top][0]
-                best = (top, int(i[first]) * n2 + int(j[first]))
-        # the trace shares the lattice's float objects instead of one per point
-        for a, b, d, c in zip(i.tolist(), j.tolist(), delta.tolist(), code.tolist()):
-            p1, p2 = p1_values[a], p2_values[b]
-            if b == starts[a]:
-                trace.extend(_negative_score_row(p1, p2_values[:b]))
-            if c == _NONPOSITIVE_TOTAL:
-                trace.append(TracePoint(p1, p2, None, False, _REASONS[c].format(p1=p1, p2=p2)))
-            else:
-                trace.append(TracePoint(p1, p2, d, c == _FEASIBLE, _REASONS[c]))
 
-    if best is None:
-        raise NoFeasiblePoint(f"no feasible (p1, p2) on the {len(p1_values)}x{n2} lattice")
-    winner = trace[best[1]]
-    plan = build_plan(shares, rates, total_tests, winner.p1, winner.p2)
-    return SearchResult(plan=plan, trace=tuple(trace))
+    feasible = np.flatnonzero(code == _FEASIBLE)
+    if not feasible.size:
+        counts = np.bincount(code.ravel(), minlength=len(_VERDICTS)).tolist()
+        rejected = ", ".join(f"{n} {name}" for name, n in zip(_VERDICTS, counts) if n)
+        raise NoFeasiblePoint(f"no feasible (p1, p2) on the {len(p1_values)}x{n2} lattice: {rejected}")
+    # argmax keeps the first of equal deltas, the smallest (p1, p2)
+    best = int(feasible[np.argmax(delta.flat[feasible])])
+    plan = build_plan(shares, rates, total_tests, p1_values[best // n2], p2_values[best % n2])
+    # the trace shares the lattice's float objects instead of one per point,
+    # and turns one row of the arrays into Python lists at a time
+    trace = tuple(
+        _trace_point(p1, p2, c, d)
+        for p1, row_code, row_delta in zip(p1_values, code, delta)
+        for p2, c, d in zip(p2_values, row_code.tolist(), row_delta.tolist())
+    )
+    return SearchResult(plan=plan, trace=trace)
 
 
-def _negative_score_row(p1: float, p2_values: list[float]) -> list[TracePoint]:
-    return [
-        TracePoint(p1, p2, None, False, _REASONS[_NEGATIVE_SCORE].format(p1=p1, p2=p2))
-        for p2 in p2_values
-    ]
+def _trace_point(p1: float, p2: float, code: int, delta: float) -> TracePoint:
+    """The trace row of one lattice point; a point with a score verdict has
+    no delta, and its reason names its weights."""
+    if code in (_NEGATIVE_SCORE, _NONPOSITIVE_TOTAL):
+        return TracePoint(p1, p2, None, False, _REASONS[code].format(p1=p1, p2=p2))
+    return TracePoint(p1, p2, delta, code == _FEASIBLE, _REASONS[code])
 
 
 def _nonnegative_starts(x, y, p1: np.ndarray, p2: np.ndarray) -> list[int]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_helpers import make_panel, make_record, random_panel
+from leadalloc import allocate
 from leadalloc.allocate import (
     AllocationPlan,
     ConstraintConfig,
@@ -490,6 +491,29 @@ class TestGridSearch:
         assert result.plan.delta_cases == 0.0
         assert len(result.trace) == 441
         assert sum(1 for point in result.trace if point.feasible) == 210
+
+    def test_tie_across_blocks_picks_lexicographically_smallest(self, monkeypatch):
+        # the all-zero-delta lattice above, scored seven points per block, so
+        # the equal best deltas fall in many blocks
+        panel = make_panel([(1, 2021, 50, 2), (2, 2021, 50, 2)])
+        shares = share_vectors([0.5, 0.5], [0.5, 0.5], window_years=(2021,))
+        grid = GridConfig(p1_range=(-1.0, 1.0), p2_range=(-1.0, 1.0), step=0.1)
+        whole = grid_search(panel, shares, 100, grid, ConstraintConfig())
+        feasible_per_block = []
+        evaluate_block = allocate._evaluate_block
+
+        def recording(*args):
+            delta, code = evaluate_block(*args)
+            feasible_per_block.append(int(np.sum(code == allocate._FEASIBLE)))
+            return delta, code
+
+        monkeypatch.setattr(allocate, "_evaluate_block", recording)
+        monkeypatch.setattr(allocate, "_BLOCK_ELEMENTS", 2 * 7)
+        result = grid_search(panel, shares, 100, grid, ConstraintConfig())
+        assert sum(n > 0 for n in feasible_per_block) >= 30
+        assert (result.plan.p1, result.plan.p2) == (-0.9, 1.0)
+        assert result.plan.delta_cases == 0.0
+        assert result.trace == whole.trace
 
     def test_no_feasible_point(self):
         panel = make_panel([(1, 2021, 50, 2), (2, 2021, 50, 2)])

@@ -353,12 +353,15 @@ class TestNegativeScoreStaircase:
             {"y": np.array([1.5, -0.5])},
             {"y": np.array([np.nan, 1.0])},
             {"y": np.array([np.inf, 0.0])},
+            {"rates": np.array([np.nan, 0.5])},
         ],
-        ids=["negative_x", "negative_y", "nan_y", "inf_y"],
+        ids=["negative_x", "negative_y", "nan_y", "inf_y", "nan_rates"],
     )
     def test_negative_or_non_finite_shares_are_a_data_error(self, changes):
         panel, shares, rates, total, config, grid = random_instance(np.random.default_rng(25), 2)
         shares = replace(shares, x=np.array([0.5, 0.5]), y=np.array([0.25, 0.75]))
+        changes = dict(changes)
+        rates = changes.pop("rates", rates)
         shares = replace(shares, **changes)
-        with pytest.raises(DataError, match="negative or non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             grid_search(panel, shares, total, grid, config, rates=rates)

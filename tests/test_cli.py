@@ -443,7 +443,9 @@ class TestFailureExits:
             "--p2-range=-2:-1:0.5",
         )
         assert rc == 3
-        assert "error at stage optimize" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error at stage optimize" in err
+        assert "on the 3x3 lattice: 9 negative score" in err
 
 
 def write_fixture_variant(fixture_path, path, edit):
