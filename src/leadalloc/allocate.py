@@ -45,6 +45,9 @@ DEFAULT_STEP = 0.1
 # the search scores every lattice point, so a finer or wider lattice than
 # this is refused before any of it is built
 MAX_LATTICE_POINTS = 10**7
+# tests are apportioned through float64, which holds every integer only up
+# to 2**53, so a larger budget would not come back whole
+MAX_TOTAL_TESTS = 2**53
 
 # float64 elements per (points, geos) block of the lattice search: enough
 # points per block to amortize numpy's per-call cost, few enough that the

@@ -66,9 +66,10 @@ class RunConfig:
             raise ConfigError(f"rate_window must be at least 1, got {self.rate_window}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
-        if self.total_tests_override is not None and self.total_tests_override <= 0:
+        total = self.total_tests_override
+        if total is not None and not 1 <= total <= allocate.MAX_TOTAL_TESTS:
             raise ConfigError(
-                f"total tests override must be positive, got {self.total_tests_override}"
+                f"total_tests must be from 1 to 2**53 = {allocate.MAX_TOTAL_TESTS}, got {total}"
             )
 
     @property
@@ -183,6 +184,11 @@ def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
                 raise DataError(
                     f"the test-total trend forecasts {total_tests} tests, "
                     "which leaves nothing to allocate; set a budget with --total-tests"
+                )
+            if total_tests > allocate.MAX_TOTAL_TESTS:
+                raise DataError(
+                    f"the test-total trend forecasts {total_tests} tests, more than 2**53 = "
+                    f"{allocate.MAX_TOTAL_TESTS}; set a budget with --total-tests"
                 )
         rates = allocate.case_rates(data, year, config.case_rate_window)
         result = allocate.grid_search(

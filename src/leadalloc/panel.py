@@ -7,11 +7,13 @@ count columns (cases / tests), never read from a rate column, so there is a
 single source of truth for units.
 
 Rows are read into columns, one array per field, and checked column by
-column. Only a row that fails a check is read on its own, to word the reason
-it is rejected, so bad rows are reported by row number and first bad field
-as before. The panel keeps the columns: ``view`` and the gap registry are
-built from them, and record objects only when something reads ``records``
-or ``record()``.
+column. Each row rule is stated once: ``_coerce_column`` converts a field
+and words each row it refuses, and ``_invariant_checks`` pairs each record
+invariant's array comparison with its wording. A rejected row's reason is
+its first refused field, or else every invariant it breaks; ``validate_panel``
+words violations from the same table. The panel keeps the columns:
+``view`` and the gap registry are built from them, and record objects only
+when something reads ``records`` or ``record()``.
 
 Cells with ``tests == 0`` have an undefined rate. They are kept in the panel
 but listed in the gap registry together with any (geo, year) cells that are
@@ -304,31 +306,31 @@ _CHUNK_ROWS = 1024
 _COUNT_FIELDS = ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population")
 
 
-def _record_invariant_errors(rec: NeighborhoodYearRecord, year_range) -> list[str]:
-    errs = []
-    for name in _COUNT_FIELDS:
-        if getattr(rec, name) < 0:
-            errs.append(f"{name} is negative")
-    if not rec.cases_15plus <= rec.cases_10plus <= rec.cases_5plus <= rec.tests:
-        errs.append(
-            "case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus <= tests "
-            f"(got {rec.cases_15plus}, {rec.cases_10plus}, {rec.cases_5plus}, {rec.tests})"
-        )
-    lo, hi = year_range
-    if not lo <= rec.year <= hi:
-        errs.append(f"year {rec.year} outside {lo}-{hi}")
-    return errs
-
-
-def _breaks_invariant(columns: dict[str, np.ndarray], year_range) -> np.ndarray:
-    """The rows ``_record_invariant_errors`` finds fault with, as a mask."""
+def _invariant_checks(columns: dict[str, np.ndarray], year_range) -> list:
+    """Each record invariant as (the rows that break it as a mask, the
+    wording for row i), in the order a row's reasons are given."""
     lo, hi = year_range
     tests, c5, c10, c15, _ = (columns[name] for name in _COUNT_FIELDS)
     year = columns["year"]
-    broken = (c15 > c10) | (c10 > c5) | (c5 > tests) | (year < lo) | (year > hi)
-    for name in _COUNT_FIELDS:
-        broken |= columns[name] < 0
-    return broken
+    return [
+        *((columns[name] < 0, lambda i, name=name: f"{name} is negative") for name in _COUNT_FIELDS),
+        (
+            (c15 > c10) | (c10 > c5) | (c5 > tests),
+            lambda i: "case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus "
+            f"<= tests (got {c15[i]}, {c10[i]}, {c5[i]}, {tests[i]})",
+        ),
+        ((year < lo) | (year > hi), lambda i: f"year {year[i]} outside {lo}-{hi}"),
+    ]
+
+
+def _broken(checks) -> np.ndarray:
+    """The rows that break any of the checks, as a mask."""
+    return np.logical_or.reduce([mask for mask, _ in checks])
+
+
+def _errors(checks, i: int) -> list[str]:
+    """The wording of every check row i breaks."""
+    return [word(i) for mask, word in checks if mask[i]]
 
 
 def _repeats(geo: np.ndarray, year: np.ndarray) -> np.ndarray:
@@ -355,8 +357,9 @@ def parse_panel(
     way to pick which duplicate to keep. Errors come in row order, and a
     cell counts as taken only by a row that was not rejected.
 
-    The rows are read into columns and checked column by column; only a
-    rejected row is coerced on its own, to word its reason.
+    The rows are read into columns and checked column by column, and each
+    rejected row is worded from its own chunk. A file that is not UTF-8
+    text, or that csv cannot read, is a DataError naming it.
     """
     if on_error not in ("collect", "raise"):
         raise ValueError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
@@ -367,104 +370,84 @@ def parse_panel(
         raise DataError(f"cannot read panel file {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        # a repeated column name reads its last column, as csv.DictReader does
-        position = {name: i for i, name in enumerate(header)}
-        for canonical in CANONICAL_FIELDS:
-            if schema.columns[canonical] not in position:
-                raise MissingColumn(schema.columns[canonical])
-        positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
-        pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
-        # each row's canonical fields; blank lines are skipped without a row
-        # number, as csv.DictReader does, and a field past the end of a short
-        # row reads as empty
-        rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
-        # in chunks, so the text of every row is never held at once
-        chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
-        while chunks[-1][1].size == _CHUNK_ROWS:
-            chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
+        try:
+            header = next(reader, [])
+            # a repeated column name reads its last column, as csv.DictReader does
+            position = {name: i for i, name in enumerate(header)}
+            for canonical in CANONICAL_FIELDS:
+                if schema.columns[canonical] not in position:
+                    raise MissingColumn(schema.columns[canonical])
+            positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
+            pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
+            # each row's canonical fields; blank lines are skipped without a row
+            # number, as csv.DictReader does, and a field past the end of a short
+            # row reads as empty
+            rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
+            # in chunks, so the text of every row is never held at once
+            chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
+            while chunks[-1][1].size == _CHUNK_ROWS:
+                chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise DataError(f"panel file {path} is not UTF-8 text (byte {byte:#04x}); save it as UTF-8") from exc
+        except csv.Error as exc:  # a field past csv's size limit, say
+            raise DataError(f"cannot read panel file {path}, line {reader.line_num}: {exc}") from exc
 
     columns = {name: np.concatenate([c[name] for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
     accepted = np.concatenate([a for _, a, _ in chunks])
-    rejects = [fields for _, _, bad_rows in chunks for fields in bad_rows]
+    reasons = [reason for _, _, chunk_reasons in chunks for reason in chunk_reasons]
     kept = np.flatnonzero(accepted)
     repeats = kept[_repeats(columns["geo_id"][kept], columns["year"][kept])]
     bad = np.flatnonzero(~accepted).tolist()
     if on_error == "raise" and bad and not (repeats.size and repeats[0] < bad[0]):
-        raise MalformedRow(bad[0] + 1, _rejection(rejects[0], schema.year_range))
+        raise MalformedRow(bad[0] + 1, reasons[0])
     if repeats.size:
         first = repeats[0]
         raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
-    rejected = tuple(
-        RejectedRow(i + 1, _rejection(fields, schema.year_range)) for i, fields in zip(bad, rejects)
-    )
+    rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
     return NeighborhoodPanel._from_columns(
         {name: column[kept] for name, column in columns.items()}, rejected
     )
 
 
 def _coerce_rows(rows: list[tuple[str, ...]], year_range):
-    """(columns, accepted, rejected rows) for rows of canonical fields: the
+    """(columns, accepted, reasons) for rows of canonical fields: the
     accepted mask marks rows whose every field coerces and that break no
-    record invariant, and the rejected rows' fields are kept, in order."""
+    record invariant, and the reasons word the other rows, in order. A
+    row's reason is its first refused field, or else every invariant it
+    breaks."""
     raw = list(zip(*rows)) or [()] * len(CANONICAL_FIELDS)
-    failed = np.zeros(len(rows), dtype=bool)
-    columns = {}
+    columns, refusals = {}, {}
     for name, strings in zip(CANONICAL_FIELDS, raw):
         columns[name], refused = _coerce_column(name, strings)
-        failed[refused] = True
-    accepted = ~(failed | _breaks_invariant(columns, year_range))
-    return columns, accepted, [rows[i] for i in np.flatnonzero(~accepted).tolist()]
+        for i, reason in refused.items():
+            refusals.setdefault(i, reason)
+    checks = _invariant_checks(columns, year_range)
+    rejected = _broken(checks)
+    rejected[list(refusals)] = True
+    reasons = [
+        refusals.get(i) or "; ".join(_errors(checks, i)) for i in np.flatnonzero(rejected).tolist()
+    ]
+    return columns, ~rejected, reasons
 
 
-def _coerce_column(name: str, strings: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
-    """One field's column, and the rows where ``_coerce_row`` refuses the
-    field; those rows hold a placeholder."""
+def _coerce_column(name: str, strings: tuple[str, ...]) -> tuple[np.ndarray, dict[int, str]]:
+    """One field's column, and the reason for each row that refuses the
+    field: it is empty, or not an integer. Those rows hold a placeholder."""
     if name in _TEXT_FIELDS:
         values = [s.strip() for s in strings]
-        return _object_column(values), [i for i, s in enumerate(values) if not s]
+        return _object_column(values), {i: f"{name} is empty" for i, s in enumerate(values) if not s}
     try:
-        values, refused = list(map(int, map(str.strip, strings))), []
+        return _int_column(list(map(int, map(str.strip, strings)))), {}
     except ValueError:  # find the fields int() refuses; they read as 0
-        values = [_int_or_none(s) for s in strings]
-        refused = [i for i, v in enumerate(values) if v is None]
-        values = [0 if v is None else v for v in values]
-    return _int_column(values), refused
-
-
-def _int_or_none(s: str) -> int | None:
-    try:
-        return int(s.strip())
-    except ValueError:
-        return None
-
-
-def _rejection(fields: tuple[str, ...], year_range) -> str:
-    """Why parse_panel rejects a row: its first field that is empty or not
-    an integer, or else every record invariant it breaks."""
-    try:
-        rec = _coerce_row(fields)
-    except ValueError as exc:
-        return str(exc)
-    return "; ".join(_record_invariant_errors(rec, year_range))
-
-
-def _coerce_row(fields: tuple[str, ...]) -> NeighborhoodYearRecord:
-    """One record from a row's fields in CANONICAL_FIELDS order; ValueError
-    names the first field that is empty or not an integer."""
-    values = []
-    for name, raw in zip(CANONICAL_FIELDS, fields):
-        raw = raw.strip()
-        if not raw:
-            raise ValueError(f"{name} is empty")
-        if name in _TEXT_FIELDS:
-            values.append(raw)
-            continue
-        try:
-            values.append(int(raw))
-        except ValueError:
-            raise ValueError(f"{name} is not an integer: {raw!r}") from None
-    return NeighborhoodYearRecord(*values)
+        values, refused = [], {}
+        for i, s in enumerate(map(str.strip, strings)):
+            try:
+                values.append(int(s))
+            except ValueError:
+                values.append(0)
+                refused[i] = f"{name} is not an integer: {s!r}" if s else f"{name} is empty"
+        return _int_column(values), refused
 
 
 def validate_panel(
@@ -481,18 +464,14 @@ def validate_panel(
     row order.
     """
     columns = panel._columns
-    broken = _breaks_invariant(columns, year_range)
+    checks = _invariant_checks(columns, year_range)
     repeat = _repeats(columns["geo_id"], columns["year"])
     violations: list[Violation] = []
-    for i in np.flatnonzero(broken | repeat).tolist():
-        # a one-row slice's tolist() holds Python ints, as records do
-        rec = NeighborhoodYearRecord(*(columns[name][i : i + 1].tolist()[0] for name in CANONICAL_FIELDS))
-        for err in _record_invariant_errors(rec, year_range):
-            violations.append(Violation("record", rec.geo_id, rec.year, err))
+    for i in np.flatnonzero(_broken(checks) | repeat).tolist():
+        geo_id, year = int(columns["geo_id"][i]), int(columns["year"][i])
+        violations += [Violation("record", geo_id, year, err) for err in _errors(checks, i)]
         if repeat[i]:
-            violations.append(
-                Violation("duplicate", rec.geo_id, rec.year, "geo appears twice in year")
-            )
+            violations.append(Violation("duplicate", geo_id, year, "geo appears twice in year"))
     return violations
 
 

@@ -836,3 +836,82 @@ class TestFrontEnd:
         assert not (out / "evaluation.json").exists()
         argv = ["run", "--input", str(falling), "--out", str(out), "--window", "1"]
         assert run_cli(*argv, "--total-tests", "1000") == 0
+
+
+class TestBudgetBound:
+    """Tests are apportioned through float64, which is exact up to 2**53."""
+
+    def test_override_above_2_53_is_a_config_error(self, fixture_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        argv = ["run", "--input", str(fixture_path), "--out", str(out), "--no-population-cap"]
+        for total in (10**16, 10**20):
+            assert run_cli(*argv, "--total-tests", str(total)) == 2
+            err = capsys.readouterr().err
+            assert "error at stage config: total_tests must be from 1 to 2**53" in err
+            assert f"got {total}" in err
+        assert not out.exists()
+        assert run_cli(*argv, "--total-tests", str(2**53)) == 0
+        with open(out / "plan.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for column in ("v1_tests", "v2_tests"):
+            assert sum(int(row[column]) for row in rows) == 2**53
+
+    def test_forecast_above_2_53_stops_before_the_search(self, tmp_path, capsys):
+        # 2e15 tests in each of five neighborhoods keeps the panel's int64
+        # sums in range, but forecasts 1e16 tests a year
+        big = tmp_path / "big.csv"
+        with open(big, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(panel.CANONICAL_FIELDS)
+            for geo in range(1, 6):
+                for year in (2018, 2019, 2020):
+                    cases = geo * 10**13 + (year - 2018) * 10**12
+                    row = [geo, f"Area {geo}", "Riverside", year, 2 * 10**15, cases, 0, 0, 10**16]
+                    writer.writerow(row)
+        out = tmp_path / "artifacts"
+        rc = run_cli("run", "--input", str(big), "--out", str(out), "--no-population-cap")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error at stage optimize: the test-total trend forecasts 10000000000000000 tests" in err
+        assert "2**53" in err and "--total-tests" in err
+        assert not (out / "plan.json").exists()
+        argv = ["run", "--input", str(big), "--out", str(out), "--no-population-cap"]
+        assert run_cli(*argv, "--total-tests", str(10**15)) == 0
+
+
+class TestUnreadablePanel:
+    def assert_ingest_error(self, rc, capsys, *parts):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error at stage ingest: ")
+        assert "Traceback" not in err
+        for part in parts:
+            assert part in err
+
+    def test_panel_not_in_utf8(self, fixture_path, tmp_path, capsys):
+        text = fixture_path.read_text(encoding="utf-8").replace("Northpoint", "Bédford")
+        latin = tmp_path / "latin.csv"
+        latin.write_text(text, encoding="cp1252")
+        rc = run_cli("ingest", "--input", str(latin), "--out", str(tmp_path / "out"))
+        self.assert_ingest_error(rc, capsys, str(latin), "is not UTF-8 text (byte 0xe9)")
+
+    def test_field_past_the_csv_size_limit(self, fixture_path, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        # the first 2012 row is the fixture's fourth line
+        edit = lambda row: dict(row, geo_name="x" * 140_000) if row["year"] == "2012" else row
+        write_fixture_variant(fixture_path, long, edit)
+        rc = run_cli("run", "--input", str(long), "--out", str(tmp_path / "out"))
+        self.assert_ingest_error(rc, capsys, str(long), "line 4:", "field larger than field limit")
+
+
+class TestTooFewNeighborhoods:
+    def test_fewer_neighborhoods_than_profiles(self, fixture_path, tmp_path, capsys):
+        four = write_fixture_variant(
+            fixture_path, tmp_path / "four.csv", lambda row: row if int(row["geo_id"]) < 105 else None
+        )
+        argv = ["run", "--input", str(four), "--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error at stage cluster: need at least 5 neighborhoods to seed profiles, have 4" in err
+        assert run_cli(*argv, "--k", "6") == 1
+        assert "error at stage cluster: k=6 exceeds the 4 series available" in capsys.readouterr().err

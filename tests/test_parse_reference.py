@@ -26,7 +26,6 @@ from leadalloc.panel import (
     PanelSchema,
     RejectedRow,
     Violation,
-    _record_invariant_errors,
     parse_panel,
     validate_panel,
 )
@@ -48,6 +47,23 @@ def reference_gaps(records):
             elif rec.tests == 0:
                 gaps.append(Gap(geo, year, "zero_tests"))
     return tuple(gaps)
+
+
+def reference_invariant_errors(rec, year_range):
+    """Every record invariant the record breaks, worded, in order."""
+    errs = []
+    for name in ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population"):
+        if getattr(rec, name) < 0:
+            errs.append(f"{name} is negative")
+    if not rec.cases_15plus <= rec.cases_10plus <= rec.cases_5plus <= rec.tests:
+        errs.append(
+            "case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus <= tests "
+            f"(got {rec.cases_15plus}, {rec.cases_10plus}, {rec.cases_5plus}, {rec.tests})"
+        )
+    lo, hi = year_range
+    if not lo <= rec.year <= hi:
+        errs.append(f"year {rec.year} outside {lo}-{hi}")
+    return errs
 
 
 def reference_coerce_row(row, schema):
@@ -94,7 +110,7 @@ def reference_parse(path, schema=DEFAULT_SCHEMA, on_error="collect"):
                     raise MalformedRow(row_num, str(exc)) from exc
                 rejected.append(RejectedRow(row_num, str(exc)))
                 continue
-            errs = _record_invariant_errors(rec, schema.year_range)
+            errs = reference_invariant_errors(rec, schema.year_range)
             if errs:
                 if on_error == "raise":
                     raise MalformedRow(row_num, "; ".join(errs))
@@ -445,7 +461,7 @@ def reference_validate(panel, year_range=(2005, 2021)):
     violations = []
     seen = set()
     for rec in panel.records:
-        for err in _record_invariant_errors(rec, year_range):
+        for err in reference_invariant_errors(rec, year_range):
             violations.append(Violation("record", rec.geo_id, rec.year, err))
         key = (rec.geo_id, rec.year)
         if key in seen:
