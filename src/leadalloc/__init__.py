@@ -35,7 +35,6 @@ from .evaluate import (
     ZTestResult,
     cluster_case_deltas,
     evaluate_plan,
-    neighborhood_case_study,
     reallocation_percentages,
     two_proportion_ztest,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "grid_search",
     "k_medoids",
     "mean_normalize_year",
-    "neighborhood_case_study",
     "normalize_panel",
     "ols_line",
     "parse_panel",

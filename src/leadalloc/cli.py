@@ -25,6 +25,7 @@ is randomized or time-stamped.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -117,17 +118,17 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
 def _reused(config: RunConfig, data: panel.NeighborhoodPanel, reader, *names: str):
     """An earlier stage's files read back, or None when one of them is missing.
 
-    Files that do not parse, or that were made from another panel, are a
-    DataError naming them.
+    Files that cannot be opened, that do not parse, or that were made from
+    another panel are a DataError naming them.
     """
     paths = [config.output_dir / name for name in names]
     if not all(path.exists() for path in paths):
         return None
     try:
         value = reader(*paths)
-    # a missing key, a value of the wrong type, text that is not a number, or
-    # an infinite JSON number where an integer belongs
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    # a directory in a file's place, a field past csv's size limit, a missing key,
+    # a wrong type, text that is not a number, or an infinite JSON integer
+    except (OSError, csv.Error, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         listed = " and ".join(str(p) for p in paths)
         raise DataError(f"cannot read {listed}: {exc!r}; delete it to recompute") from exc
     if tuple(value.geo_ids) != data.geo_ids:
@@ -287,6 +288,15 @@ def _as_path(value, key: str) -> Path:
     return Path(value)
 
 
+def _as_dir(value, key: str) -> Path:
+    """A path that neither is nor lies below a file."""
+    path = _as_path(value, key)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"{key} must name a directory, but {part} is not one")
+    return path
+
+
 def _as_range(value, key: str) -> tuple[tuple[float, float], float]:
     parts = value.split(":") if isinstance(value, str) else value
     if isinstance(parts, (list, tuple)) and len(parts) == 3:
@@ -340,7 +350,7 @@ SETTINGS = {
         _as_path, None, "panel CSV path", "an input CSV is required (--input or config key 'input')"
     ),
     "out": _Setting(
-        _as_path,
+        _as_dir,
         None,
         "output directory for artifacts",
         "an output directory is required (--out or config key 'out')",
@@ -368,6 +378,9 @@ def _load_config_file(path: str) -> dict:
             values = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {byte:#04x}); save it as UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):

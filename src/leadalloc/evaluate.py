@@ -4,8 +4,7 @@ Answers three questions about a candidate plan against the baseline: is the
 projected change in detected cases statistically meaningful (pooled
 two-proportion z-test), where does the change land across risk profiles
 (per-cluster case deltas), and how much testing volume does each
-neighborhood keep (reallocation percentages). Also extracts side-by-side
-neighborhood numbers for narrative comparisons.
+neighborhood keep (reallocation percentages).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from .allocate import AllocationPlan, ShareMismatch, pct_of_former
 from .cluster import ClusterAssignment
 from .errors import DataError
-from .panel import NeighborhoodPanel
 
 
 class DegeneratePooled(DataError):
@@ -28,14 +26,6 @@ class DegeneratePooled(DataError):
 
 
 class UnassignedGeo(DataError):
-    pass
-
-
-class UnknownGeo(DataError):
-    pass
-
-
-class MissingYear(DataError):
     pass
 
 
@@ -112,52 +102,6 @@ def reallocation_percentages(plan: AllocationPlan) -> dict[int, float | None]:
     undefined.
     """
     return dict(zip(plan.geo_ids, pct_of_former(plan)))
-
-
-@dataclass(frozen=True)
-class CaseStudyRow:
-    geo_id: int
-    year: int
-    tests: int
-    cases_5plus: int
-    rate_5plus: float | None
-    share_of_tests: float | None
-
-
-def neighborhood_case_study(
-    panel: NeighborhoodPanel,
-    geo_a: int,
-    geo_b: int | None = None,
-    year: int | None = None,
-) -> tuple[CaseStudyRow, ...]:
-    """Raw side-by-side numbers for one or two neighborhoods at a year.
-
-    Defaults to the latest panel year. Useful for spotlighting mismatches
-    between testing volume and detection rate.
-    """
-    if year is None:
-        year = panel.years[-1]
-    year_total = dict(zip(panel.years, panel.yearly_test_totals())).get(year, 0)
-    rows = []
-    for geo in (geo_a, geo_b):
-        if geo is None:
-            continue
-        if geo not in panel.geo_ids:
-            raise UnknownGeo(f"geo {geo} not in panel")
-        rec = panel.record(geo, year)
-        if rec is None:
-            raise MissingYear(f"geo {geo} has no record for {year}")
-        rows.append(
-            CaseStudyRow(
-                geo_id=geo,
-                year=year,
-                tests=rec.tests,
-                cases_5plus=rec.cases_5plus,
-                rate_5plus=rec.rate_5plus(),
-                share_of_tests=rec.tests / year_total if year_total > 0 else None,
-            )
-        )
-    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)

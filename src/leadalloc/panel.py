@@ -11,9 +11,10 @@ column. Each row rule is stated once: ``_coerce_column`` converts a field
 and words each row it refuses, and ``_invariant_checks`` pairs each record
 invariant's array comparison with its wording. A rejected row's reason is
 its first refused field, or else every invariant it breaks; ``validate_panel``
-words violations from the same table. The panel keeps the columns:
-``view`` and the gap registry are built from them, and record objects only
-when something reads ``records`` or ``record()``.
+words violations from the same table. A panel has one constructor, over
+the columns, and holds one row per (geo_id, year) cell: a repeated cell is
+a DuplicateCell. ``view`` and the gap registry are built from the columns,
+and record objects only when something reads ``records`` or ``record()``.
 
 Cells with ``tests == 0`` have an undefined rate. They are kept in the panel
 but listed in the gap registry together with any (geo, year) cells that are
@@ -105,12 +106,6 @@ class NeighborhoodYearRecord:
     cases_15plus: int
     child_population: int
 
-    def rate_5plus(self) -> float | None:
-        """Cases per test at the 5+ mcg/dL threshold; None when undefined."""
-        if self.tests == 0:
-            return None
-        return self.cases_5plus / self.tests
-
 
 @dataclass(frozen=True)
 class Gap:
@@ -150,57 +145,36 @@ class PanelView:
 class NeighborhoodPanel:
     """Immutable panel over (geo_id, year) cells.
 
-    The cells are held as columns, one read-only array per canonical field:
-    integers as int64, or as Python ints where a value does not fit, and
-    text as Python strings. ``parse_panel`` and ``from_records`` order them
-    by (geo_id, year); a panel built from ``records`` keeps their order.
+    Built from columns, one array per canonical field: integers as int64,
+    or as Python ints where a value does not fit, and text as Python
+    strings. The rows are put in (geo_id, year) order, ``geo_ids`` and
+    ``years`` are taken from them, and a repeated cell is a DuplicateCell.
     ``view`` holds the cells as arrays, for arithmetic over the panel, and
     ``gaps`` is derived from it. ``records`` and ``record()`` build record
     objects the first time they are read. ``rejected`` records input rows
     dropped during parsing.
     """
 
-    def __init__(
-        self,
-        records: tuple[NeighborhoodYearRecord, ...],
-        years: tuple[int, ...],
-        geo_ids: tuple[int, ...],
-        rejected: tuple[RejectedRow, ...] = (),
-    ):
-        records = tuple(records)
-        self._set(_columns_of(records), years, geo_ids, rejected)
-        self.__dict__["records"] = records
-
-    def _set(self, columns, years, geo_ids, rejected) -> None:
+    def __init__(self, columns: dict[str, np.ndarray], rejected: tuple[RejectedRow, ...] = ()):
+        order = np.lexsort((columns["year"], columns["geo_id"]))
+        columns = {name: column[order] for name, column in columns.items()}
+        geo, year = columns["geo_id"], columns["year"]
+        repeats = np.flatnonzero((geo[1:] == geo[:-1]) & (year[1:] == year[:-1]))
+        if repeats.size:
+            raise DuplicateCell(int(geo[repeats[0]]), int(year[repeats[0]]))
         for column in columns.values():
             column.flags.writeable = False
-        self.__dict__.update(
-            _columns=columns, years=tuple(years), geo_ids=tuple(geo_ids), rejected=tuple(rejected)
-        )
+        years, geo_ids = (tuple(sorted(set(column.tolist()))) for column in (year, geo))
+        self.__dict__.update(_columns=columns, years=years, geo_ids=geo_ids, rejected=tuple(rejected))
+        self.gaps  # builds the view too, so counts too large for int64 raise here
 
     def __setattr__(self, name, value):
         raise AttributeError(f"NeighborhoodPanel is immutable: cannot set {name!r}")
 
     @classmethod
-    def _from_columns(cls, columns: dict[str, np.ndarray], rejected=()) -> "NeighborhoodPanel":
-        """A panel over the columns' rows in (geo_id, year) order, with its
-        view and gap registry built."""
-        order = np.lexsort((columns["year"], columns["geo_id"]))
-        columns = {name: column[order] for name, column in columns.items()}
-        panel = cls.__new__(cls)
-        years, geo_ids = (sorted(set(columns[name].tolist())) for name in ("year", "geo_id"))
-        panel._set(columns, years, geo_ids, rejected)
-        panel.gaps  # builds the view too, so counts too large for int64 raise here
-        return panel
-
-    @classmethod
-    def from_records(
-        cls,
-        records: list[NeighborhoodYearRecord],
-        rejected: tuple[RejectedRow, ...] = (),
-    ) -> "NeighborhoodPanel":
-        """Build a panel with its view and gap registry."""
-        return cls._from_columns(_columns_of(records), rejected)
+    def from_records(cls, records: list[NeighborhoodYearRecord], rejected=()) -> "NeighborhoodPanel":
+        """A panel over the records' cells; DuplicateCell for a repeated one."""
+        return cls(_columns_of(records), rejected)
 
     @cached_property
     def records(self) -> tuple[NeighborhoodYearRecord, ...]:
@@ -217,20 +191,11 @@ class NeighborhoodPanel:
 
     @cached_property
     def view(self) -> PanelView:
-        """The (geo x year) arrays, built from the columns by ``parse_panel``
-        and ``from_records`` or else on first use. Rows outside ``geo_ids`` or
-        ``years`` are left out; of rows that repeat a cell, the last one is
-        kept, as ``record()`` does."""
+        """The (geo x year) arrays, built from the columns with the panel."""
         columns = self._columns
         shape = (len(self.geo_ids), len(self.years))
-        rows = _positions(self.geo_ids, columns["geo_id"])
-        cols = _positions(self.years, columns["year"])
-        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        cells = rows[kept] * shape[1] + cols[kept]
-        if np.any(cells[1:] <= cells[:-1]):  # rows out of cell order, or repeated
-            _, last = np.unique(cells[::-1], return_index=True)
-            kept, cells = kept[::-1][last], cells[::-1][last]
-        counts = [columns[name][kept] for name in ("tests", "cases_5plus", "child_population")]
+        cells = _positions(self.geo_ids, columns["geo_id"]) * shape[1] + _positions(self.years, columns["year"])
+        counts = [columns[name] for name in ("tests", "cases_5plus", "child_population")]
         # int64 sums wrap where Python's grow, so no sum over the view may reach 2**63
         if cells.size and max(max(int(c.max()), -int(c.min())) for c in counts) * cells.size >= 2**63:
             raise DataError("panel counts are too large to sum as 64-bit integers")
@@ -290,13 +255,8 @@ def _columns_of(records) -> dict[str, np.ndarray]:
 
 
 def _positions(keys: tuple, values: np.ndarray) -> np.ndarray:
-    """The index in ``keys`` of each value, or -1 where it is not one of them."""
-    if not keys:
-        return np.full(values.size, -1)
-    keys = _int_column(keys)
-    order = np.argsort(keys, kind="stable")
-    found = order[np.minimum(np.searchsorted(keys, values, sorter=order), order.size - 1)]
-    return np.where(keys[found] == values, found, -1)
+    """The index of each value in ``keys``, which are sorted and hold every value."""
+    return np.searchsorted(_int_column(keys), values)
 
 
 # rows parse_panel reads and coerces at a time: the text of one chunk is
@@ -405,9 +365,7 @@ def parse_panel(
         first = repeats[0]
         raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
     rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
-    return NeighborhoodPanel._from_columns(
-        {name: column[kept] for name, column in columns.items()}, rejected
-    )
+    return NeighborhoodPanel({name: column[kept] for name, column in columns.items()}, rejected)
 
 
 def _coerce_rows(rows: list[tuple[str, ...]], year_range):
@@ -454,34 +412,31 @@ def validate_panel(
     panel: NeighborhoodPanel,
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
 ) -> list[Violation]:
-    """Check every record invariant and that no (geo_id, year) cell repeats.
+    """Check every record invariant.
 
     Violations are returned as data, never raised: an empty list means the
     panel is clean. parse_panel output always validates clean because bad
     rows were rejected up front; this exists for panels assembled by hand
     or round-tripped through files. The checks run on the columns; a row
-    that fails one gets each of its record errors, then its duplicate, in
-    row order.
+    that fails one gets each of its errors, in (geo_id, year) order. No
+    panel repeats a cell: its constructor refuses one.
     """
     columns = panel._columns
     checks = _invariant_checks(columns, year_range)
-    repeat = _repeats(columns["geo_id"], columns["year"])
     violations: list[Violation] = []
-    for i in np.flatnonzero(_broken(checks) | repeat).tolist():
+    for i in np.flatnonzero(_broken(checks)).tolist():
         geo_id, year = int(columns["geo_id"][i]), int(columns["year"][i])
         violations += [Violation("record", geo_id, year, err) for err in _errors(checks, i)]
-        if repeat[i]:
-            violations.append(Violation("duplicate", geo_id, year, "geo appears twice in year"))
     return violations
 
 
 def write_panel(panel: NeighborhoodPanel, path: str | Path) -> None:
     """Serialize to the canonical CSV layout (parse_panel round-trips it)."""
+    columns = panel._columns
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CANONICAL_FIELDS)
-        for rec in panel.records:
-            writer.writerow([getattr(rec, f) for f in CANONICAL_FIELDS])
+        writer.writerows(zip(*(columns[name].tolist() for name in CANONICAL_FIELDS)))
 
 
 def write_validation_report(

@@ -48,13 +48,12 @@ def make_panel(cells) -> NeighborhoodPanel:
 
 
 def random_panel(rng) -> NeighborhoodPanel:
-    """A hand-built panel whose records reach outside its geo ids and years,
-    with missing cells and zero-test cells inside them."""
-    all_geos = sorted(rng.choice(np.arange(1, 60), size=int(rng.integers(1, 12)), replace=False).tolist())
-    all_years = list(range(2005, 2005 + int(rng.integers(1, 9))))
+    """A hand-built panel with missing cells and zero-test cells."""
+    geo_ids = sorted(rng.choice(np.arange(1, 60), size=int(rng.integers(1, 12)), replace=False).tolist())
+    years = list(range(2005, 2005 + int(rng.integers(1, 9))))
     records = []
-    for geo in all_geos:
-        for year in all_years:
+    for geo in geo_ids:
+        for year in years:
             if rng.random() < 0.2:
                 continue  # missing cell
             tests = 0 if rng.random() < 0.2 else int(rng.integers(1, 5000))
@@ -62,6 +61,4 @@ def random_panel(rng) -> NeighborhoodPanel:
             records.append(
                 make_record(geo, year, tests, cases, child_population=int(rng.integers(0, 20000)))
             )
-    geo_ids = tuple(g for g in all_geos if rng.random() < 0.8)
-    years = tuple(y for y in all_years if rng.random() < 0.8)
-    return NeighborhoodPanel(records=tuple(records), years=years, geo_ids=geo_ids)
+    return NeighborhoodPanel.from_records(records)

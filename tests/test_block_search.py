@@ -119,16 +119,16 @@ def random_instance(rng, n):
     population[at_cap] = baseline[at_cap] - (rng.random(at_cap.size) < 0.2)
     population = np.maximum(population, 0)
     uncapped = rng.random(n) < 0.1
+    if uncapped.all():  # the target year needs one record to be a panel year
+        uncapped[0] = False
     geo_ids = tuple(range(1, n + 1))
-    # an uncapped geo is a panel geo with no record in the target year
-    panel = NeighborhoodPanel(
-        records=tuple(
-            make_record(g, TARGET_YEAR, 50, 1, child_population=int(pop))
+    # an uncapped geo is a panel geo with a record the year before the target
+    # year and none in it
+    panel = NeighborhoodPanel.from_records(
+        [
+            make_record(g, TARGET_YEAR - 1 if free else TARGET_YEAR, 50, 1, child_population=int(pop))
             for g, pop, free in zip(geo_ids, population, uncapped)
-            if not free
-        ),
-        years=(TARGET_YEAR,),
-        geo_ids=geo_ids,
+        ]
     )
     shares = ShareVectors(
         geo_ids=geo_ids, x=x, y=y, window_years=(TARGET_YEAR,), target_year=TARGET_YEAR

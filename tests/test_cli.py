@@ -106,6 +106,25 @@ class TestConfigMerging:
         assert rc == 2
         assert "yera" in capsys.readouterr().err
 
+    def test_config_file_not_in_utf8(self, fixture_path, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes('{"out": "B\xe9dford"}'.encode("cp1252"))
+        rc = run_cli("ingest", "--config", str(cfg), "--input", str(fixture_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at stage config: config file {cfg} is not UTF-8 text (byte 0xe9)")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["the_file", "a_path_below_it"])
+    def test_out_naming_a_file(self, fixture_path, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "artifacts" if below else taken
+        rc = run_cli("run", "--input", str(fixture_path), "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at stage config: out must name a directory, but {taken} is not one")
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
     def test_bad_range_syntax(self, fixture_path, tmp_path, capsys):
         rc = run_cli(
             "optimize",
@@ -475,10 +494,40 @@ class TestReusedArtifacts:
         assert rc == 1
         captured = capsys.readouterr()
         assert f"error at stage {stage}" in captured.err
+        assert "Traceback" not in captured.err
         for name in names:
             assert name in captured.err
         assert "clustered into" not in captured.out
         assert "case difference" not in captured.out
+
+    # each reusable file: the command that reuses it, and the stage that reads it
+    REUSED = {
+        "normalized.csv": ("cluster", "normalize"),
+        "clusters.csv": ("evaluate", "cluster"),
+        "clusters.json": ("evaluate", "cluster"),
+        "plan.csv": ("evaluate", "evaluate"),
+        "plan.json": ("evaluate", "evaluate"),
+    }
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [(name, "directory") for name in REUSED]
+        + [(name, "long_field") for name in REUSED if name.endswith(".csv")],
+    )
+    def test_file_that_cannot_be_read(self, fixture_path, tmp_path, capsys, name, damage):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        path = out / name
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:  # a field past csv's size limit of 131,072 characters
+            with open(path, "a") as fh:
+                fh.write("x" * 140_001 + "\n")
+        capsys.readouterr()
+        command, stage = self.REUSED[name]
+        rc = run_cli(command, "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, stage, str(path), "delete it to recompute")
 
     def test_cluster_rejects_normalized_of_another_panel(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -1,5 +1,5 @@
 """Evaluation tests: the pooled z-test, cluster summaries, reallocation
-percentages, case studies, and report serialization.
+percentages, and report serialization.
 
 Frozen statistical values were computed from the closed-form pooled
 two-proportion formula with 40-digit arithmetic and rounded to float:
@@ -19,15 +19,11 @@ from leadalloc import allocate, normalize
 from leadalloc.allocate import AllocationPlan, ShareMismatch
 from leadalloc.cluster import ClusterAssignment, cluster_neighborhoods
 from leadalloc.evaluate import (
-    CaseStudyRow,
     DegeneratePooled,
-    MissingYear,
     UnassignedGeo,
-    UnknownGeo,
     cluster_case_deltas,
     evaluate_plan,
     format_report,
-    neighborhood_case_study,
     normal_two_sided_p,
     reallocation_percentages,
     report_to_dict,
@@ -204,28 +200,6 @@ class TestReallocation:
         out = reallocation_percentages(plan)
         assert out[1] is None
         assert out[2] == 75.0
-
-
-class TestCaseStudy:
-    def test_pair_at_year(self, fixture_panel):
-        rows = neighborhood_case_study(fixture_panel, 101, 102, year=2021)
-        assert rows == (
-            CaseStudyRow(101, 2021, 2132, 107, 107 / 2132, 2132 / 12440),
-            CaseStudyRow(102, 2021, 1910, 15, 15 / 1910, 1910 / 12440),
-        )
-
-    def test_single_geo_defaults_to_latest_year(self, fixture_panel):
-        rows = neighborhood_case_study(fixture_panel, 104)
-        assert len(rows) == 1
-        assert rows[0].year == 2021
-
-    def test_unknown_geo(self, fixture_panel):
-        with pytest.raises(UnknownGeo):
-            neighborhood_case_study(fixture_panel, 999)
-
-    def test_missing_year(self, fixture_panel):
-        with pytest.raises(MissingYear):
-            neighborhood_case_study(fixture_panel, 101, year=2005)
 
 
 class TestEvaluatePlan:

@@ -9,6 +9,7 @@ rejected rows (numbers and reasons), gaps and raised exceptions.
 
 import csv
 import io
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -459,16 +460,9 @@ class TestColumnParser:
 def reference_validate(panel, year_range=(2005, 2021)):
     """validate_panel as it was written over the records, one at a time."""
     violations = []
-    seen = set()
     for rec in panel.records:
         for err in reference_invariant_errors(rec, year_range):
             violations.append(Violation("record", rec.geo_id, rec.year, err))
-        key = (rec.geo_id, rec.year)
-        if key in seen:
-            violations.append(
-                Violation("duplicate", rec.geo_id, rec.year, "geo appears twice in year")
-            )
-        seen.add(key)
     return violations
 
 
@@ -500,44 +494,52 @@ def broken_records(rng, records):
 class TestValidateAgainstRecordLoop:
     def test_random_hand_built_panels(self):
         rng = np.random.default_rng(12)
-        kinds = {"record": 0, "duplicate": 0}
+        seen = {"record": 0, "refused": 0}
         for _ in range(300):
             base = random_panel(rng)
             records = broken_records(rng, base.records)
             year_range = (2005, int(rng.integers(2006, 2022)))
-            for panel in (
-                NeighborhoodPanel(records=tuple(records), years=base.years, geo_ids=base.geo_ids),
-                NeighborhoodPanel.from_records(records) if _fits_int64_sums(records) else None,
-            ):
-                if panel is None:
-                    continue
-                want = reference_validate(panel, year_range)
-                assert validate_panel(panel, year_range) == want
-                assert all(type(v.geo_id) is int and type(v.year) is int for v in want)
-                for v in want:
-                    kinds[v.kind] += 1
-        assert min(kinds.values()) >= 100, kinds
-
-    def test_repeated_cells_keep_the_last_record(self):
-        rng = np.random.default_rng(13)
-        repeated = 0
-        for _ in range(200):
-            base = random_panel(rng)
-            records = broken_records(rng, base.records)
-            panel = NeighborhoodPanel(records=tuple(records), years=base.years, geo_ids=base.geo_ids)
             if not _fits_int64_sums(records):
                 continue
+            try:
+                panel = NeighborhoodPanel.from_records(records)
+            except DuplicateCell:
+                seen["refused"] += 1
+                continue
+            want = reference_validate(panel, year_range)
+            assert validate_panel(panel, year_range) == want
+            assert all(type(v.geo_id) is int and type(v.year) is int for v in want)
+            seen["record"] += len(want)
+        assert min(seen.values()) >= 100, seen
+
+    def test_repeated_cells_are_refused(self):
+        rng = np.random.default_rng(13)
+        refused = accepted = 0
+        for _ in range(300):
+            base = random_panel(rng)
+            records = broken_records(rng, base.records)
+            if not _fits_int64_sums(records):
+                continue
+            cells = Counter((r.geo_id, r.year) for r in records)
+            repeated = sorted(cell for cell, n in cells.items() if n > 1)
+            if repeated:
+                with pytest.raises(DuplicateCell) as excinfo:
+                    NeighborhoodPanel.from_records(records)
+                assert (excinfo.value.geo_id, excinfo.value.year) == repeated[0]
+                refused += 1
+                continue
+            panel = NeighborhoodPanel.from_records(records)
+            accepted += 1
             index = {(r.geo_id, r.year): r for r in records}
-            repeated += len(records) - len(index)
             view = panel.view
             for i, geo in enumerate(panel.geo_ids):
                 for j, year in enumerate(panel.years):
                     rec = index.get((geo, year))
-                    assert panel.record(geo, year) is rec
+                    assert panel.record(geo, year) == rec
                     want = (False, 0, 0) if rec is None else (True, rec.tests, rec.child_population)
                     got = (bool(view.present[i, j]), int(view.tests[i, j]), int(view.child_population[i, j]))
                     assert got == want
-        assert repeated >= 50
+        assert refused >= 100 and accepted >= 50, (refused, accepted)
 
 
 def _fits_int64_sums(records):
