@@ -81,9 +81,13 @@ class RunConfig:
 
 @contextmanager
 def _stage(name: str):
-    """Tag any pipeline error with the stage it came from."""
+    """Tag any pipeline error with the stage it came from. An OSError, such
+    as an artifact name taken by a directory, is a DataError naming the file."""
     try:
-        yield
+        try:
+            yield
+        except OSError as exc:
+            raise DataError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     except LeadAllocError as exc:
         exc.stage = name
         raise
@@ -214,7 +218,8 @@ def _evaluate(config: RunConfig, plan, rates, assignment) -> evaluate.Evaluation
 def cmd_ingest(config: RunConfig) -> None:
     data = _load_panel(config)
     violations = _validate(config, data)
-    panel.write_panel(data, config.output_dir / "panel.csv")
+    with _stage("ingest"):
+        panel.write_panel(data, config.output_dir / "panel.csv")
     print(
         f"ingested {len(data.geo_ids)} neighborhoods x {len(data.years)} years "
         f"({len(data.rejected)} rejected rows, {len(violations)} violations)"

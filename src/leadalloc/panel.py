@@ -15,6 +15,8 @@ words violations from the same table. A panel has one constructor, over
 the columns, and holds one row per (geo_id, year) cell: a repeated cell is
 a DuplicateCell. ``view`` and the gap registry are built from the columns,
 and record objects only when something reads ``records`` or ``record()``.
+A parsed text column holds one string object per distinct value, and rows
+that arrive in (geo_id, year) order are kept without a sorting copy.
 
 Cells with ``tests == 0`` have an undefined rate. They are kept in the panel
 but listed in the gap registry together with any (geo, year) cells that are
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -149,6 +152,9 @@ class NeighborhoodPanel:
     or as Python ints where a value does not fit, and text as Python
     strings. The rows are put in (geo_id, year) order, ``geo_ids`` and
     ``years`` are taken from them, and a repeated cell is a DuplicateCell.
+    Rows that already arrive in that order are not copied: the panel then
+    keeps, and makes read-only, the caller's own arrays. Every caller in
+    leadalloc passes arrays it made for the panel.
     ``view`` holds the cells as arrays, for arithmetic over the panel, and
     ``gaps`` is derived from it. ``records`` and ``record()`` build record
     objects the first time they are read. ``rejected`` records input rows
@@ -157,7 +163,9 @@ class NeighborhoodPanel:
 
     def __init__(self, columns: dict[str, np.ndarray], rejected: tuple[RejectedRow, ...] = ()):
         order = np.lexsort((columns["year"], columns["geo_id"]))
-        columns = {name: column[order] for name, column in columns.items()}
+        # lexsort is stable, so rows already in (geo_id, year) order give 0, 1, 2, ...
+        in_order = not np.any(order[1:] < order[:-1])
+        columns = {name: column if in_order else column[order] for name, column in columns.items()}
         geo, year = columns["geo_id"], columns["year"]
         repeats = np.flatnonzero((geo[1:] == geo[:-1]) & (year[1:] == year[:-1]))
         if repeats.size:
@@ -353,7 +361,8 @@ def parse_panel(
         except csv.Error as exc:  # a field past csv's size limit, say
             raise DataError(f"cannot read panel file {path}, line {reader.line_num}: {exc}") from exc
 
-    columns = {name: np.concatenate([c[name] for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
+    # each field's chunks are dropped as soon as they are joined
+    columns = {name: np.concatenate([c.pop(name) for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
     accepted = np.concatenate([a for _, a, _ in chunks])
     reasons = [reason for _, _, chunk_reasons in chunks for reason in chunk_reasons]
     kept = np.flatnonzero(accepted)
@@ -365,7 +374,9 @@ def parse_panel(
         first = repeats[0]
         raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
     rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
-    return NeighborhoodPanel({name: column[kept] for name, column in columns.items()}, rejected)
+    # each joined column is dropped once its kept rows are taken, so the
+    # constructor's sort is the second live copy of a column, never the third
+    return NeighborhoodPanel({name: columns.pop(name)[kept] for name in CANONICAL_FIELDS}, rejected)
 
 
 def _coerce_rows(rows: list[tuple[str, ...]], year_range):
@@ -393,7 +404,8 @@ def _coerce_column(name: str, strings: tuple[str, ...]) -> tuple[np.ndarray, dic
     """One field's column, and the reason for each row that refuses the
     field: it is empty, or not an integer. Those rows hold a placeholder."""
     if name in _TEXT_FIELDS:
-        values = [s.strip() for s in strings]
+        # one string object per distinct value: a name repeats on every row of its geo
+        values = [sys.intern(s.strip()) for s in strings]
         return _object_column(values), {i: f"{name} is empty" for i, s in enumerate(values) if not s}
     try:
         return _int_column(list(map(int, map(str.strip, strings)))), {}

@@ -9,6 +9,7 @@ from leadalloc.panel import NeighborhoodPanel, NeighborhoodYearRecord
 DATA_DIR = Path(__file__).resolve().parent / "data"
 FIXTURE_CSV = DATA_DIR / "panel_fixture.csv"
 GAPS_CSV = DATA_DIR / "panel_gaps.csv"
+SHUFFLED_CSV = DATA_DIR / "panel_fixture_shuffled.csv"  # the fixture's rows in a fixed permutation
 
 
 def make_record(

@@ -466,6 +466,31 @@ class TestFailureExits:
         assert "error at stage optimize" in err
         assert "on the 3x3 lattice: 9 negative score" in err
 
+    # every artifact a command writes: the command, and the stage that writes it
+    WRITTEN = {
+        "validation.json": ("run", "ingest"),
+        "normalized.csv": ("run", "normalize"),
+        "clusters.csv": ("run", "cluster"),
+        "clusters.json": ("run", "cluster"),
+        "plan.csv": ("run", "optimize"),
+        "plan.json": ("run", "optimize"),
+        "trace.csv": ("run", "optimize"),
+        "evaluation.json": ("run", "evaluate"),
+        "evaluation.txt": ("run", "evaluate"),
+        "panel.csv": ("ingest", "ingest"),
+    }
+
+    @pytest.mark.parametrize("name", WRITTEN)
+    def test_artifact_name_taken_by_a_directory(self, fixture_path, tmp_path, capsys, name):
+        out = tmp_path / "artifacts"
+        (out / name).mkdir(parents=True)
+        command, stage = self.WRITTEN[name]
+        rc = run_cli(command, "--input", str(fixture_path), "--out", str(out), "--emit-trace")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error at stage {stage}: cannot write {out / name}" in err
+        assert "Traceback" not in err
+
 
 def write_fixture_variant(fixture_path, path, edit):
     """Copy the fixture CSV to ``path``, passing each row dict through ``edit``

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from panel_helpers import make_panel, make_record, random_panel
+from panel_helpers import SHUFFLED_CSV, make_panel, make_record, random_panel
+from leadalloc.cli import main
 from leadalloc.panel import (
     DEFAULT_SCHEMA,
     DuplicateCell,
@@ -316,3 +317,50 @@ class TestRoundTrip:
         assert doc["n_records"] == 1
         assert doc["rejected_rows"][0]["row"] == 2
         assert doc["violations"] == []
+
+
+class TestOneCopyPerCell:
+    """A parsed panel holds each text value once, and rows that arrive in
+    (geo_id, year) order keep their arrays."""
+
+    def test_equal_names_are_one_object(self, fixture_path, tmp_path):
+        padded = write_csv(
+            tmp_path / "padded.csv",
+            [HEADER, "1, Area One ,Queens,2020,10,1,0,0,30", "1,Area One, Queens ,2021,10,1,0,0,30",
+             "2,Area Two,Queens,2020,10,1,0,0,30"],
+        )
+        for path in (fixture_path, padded):
+            panel = parse_panel(path)
+            for name in ("geo_name", "borough"):
+                values = panel._columns[name].tolist() + [getattr(r, name) for r in panel.records]
+                assert len({id(v) for v in values}) == len(set(values)), (path, name)
+
+    def test_shuffled_fixture_parses_to_the_fixture(self, fixture_panel):
+        shuffled = parse_panel(SHUFFLED_CSV)
+        assert shuffled.records == fixture_panel.records
+        assert shuffled.gaps == fixture_panel.gaps
+        assert shuffled.rejected == fixture_panel.rejected
+        for name in ("tests", "cases_5plus", "child_population", "present"):
+            assert np.array_equal(getattr(shuffled.view, name), getattr(fixture_panel.view, name))
+
+    def test_shuffled_fixture_ingests_to_the_same_bytes(self, fixture_path, tmp_path):
+        for name, path in (("in_order", fixture_path), ("shuffled", SHUFFLED_CSV)):
+            assert main(["ingest", "--input", str(path), "--out", str(tmp_path / name)]) == 0
+        written = (tmp_path / "in_order" / "panel.csv").read_bytes()
+        assert (tmp_path / "shuffled" / "panel.csv").read_bytes() == written
+
+    def test_rows_in_order_keep_their_arrays(self):
+        columns = {
+            "geo_id": np.array([1, 1, 2]), "geo_name": np.array(["A", "A", "B"], dtype=object),
+            "borough": np.array(["Q", "Q", "Q"], dtype=object), "year": np.array([2020, 2021, 2020]),
+            **{name: np.array([10, 10, 10]) for name in ("tests", "child_population")},
+            **{name: np.array([1, 1, 1]) for name in ("cases_5plus", "cases_10plus", "cases_15plus")},
+        }
+        panel = NeighborhoodPanel(columns)
+        assert all(panel._columns[name] is column for name, column in columns.items())
+        assert not columns["tests"].flags.writeable  # the caller's array is now read-only
+
+        backwards = {name: column[::-1].copy() for name, column in columns.items()}
+        panel = NeighborhoodPanel(backwards)
+        assert not any(panel._columns[name] is column for name, column in backwards.items())
+        assert panel._columns["year"].tolist() == [2020, 2021, 2020]

@@ -164,6 +164,8 @@ def random_csv(rng, path):
     cells = [(g, y) for g in geos for y in range(2004, 2013)]
     rng.shuffle(cells)
     cells = cells[: int(rng.integers(0, len(cells) + 1))]
+    if rng.random() < 0.5:
+        cells.sort()  # rows in (geo_id, year) order, which the panel keeps without a sorting copy
     if cells and rng.random() < 0.1:
         cells.append(cells[0])  # a duplicate cell
     buf = io.StringIO()
