@@ -92,23 +92,25 @@ def _distances(values: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((row - values) ** 2, axis=1))
 
 
-def _pairwise_distances(values: np.ndarray) -> np.ndarray:
-    """Distances among the rows of ``values``: each row of the upper
-    triangle from ``_distances``, mirrored below the diagonal."""
-    dist = np.empty((len(values), len(values)))
-    for i, row in enumerate(values):
-        dist[i, i:] = dist[i:, i] = _distances(values[i:], row)
-    return dist
+def _within_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's distance sum to every row of ``values``.
+
+    Each row's distances come from ``_distances`` and are summed as they
+    are computed, so no (m, m) block is held, only one (m, years)
+    difference at a time. A row of distances is one contiguous array, so
+    its sum is the same float as ``np.sum`` over that row of the full
+    matrix; summing a row in parts would not be.
+    """
+    return np.array([np.sum(_distances(values, row)) for row in values])
 
 
 def _farthest_first_seeds(values: np.ndarray, k: int) -> list[int]:
     """Deterministic seed indices: the 1-medoid, then maximin additions.
 
-    Each row of distances is computed and summed on its own, as one row of
-    the full matrix sums, and a seed's distances are computed when it is
-    chosen, so no (n, n) matrix is held.
+    The 1-medoid's sums come from ``_within_sums`` and a seed's distances
+    are computed when it is chosen, so no (n, n) matrix is held.
     """
-    sums = np.array([np.sum(_distances(values, row)) for row in values])
+    sums = _within_sums(values)
     chosen = [int(np.argmin(sums))]
     nearest = np.full(len(values), np.inf)
     while len(chosen) < k:
@@ -136,9 +138,9 @@ def k_medoids(
     result so callers can check that.
 
     Each iteration computes the distances of every series to the k medoids,
-    for both the assignment and the cost, and re-centers each cluster on the
-    distances among its own members. No (n, n) matrix is held: the largest
-    array is one cluster's block.
+    for both the assignment and the cost, and re-centers each cluster on its
+    members' distance sums from ``_within_sums``. No (n, n) matrix is held,
+    nor one cluster's (m, m) block.
 
     With ``initial_medoids`` omitted, seeds come from a deterministic
     farthest-first traversal. Each cluster keeps the name of its seed slot,
@@ -192,7 +194,7 @@ def k_medoids(
         new_medoids = []
         for slot in range(k):
             members = np.flatnonzero(slots == slot)
-            within = np.sum(_pairwise_distances(values[members]), axis=1)
+            within = _within_sums(values[members])
             new_medoids.append(int(members[np.argmin(within)]))
         n_iter += 1
         if new_medoids == medoids:

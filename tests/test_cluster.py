@@ -20,7 +20,7 @@ from leadalloc.cluster import (
     KTooLarge,
     LengthMismatch,
     _distances,
-    _pairwise_distances,
+    _within_sums,
     build_series,
     cluster_neighborhoods,
     k_medoids,
@@ -75,10 +75,10 @@ def broadcast_distances(values) -> np.ndarray:
 
 class TestDistanceMatrix:
     def assert_bit_identical(self, values):
-        got = _pairwise_distances(values)
         want = broadcast_distances(values)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = _within_sums(values)
+        assert got.shape == (len(values),)
+        assert np.array_equal(got.view(np.uint64), np.sum(want, axis=1).view(np.uint64))
         # one full row, as re-centering and seeding compute it
         for i, row in enumerate(values):
             assert np.array_equal(_distances(values, row).view(np.uint64), want[i].view(np.uint64))
@@ -92,16 +92,16 @@ class TestDistanceMatrix:
     def test_single_series(self):
         values = np.array([[0.7, 1.3, 2.9]])
         self.assert_bit_identical(values)
-        assert _pairwise_distances(values).tolist() == [[0.0]]
+        assert _within_sums(values).tolist() == [0.0]
 
     def test_duplicate_series(self):
         rng = np.random.default_rng(12)
         base = rng.uniform(0.0, 3.0, size=(4, 17))
         values = np.concatenate([base, base[::-1], base[:1]])
         self.assert_bit_identical(values)
-        dist = _pairwise_distances(values)
-        assert dist[0, 7] == 0.0 and dist[0, 8] == 0.0
-        assert np.array_equal(dist, dist.T)
+        sums = _within_sums(values)
+        assert sums[0] == sums[7] == sums[8]
+        assert sums[1] == sums[6] and sums[2] == sums[5] and sums[3] == sums[4]
 
 
 class TestKMedoids:

@@ -300,3 +300,16 @@ def test_clustering_never_holds_an_n_by_n_matrix(k):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_recentering_holds_no_cluster_block():
+    """k=1 puts all 1,000 series in one cluster, whose (m, m) block would be 8 MB."""
+    norm = profile_panel(1000, seed=67)
+    series = build_series(norm)
+    tracemalloc.start()
+    try:
+        k_medoids(series, norm.geo_ids, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
