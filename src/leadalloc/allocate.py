@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InfeasibleError
+from .errors import ConfigError, DataError, InfeasibleError, InputFileError, integer, reading
 from .panel import NeighborhoodPanel
 
 DEFAULT_FLOOR_FRACTION = 0.25
@@ -614,38 +614,41 @@ def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path
 
 
 def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
+    """Read back plan.csv and plan.json; an InputFileError for a number that
+    is not finite or a column of counts that does not sum to total_tests."""
     geo_ids, baseline, candidate, v1_tests, v2_tests = [], [], [], [], []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+    with reading(csv_path, table=True) as rows:
+        for row in rows:
             geo_ids.append(int(row["geo_id"]))
             baseline.append(float(row["baseline_share"]))
             candidate.append(float(row["v2_share"]))
             v1_tests.append(int(row["v1_tests"]))
             v2_tests.append(int(row["v2_tests"]))
-    with open(json_path, encoding="utf-8") as fh:
+        v1_counts, v2_counts = (np.array(counts, dtype=np.int64) for counts in (v1_tests, v2_tests))
+    with reading(json_path) as fh:
         doc = json.load(fh)
-    plan = AllocationPlan(
-        geo_ids=tuple(geo_ids),
-        p1=float(doc["p1"]),
-        p2=float(doc["p2"]),
-        baseline_share=np.array(baseline, dtype=float),
-        v2_share=np.array(candidate, dtype=float),
-        v1_tests=np.array(v1_tests, dtype=np.int64),
-        v2_tests=np.array(v2_tests, dtype=np.int64),
-        total_tests=int(doc["total_tests"]),
-        target_year=int(doc["target_year"]),
-        projected_cases_v1=float(doc["projected_cases_v1"]),
-        projected_cases_v2=float(doc["projected_cases_v2"]),
-        delta_cases=float(doc["delta_cases"]),
-    )
+        plan = AllocationPlan(
+            geo_ids=tuple(geo_ids),
+            p1=float(doc["p1"]),
+            p2=float(doc["p2"]),
+            baseline_share=np.array(baseline, dtype=float),
+            v2_share=np.array(candidate, dtype=float),
+            v1_tests=v1_counts,
+            v2_tests=v2_counts,
+            total_tests=integer(doc["total_tests"], "total_tests"),
+            target_year=integer(doc["target_year"], "target_year"),
+            projected_cases_v1=float(doc["projected_cases_v1"]),
+            projected_cases_v2=float(doc["projected_cases_v2"]),
+            delta_cases=float(doc["delta_cases"]),
+        )
     scalars = (plan.p1, plan.p2, plan.projected_cases_v1, plan.projected_cases_v2, plan.delta_cases)
     if not all(map(math.isfinite, (*scalars, *baseline, *candidate))):
-        raise ValueError(f"{csv_path} or {json_path} holds a number that is not finite")
+        raise InputFileError(f"{csv_path} or {json_path} holds a number that is not finite")
     for name, counts in (("v1_tests", v1_tests), ("v2_tests", v2_tests)):
         if sum(counts) != plan.total_tests:
-            raise ValueError(
-                f"sum({name}) = {sum(counts)} in {csv_path}, not the "
-                f"{plan.total_tests} tests of {json_path}"
+            raise InputFileError(
+                f"{csv_path} and {json_path} disagree: sum({name}) = {sum(counts)}, "
+                f"not the {plan.total_tests} tests"
             )
     return plan
 

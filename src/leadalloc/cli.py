@@ -25,7 +25,6 @@ is randomized or time-stamped.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -36,7 +35,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import allocate, cluster, evaluate, normalize, panel
-from .errors import ConfigError, DataError, InfeasibleError, LeadAllocError
+from .errors import ConfigError, DataError, InfeasibleError, InputFileError, LeadAllocError, reading
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,16 @@ class RunConfig:
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, config: RunConfig):
     """Tag any pipeline error with the stage it came from. An OSError, such
-    as an artifact name taken by a directory, is a DataError naming the file."""
+    as an artifact name taken by a directory, is a DataError naming the
+    file, or the output directory when the error names no file."""
     try:
         try:
             yield
         except OSError as exc:
-            raise DataError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+            where = exc.filename if exc.filename is not None else f"into {config.output_dir}"
+            raise DataError(f"cannot write {where}: {exc.strerror}") from exc
     except LeadAllocError as exc:
         exc.stage = name
         raise
@@ -107,7 +108,7 @@ def _ensure_out(config: RunConfig) -> Path:
 
 
 def _load_panel(config: RunConfig) -> panel.NeighborhoodPanel:
-    with _stage("ingest"):
+    with _stage("ingest", config):
         return panel.parse_panel(config.input_path)
 
 
@@ -122,19 +123,16 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
 def _reused(config: RunConfig, data: panel.NeighborhoodPanel, reader, *names: str):
     """An earlier stage's files read back, or None when one of them is missing.
 
-    Files that cannot be opened, that do not parse, or that were made from
-    another panel are a DataError naming them.
+    Files that the reader refuses, or that were made from another panel, are
+    a DataError naming them, which says to delete them to recompute.
     """
     paths = [config.output_dir / name for name in names]
     if not all(path.exists() for path in paths):
         return None
     try:
         value = reader(*paths)
-    # a directory in a file's place, a field past csv's size limit, a missing key,
-    # a wrong type, text that is not a number, or an infinite JSON integer
-    except (OSError, csv.Error, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        listed = " and ".join(str(p) for p in paths)
-        raise DataError(f"cannot read {listed}: {exc!r}; delete it to recompute") from exc
+    except InputFileError as exc:
+        raise DataError(f"{exc}; delete it to recompute") from exc
     if tuple(value.geo_ids) != data.geo_ids:
         raise DataError(
             f"{paths[0]} holds other neighborhoods than {config.input_path}; "
@@ -145,7 +143,7 @@ def _reused(config: RunConfig, data: panel.NeighborhoodPanel, reader, *names: st
 
 def _validate(config: RunConfig, data: panel.NeighborhoodPanel) -> list:
     """Check the panel and write validation.json; returns the violations."""
-    with _stage("ingest"):
+    with _stage("ingest", config):
         violations = panel.validate_panel(data)
         out = _ensure_out(config)
         panel.write_validation_report(data, violations, out / "validation.json")
@@ -153,7 +151,7 @@ def _validate(config: RunConfig, data: panel.NeighborhoodPanel) -> list:
 
 
 def _normalize(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
-    with _stage("normalize"):
+    with _stage("normalize", config):
         norm = normalize.normalize_panel(data)
         normalize.write_normalized(norm, _ensure_out(config) / "normalized.csv")
     return norm
@@ -161,14 +159,14 @@ def _normalize(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.No
 
 def _normalized(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
     """Prefer a previously written normalized.csv; otherwise compute."""
-    with _stage("normalize"):
+    with _stage("normalize", config):
         read = partial(normalize.read_normalized, years=data.years)
         norm = _reused(config, data, read, "normalized.csv")
         return normalize.normalize_panel(data) if norm is None else norm
 
 
 def _cluster(config: RunConfig, norm: normalize.NormalizedPanel) -> cluster.ClusterAssignment:
-    with _stage("cluster"):
+    with _stage("cluster", config):
         assignment = cluster.cluster_neighborhoods(norm, config.k)
         out = _ensure_out(config)
         cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
@@ -177,7 +175,7 @@ def _cluster(config: RunConfig, norm: normalize.NormalizedPanel) -> cluster.Clus
 
 def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
     """Search the weights and write plan.* (and trace.csv); returns (plan, rates)."""
-    with _stage("optimize"):
+    with _stage("optimize", config):
         year = _target_year(config, data)
         shares = allocate.compute_shares(data, year, config.window)
         total_tests = config.total_tests_override
@@ -207,7 +205,7 @@ def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
 
 
 def _evaluate(config: RunConfig, plan, rates, assignment) -> evaluate.EvaluationReport:
-    with _stage("evaluate"):
+    with _stage("evaluate", config):
         report = evaluate.evaluate_plan(plan, rates, assignment)
         out = _ensure_out(config)
         evaluate.write_report(report, out / "evaluation.json")
@@ -218,7 +216,7 @@ def _evaluate(config: RunConfig, plan, rates, assignment) -> evaluate.Evaluation
 def cmd_ingest(config: RunConfig) -> None:
     data = _load_panel(config)
     violations = _validate(config, data)
-    with _stage("ingest"):
+    with _stage("ingest", config):
         panel.write_panel(data, config.output_dir / "panel.csv")
     print(
         f"ingested {len(data.geo_ids)} neighborhoods x {len(data.years)} years "
@@ -248,7 +246,7 @@ def cmd_optimize(config: RunConfig) -> None:
 
 def cmd_evaluate(config: RunConfig) -> None:
     data = _load_panel(config)
-    with _stage("evaluate"):
+    with _stage("evaluate", config):
         plan = _reused(config, data, allocate.read_plan, "plan.csv", "plan.json")
         if plan is not None and plan.target_year not in data.years:
             raise DataError(
@@ -258,9 +256,9 @@ def cmd_evaluate(config: RunConfig) -> None:
     if plan is None:
         plan, rates = _optimize(config, data)
     else:
-        with _stage("optimize"):
+        with _stage("optimize", config):
             rates = allocate.case_rates(data, plan.target_year, config.case_rate_window)
-    with _stage("cluster"):
+    with _stage("cluster", config):
         assignment = _reused(config, data, cluster.read_assignment, "clusters.csv", "clusters.json")
     if assignment is None:
         assignment = _cluster(config, _normalized(config, data))
@@ -378,16 +376,8 @@ SETTINGS = {
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ConfigError(f"config file {path} is not UTF-8 text (byte {byte:#04x}); save it as UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    with reading(path, "config file", ConfigError) as fh:
+        values = json.load(fh)
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold one flat JSON object")
     unknown = sorted(set(values) - SETTINGS.keys())

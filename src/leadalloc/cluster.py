@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InputFileError, integer, reading
 from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
@@ -303,35 +303,38 @@ def read_assignment(csv_path: str | Path, json_path: str | Path) -> ClusterAssig
 
     Each geo must be listed once in clusters.csv, each medoid must carry its
     own label there, and each label there must have a medoid; otherwise
-    this is a ValueError.
+    this is an InputFileError.
     """
     labels: dict[int, str] = {}
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+    with reading(csv_path, table=True) as rows:
+        for row in rows:
             geo = int(row["geo_id"])
             if geo in labels:
-                raise ValueError(f"{csv_path} lists geo {geo} twice")
+                raise InputFileError(f"{csv_path} lists geo {geo} twice")
             labels[geo] = row["label"]
-    with open(json_path, encoding="utf-8") as fh:
+    with reading(json_path) as fh:
         doc = json.load(fh)
-    total_cost = float(doc["total_cost"])
+        total_cost = float(doc["total_cost"])
+        n_iter = integer(doc["n_iter"], "n_iter")
+        if not isinstance(doc["medoids"], dict):
+            raise TypeError(f"medoids must be an object, got {doc['medoids']!r}")
+        ordered = sorted(doc["medoids"].items(), key=lambda item: _cluster_order(item[0]))
+        medoids = {label: integer(geo, f"the {label} medoid") for label, geo in ordered}
     if not math.isfinite(total_cost):
-        raise ValueError(f"{json_path} holds a total_cost that is not a finite number")
-    ordered = sorted(doc["medoids"].items(), key=lambda item: _cluster_order(item[0]))
-    medoids = {label: int(geo) for label, geo in ordered}
+        raise InputFileError(f"{json_path} holds a total_cost that is not a finite number")
     for label, geo in medoids.items():
         if labels.get(geo) != label:
-            raise ValueError(
+            raise InputFileError(
                 f"{json_path} makes geo {geo} the {label} medoid, "
                 f"but {csv_path} labels it {labels.get(geo)!r}"
             )
     unknown = sorted(set(labels.values()) - medoids.keys())
     if unknown:
-        raise ValueError(f"{csv_path} holds labels {unknown} with no medoid in {json_path}")
+        raise InputFileError(f"{csv_path} holds labels {unknown} with no medoid in {json_path}")
     return ClusterAssignment(
         labels=labels,
         medoids=medoids,
         total_cost=total_cost,
-        n_iter=int(doc["n_iter"]),
+        n_iter=n_iter,
         cost_history=(),
     )

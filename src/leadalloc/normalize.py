@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InputFileError, reading
 from .panel import NeighborhoodPanel
 
 MEAN_TOLERANCE = 1e-9
@@ -50,40 +50,13 @@ class NormalizedPanel:
     (record exists and tests > 0); the others hold 0.0 in ``rates``, so
     gaps propagate rather than being imputed.
 
-    ``NormalizedPanel(values=..., years=..., geo_ids=...)`` builds the
-    arrays from a {(geo_id, year): rate} dict of the defined cells, and
-    ``from_arrays`` takes them as they are. ``values`` is that dict: the one
-    given, or else built year by year the first time it is read.
+    ``values`` is the {(geo_id, year): rate} dict of the defined cells,
+    built year by year the first time it is read.
     """
 
-    def __init__(
-        self,
-        values: dict[tuple[int, int], float],
-        years: tuple[int, ...],
-        geo_ids: tuple[int, ...],
-    ):
-        years, geo_ids = tuple(years), tuple(geo_ids)
-        row = {geo: i for i, geo in enumerate(geo_ids)}
-        col = {year: j for j, year in enumerate(years)}
-        rates = np.zeros((len(geo_ids), len(years)))
-        defined = np.zeros(rates.shape, dtype=bool)
-        for (geo, year), value in values.items():
-            i, j = row.get(geo), col.get(year)
-            if i is None or j is None:
-                raise ValueError(f"cell (geo {geo}, year {year}) lies outside geo_ids and years")
-            rates[i, j] = value
-            defined[i, j] = True
-        self._set(rates, defined, years, geo_ids)
-        self.__dict__["values"] = values
-
-    @classmethod
-    def from_arrays(cls, rates: np.ndarray, defined: np.ndarray, years, geo_ids) -> "NormalizedPanel":
+    def __init__(self, rates: np.ndarray, defined: np.ndarray, years, geo_ids):
         """A panel over the arrays themselves, which become read-only."""
-        norm = cls.__new__(cls)
-        norm._set(rates, defined, tuple(years), tuple(geo_ids))
-        return norm
-
-    def _set(self, rates, defined, years, geo_ids) -> None:
+        years, geo_ids = tuple(years), tuple(geo_ids)
         if rates.shape != defined.shape or rates.shape != (len(geo_ids), len(years)):
             raise ValueError(
                 f"rates {rates.shape} and defined {defined.shape} must both be "
@@ -138,7 +111,7 @@ def normalize_panel(panel: NeighborhoodPanel) -> NormalizedPanel:
                 rates[rows, column] = mean_normalize_year(rates[rows, column])
             except ZeroMean:
                 raise ZeroMean(year) from None
-    return NormalizedPanel.from_arrays(rates, defined, panel.years, panel.geo_ids)
+    return NormalizedPanel(rates, defined, panel.years, panel.geo_ids)
 
 
 def ols_line(x, y) -> tuple[float, float]:
@@ -241,22 +214,29 @@ def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
 
 def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> NormalizedPanel:
     """Read back a normalized.csv. Given the panel's ``years``, a year with no
-    defined cell is kept and a cell in any other year is a ValueError, as is
-    a cell given twice."""
-    values: dict[tuple[int, int], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+    defined cell is kept and a cell in any other year is an InputFileError,
+    as is a cell given twice."""
+    cells: dict[tuple[int, int], float] = {}
+    with reading(path, table=True) as rows:
+        for row in rows:
             cell = (int(row["geo_id"]), int(row["year"]))
-            if cell in values:
-                raise ValueError(f"{path} holds geo {cell[0]}, year {cell[1]} twice")
-            values[cell] = float(row["normalized_rate"])
-    if not all(map(math.isfinite, values.values())):
-        raise ValueError(f"{path} holds a rate that is not a finite number")
-    found = {year for _, year in values}
+            if cell in cells:
+                raise InputFileError(f"{path} holds geo {cell[0]}, year {cell[1]} twice")
+            cells[cell] = float(row["normalized_rate"])
+    if not all(map(math.isfinite, cells.values())):
+        raise InputFileError(f"{path} holds a rate that is not a finite number")
+    found = {year for _, year in cells}
     if years is None:
         years = tuple(sorted(found))
     elif not found <= set(years):
         outside = sorted(found - set(years))
-        raise ValueError(f"{path} holds cells in years {outside}, outside the panel's years")
-    geo_ids = tuple(sorted({geo for geo, _ in values}))
-    return NormalizedPanel(values=values, years=years, geo_ids=geo_ids)
+        raise InputFileError(f"{path} holds cells in years {outside}, outside the panel's years")
+    geo_ids = tuple(sorted({geo for geo, _ in cells}))
+    row_of = {geo: i for i, geo in enumerate(geo_ids)}
+    column_of = {year: j for j, year in enumerate(years)}
+    at = ([row_of[geo] for geo, _ in cells], [column_of[year] for _, year in cells])
+    rates = np.zeros((len(geo_ids), len(years)))
+    defined = np.zeros(rates.shape, dtype=bool)
+    rates[at] = list(cells.values())
+    defined[at] = True
+    return NormalizedPanel(rates, defined, years, geo_ids)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 DEFAULT_YEAR_RANGE = (2005, 2021)
 
@@ -326,40 +326,29 @@ def parse_panel(
     cell counts as taken only by a row that was not rejected.
 
     The rows are read into columns and checked column by column, and each
-    rejected row is worded from its own chunk. A file that is not UTF-8
-    text, or that csv cannot read, is a DataError naming it.
+    rejected row is worded from its own chunk. A file that cannot be read
+    is a DataError naming it (see ``errors.reading``).
     """
     if on_error not in ("collect", "raise"):
         raise ValueError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read panel file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            # a repeated column name reads its last column, as csv.DictReader does
-            position = {name: i for i, name in enumerate(header)}
-            for canonical in CANONICAL_FIELDS:
-                if schema.columns[canonical] not in position:
-                    raise MissingColumn(schema.columns[canonical])
-            positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
-            pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
-            # each row's canonical fields; blank lines are skipped without a row
-            # number, as csv.DictReader does, and a field past the end of a short
-            # row reads as empty
-            rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
-            # in chunks, so the text of every row is never held at once
-            chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
-            while chunks[-1][1].size == _CHUNK_ROWS:
-                chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
-        except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise DataError(f"panel file {path} is not UTF-8 text (byte {byte:#04x}); save it as UTF-8") from exc
-        except csv.Error as exc:  # a field past csv's size limit, say
-            raise DataError(f"cannot read panel file {path}, line {reader.line_num}: {exc}") from exc
+    with reading(path, "panel file", table=True) as table:
+        # the header through csv.DictReader, and then each row as a list
+        header, reader = table.fieldnames or [], table.reader
+        # a repeated column name reads its last column, as csv.DictReader does
+        position = {name: i for i, name in enumerate(header)}
+        for canonical in CANONICAL_FIELDS:
+            if schema.columns[canonical] not in position:
+                raise MissingColumn(schema.columns[canonical])
+        positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
+        pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
+        # each row's canonical fields; blank lines are skipped without a row
+        # number, as csv.DictReader does, and a field past the end of a short
+        # row reads as empty
+        rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
+        # in chunks, so the text of every row is never held at once
+        chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
+        while chunks[-1][1].size == _CHUNK_ROWS:
+            chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
 
     # each field's chunks are dropped as soon as they are joined
     columns = {name: np.concatenate([c.pop(name) for c, _, _ in chunks]) for name in CANONICAL_FIELDS}

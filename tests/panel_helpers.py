@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from leadalloc.normalize import NormalizedPanel
 from leadalloc.panel import NeighborhoodPanel, NeighborhoodYearRecord
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -63,3 +64,22 @@ def random_panel(rng) -> NeighborhoodPanel:
                 make_record(geo, year, tests, cases, child_population=int(rng.integers(0, 20000)))
             )
     return NeighborhoodPanel.from_records(records)
+
+
+def add_bom(*paths) -> None:
+    """Put a UTF-8 byte-order mark at the start of each file, as some editors do on save."""
+    for path in paths:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def normalized_panel(values, years, geo_ids) -> NormalizedPanel:
+    """A normalized panel whose defined cells are the {(geo_id, year): rate}
+    cells of ``values``, each in ``geo_ids`` and ``years``."""
+    row = {geo: i for i, geo in enumerate(geo_ids)}
+    col = {year: j for j, year in enumerate(years)}
+    rates = np.zeros((len(geo_ids), len(years)))
+    defined = np.zeros(rates.shape, dtype=bool)
+    for (geo, year), value in values.items():
+        rates[row[geo], col[year]] = value
+        defined[row[geo], col[year]] = True
+    return NormalizedPanel(rates, defined, years, geo_ids)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_helpers import make_panel, make_record, random_panel
+from panel_helpers import add_bom, make_panel, make_record, random_panel
 from leadalloc import allocate
 from leadalloc.allocate import (
     AllocationPlan,
@@ -566,13 +566,16 @@ class TestGridSearch:
 
 
 class TestPlanRoundTrip:
-    def test_write_read_exact(self, fixture_panel, tmp_path):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "with_a_bom"])
+    def test_write_read_exact(self, fixture_panel, tmp_path, bom):
         shares = compute_shares(fixture_panel, 2021, window=3)
         grid = GridConfig(p1_range=(-1.0, 1.0), p2_range=(-1.0, 1.0), step=0.5)
         result = grid_search(fixture_panel, shares, 12480, grid, ConstraintConfig())
         csv_path = tmp_path / "plan.csv"
         json_path = tmp_path / "plan.json"
         write_plan(result.plan, csv_path, json_path)
+        if bom:
+            add_bom(csv_path, json_path)
         again = read_plan(csv_path, json_path)
         assert again.geo_ids == result.plan.geo_ids
         assert np.array_equal(again.baseline_share, result.plan.baseline_share)

@@ -8,6 +8,7 @@ observable without subprocesses.
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,10 +40,12 @@ class TestConfigMerging:
         assert config.k == 5
         assert config.constraints.population_cap is True
 
-    def test_file_only(self, fixture_path, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "with_a_bom"])
+    def test_file_only(self, fixture_path, tmp_path, bom):
         cfg = tmp_path / "run.json"
         cfg.write_text(
-            json.dumps(
+            bom
+            + json.dumps(
                 {
                     "input": str(fixture_path),
                     "out": str(tmp_path / "artifacts"),
@@ -491,6 +494,18 @@ class TestFailureExits:
         assert f"error at stage {stage}: cannot write {out / name}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    def test_write_error_that_names_no_file(self, fixture_path, tmp_path, capsys):
+        """A write to a full device fails on flush, with no file name on the OSError."""
+        out = tmp_path / "artifacts"
+        out.mkdir()
+        (out / "normalized.csv").symlink_to("/dev/full")
+        rc = run_cli("run", "--input", str(fixture_path), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at stage normalize: cannot write into {out}: No space left on device")
+        assert "Traceback" not in err
+
 
 def write_fixture_variant(fixture_path, path, edit):
     """Copy the fixture CSV to ``path``, passing each row dict through ``edit``
@@ -537,22 +552,56 @@ class TestReusedArtifacts:
     @pytest.mark.parametrize(
         "name, damage",
         [(name, "directory") for name in REUSED]
-        + [(name, "long_field") for name in REUSED if name.endswith(".csv")],
+        + [(name, "long_field") for name in REUSED if name.endswith(".csv")]
+        + [(name, "not_utf8") for name in REUSED]
+        + [(name, "no_geo_id_column") for name in REUSED if name.endswith(".csv")],
     )
     def test_file_that_cannot_be_read(self, fixture_path, tmp_path, capsys, name, damage):
         out = tmp_path / "artifacts"
         assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
         path = out / name
+        said = []
         if damage == "directory":
             path.unlink()
             path.mkdir()
-        else:  # a field past csv's size limit of 131,072 characters
+        elif damage == "long_field":  # a field past csv's size limit of 131,072 characters
             with open(path, "a") as fh:
                 fh.write("x" * 140_001 + "\n")
+        elif damage == "not_utf8":  # an é saved as cp1252
+            with open(path, "ab") as fh:
+                fh.write(b"\xe9\n")
+            said = ["is not UTF-8 text (byte 0xe9)"]
+        else:
+            path.write_text(path.read_text().replace("geo_id", "geo", 1))
+            said = ["has no column 'geo_id'"]
         capsys.readouterr()
         command, stage = self.REUSED[name]
         rc = run_cli(command, "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, stage, str(path), "delete it to recompute")
+        self.assert_data_error(rc, capsys, stage, str(path), "delete it to recompute", *said)
+
+    # a hand edit that puts a non-integer in an integer field, and the file it edits
+    NOT_INTEGERS = {
+        "target_year_fraction": ("plan.json", lambda doc: doc.update(target_year=2020.5)),
+        "target_year_text": ("plan.json", lambda doc: doc.update(target_year=str(doc["target_year"]))),
+        "total_tests_float": ("plan.json", lambda doc: doc.update(total_tests=float(doc["total_tests"]))),
+        "n_iter_bool": ("clusters.json", lambda doc: doc.update(n_iter=True)),
+        "medoid_float": ("clusters.json", lambda doc: doc["medoids"].update(High=float(doc["medoids"]["High"]))),
+    }
+
+    @pytest.mark.parametrize("edit", NOT_INTEGERS)
+    def test_integer_field_that_is_not_a_json_integer(self, fixture_path, tmp_path, capsys, edit):
+        """int() would read 2020.5 as 2020, and so score a 2021 plan with 2020 rates."""
+        out = tmp_path / "artifacts"
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv) == 0
+        name, change = self.NOT_INTEGERS[edit]
+        doc = read_json(out / name)
+        change(doc)
+        (out / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", *argv)
+        stage = "evaluate" if name == "plan.json" else "cluster"
+        self.assert_data_error(rc, capsys, stage, str(out / name), "must be an integer")
 
     def test_cluster_rejects_normalized_of_another_panel(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_helpers import make_panel
+from panel_helpers import add_bom, make_panel, normalized_panel
 from leadalloc.cluster import (
     RISK_LABELS,
     ClusterAssignment,
@@ -40,7 +40,7 @@ def line_instance() -> tuple[np.ndarray, list[int]]:
 def norm_from_values(values: dict) -> NormalizedPanel:
     years = tuple(sorted({year for _, year in values}))
     geo_ids = tuple(sorted({geo for geo, _ in values}))
-    return NormalizedPanel(values=dict(values), years=years, geo_ids=geo_ids)
+    return normalized_panel(values, years, geo_ids)
 
 
 class TestBuildSeries:
@@ -62,7 +62,7 @@ class TestBuildSeries:
         assert build_series(norm)[0].tolist() == [2.0, 2.0, 4.0]
 
     def test_all_gap_geo_rejected(self):
-        norm = NormalizedPanel(values={(1, 2020): 1.0}, years=(2020,), geo_ids=(1, 2))
+        norm = normalized_panel({(1, 2020): 1.0}, years=(2020,), geo_ids=(1, 2))
         with pytest.raises(DataError, match="2"):
             build_series(norm)
 
@@ -262,11 +262,14 @@ class TestClusterNeighborhoods:
 
 
 class TestAssignmentRoundTrip:
-    def test_write_read(self, fixture_panel, tmp_path):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "with_a_bom"])
+    def test_write_read(self, fixture_panel, tmp_path, bom):
         assignment = cluster_neighborhoods(normalize_panel(fixture_panel))
         csv_path = tmp_path / "clusters.csv"
         json_path = tmp_path / "clusters.json"
         write_assignment(assignment, csv_path, json_path)
+        if bom:
+            add_bom(csv_path, json_path)
         again = read_assignment(csv_path, json_path)
         assert again.labels == assignment.labels
         assert again.medoids == assignment.medoids

@@ -23,8 +23,8 @@ from leadalloc.cluster import (
     k_medoids,
 )
 from leadalloc.errors import DataError
-from leadalloc.normalize import NormalizedPanel, normalize_panel, write_normalized
-from panel_helpers import random_panel
+from leadalloc.normalize import NormalizedPanel, normalize_panel, read_normalized, write_normalized
+from panel_helpers import normalized_panel, random_panel
 
 
 def reference_build_series(values, years, geo_ids):
@@ -179,7 +179,7 @@ class TestClusterAgainstFullMatrix:
         rng = np.random.default_rng(41)
         for _ in range(120):
             values, years, geo_ids = random_normalized(rng)
-            norm = NormalizedPanel(values=values, years=years, geo_ids=geo_ids)
+            norm = normalized_panel(values, years, geo_ids)
             assert np.array_equal(
                 build_series(norm).view(np.uint64),
                 reference_build_series(values, years, geo_ids).view(np.uint64),
@@ -248,34 +248,33 @@ class TestNormalizedArrays:
             if trial % 2:  # a hand-built panel need not list its ids in order
                 years = tuple(rng.permutation(years).tolist())
                 geo_ids = tuple(rng.permutation(geo_ids).tolist())
-            norm = NormalizedPanel(values=values, years=years, geo_ids=geo_ids)
+            norm = normalized_panel(values, years, geo_ids)
             write_normalized(norm, tmp_path / "got.csv")
             reference_write_normalized(values, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+            again = read_normalized(tmp_path / "got.csv", tuple(sorted(years)))
+            assert again.values == values and again.geo_ids == tuple(sorted(geo_ids))
 
     def test_values_are_built_year_by_year_from_the_arrays(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             values, years, geo_ids = random_normalized(rng)
-            given = NormalizedPanel(values=values, years=years, geo_ids=geo_ids)
-            norm = NormalizedPanel.from_arrays(np.array(given.rates), np.array(given.defined), years, geo_ids)
+            norm = normalized_panel(values, years, geo_ids)
             assert "values" not in vars(norm)
             assert norm.values == values
             assert list(norm.values) == sorted(values, key=lambda cell: (cell[1], geo_ids.index(cell[0])))
             assert int(norm.defined.sum()) == len(values)
 
     def test_arrays_are_read_only_and_checked(self):
-        norm = NormalizedPanel(values={(1, 2020): 0.5, (2, 2021): 1.5}, years=(2020, 2021), geo_ids=(1, 2))
+        norm = normalized_panel({(1, 2020): 0.5, (2, 2021): 1.5}, years=(2020, 2021), geo_ids=(1, 2))
         assert norm.rates.tolist() == [[0.5, 0.0], [0.0, 1.5]]
         assert norm.defined.tolist() == [[True, False], [False, True]]
         with pytest.raises(ValueError):
             norm.rates[0, 0] = 2.0
         with pytest.raises(AttributeError):
             norm.years = (2020,)
-        with pytest.raises(ValueError, match="outside"):
-            NormalizedPanel(values={(3, 2020): 1.0}, years=(2020,), geo_ids=(1, 2))
         with pytest.raises(ValueError, match="2 geos x 1 years"):
-            NormalizedPanel.from_arrays(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), (2020,), (1, 2))
+            NormalizedPanel(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), (2020,), (1, 2))
 
 
 def profile_panel(n_geos, seed):
@@ -286,7 +285,7 @@ def profile_panel(n_geos, seed):
     defined = rng.random(rates.shape) >= 0.03
     defined[:, 0] = True
     rates[~defined] = 0.0
-    return NormalizedPanel.from_arrays(rates, defined, range(2005, 2022), range(100, 100 + n_geos))
+    return NormalizedPanel(rates, defined, range(2005, 2022), range(100, 100 + n_geos))
 
 
 @pytest.mark.parametrize("k", [5, 3])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panel_helpers import make_panel, random_panel
+from panel_helpers import add_bom, make_panel, random_panel
 from leadalloc.cluster import build_series
 from leadalloc.errors import DataError
 from leadalloc.normalize import (
@@ -219,10 +219,13 @@ class TestPopulationShares:
 
 
 class TestNormalizedRoundTrip:
-    def test_write_read_exact(self, fixture_panel, tmp_path):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "with_a_bom"])
+    def test_write_read_exact(self, fixture_panel, tmp_path, bom):
         norm = normalize_panel(fixture_panel)
         path = tmp_path / "normalized.csv"
         write_normalized(norm, path)
+        if bom:
+            add_bom(path)
         again = read_normalized(path)
         assert again.values == norm.values
         assert again.years == norm.years
