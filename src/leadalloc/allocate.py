@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InfeasibleError, InputFileError, integer, reading
+from .errors import ConfigError, DataError, InfeasibleError, InputFileError, integer, number, reading
 from .panel import NeighborhoodPanel
 
 DEFAULT_FLOOR_FRACTION = 0.25
@@ -629,17 +629,17 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
         doc = json.load(fh)
         plan = AllocationPlan(
             geo_ids=tuple(geo_ids),
-            p1=float(doc["p1"]),
-            p2=float(doc["p2"]),
+            p1=number(doc["p1"], "p1"),
+            p2=number(doc["p2"], "p2"),
             baseline_share=np.array(baseline, dtype=float),
             v2_share=np.array(candidate, dtype=float),
             v1_tests=v1_counts,
             v2_tests=v2_counts,
             total_tests=integer(doc["total_tests"], "total_tests"),
             target_year=integer(doc["target_year"], "target_year"),
-            projected_cases_v1=float(doc["projected_cases_v1"]),
-            projected_cases_v2=float(doc["projected_cases_v2"]),
-            delta_cases=float(doc["delta_cases"]),
+            projected_cases_v1=number(doc["projected_cases_v1"], "projected_cases_v1"),
+            projected_cases_v2=number(doc["projected_cases_v2"], "projected_cases_v2"),
+            delta_cases=number(doc["delta_cases"], "delta_cases"),
         )
     scalars = (plan.p1, plan.p2, plan.projected_cases_v1, plan.projected_cases_v2, plan.delta_cases)
     if not all(map(math.isfinite, (*scalars, *baseline, *candidate))):

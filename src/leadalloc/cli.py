@@ -288,6 +288,8 @@ def cmd_run(config: RunConfig) -> None:
 def _as_path(value, key: str) -> Path:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a path string, got {value!r}")
+    if "\0" in value:  # no file name can hold one; open() would raise ValueError
+        raise ConfigError(f"{key} must not hold a NUL character, got {value!r}")
     return Path(value)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputFileError, integer, reading
+from .errors import DataError, InputFileError, integer, number, reading
 from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
@@ -83,35 +83,87 @@ def build_series(norm: NormalizedPanel) -> np.ndarray:
 def _distances(values: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Euclidean distance from one series to each row of ``values``.
 
-    Every distance in this module comes from here: a subtraction, a square,
-    a sum over the years of one contiguous row (``np.sum`` calls
-    ``np.add.reduce``) and a square root, as one (n, n, years) broadcast
-    computes each element. (a - b)**2 equals (b - a)**2 exactly, so d(i, j)
-    and d(j, i) are the same float whichever of the two rows is subtracted.
+    Every exact distance in this module comes from here (``_medoid``'s
+    filter only bounds them): a subtraction, a square, a sum over the years
+    of one contiguous row (``np.sum`` calls ``np.add.reduce``) and a square
+    root, as one (n, n, years) broadcast computes each element. (a - b)**2
+    equals (b - a)**2 exactly, so d(i, j) and d(j, i) are the same float
+    whichever of the two rows is subtracted.
     """
     return np.sqrt(np.add.reduce((row - values) ** 2, axis=1))
 
 
-def _within_sums(values: np.ndarray) -> np.ndarray:
-    """Each row's distance sum to every row of ``values``.
+# Gram products are formed a few rows at a time, this many floats or one row
+_CHUNK_FLOATS = 2**14
 
-    Each row's distances come from ``_distances`` and are summed as they
-    are computed, so no (m, m) block is held, only one (m, years)
-    difference at a time. A row of distances is one contiguous array, so
-    its sum is the same float as ``np.sum`` over that row of the full
-    matrix; summing a row in parts would not be.
+
+def _medoid(values: np.ndarray) -> int:
+    """Index of the row with the smallest distance sum to every row of
+    ``values``: ``np.argmin`` over each row's ``np.sum(_distances(values,
+    row))``, bit for bit, ties to the smallest index. Filter, then verify.
+
+    *Filter.* Each row gets an approximate sum S~_i from Gram products of the
+    rows c less their column means (a shift leaves distances as they are
+    and keeps cancellation small): d~^2 = |c_i|^2 + |c_j|^2 - 2 c_i.c_j,
+    clipped at 0, for a few rows at a time, so no (m, m) block is held. A
+    margin M_i bounds |S~_i - S_i|, where S_i is the exact sum. The row with
+    the smallest S_i then has S~_i - M_i <= S_i <= S_j <= S~_j + M_j for
+    every j, and so has every row tied with it.
+
+    *Verify.* Only the rows that pass that test are summed exactly, each as
+    one contiguous full row of ``_distances``, and the first smallest wins.
+
+    *The margin.* Take u = eps/2, y years, T = |c_i|^2 + |c_j|^2 and D the
+    real distance of rows i and j. The rounding bounds for a sum and a dot
+    product of y terms put the Gram d~^2 within (2y + 4)u T of
+    |c_i - c_j|^2, and the exact path's sum of squared differences within
+    (y + 3)u D^2 <= (2y + 6)u T of D^2. As |sqrt(p) - sqrt(q)| <= sqrt(|p - q|),
+    the two distances of a pair differ, before their square roots are
+    rounded, by at most sqrt((y + 2) eps T) + sqrt((y + 3) eps T), which is
+    below sqrt(8 (y + 4) eps T) by a factor over sqrt(2); that room covers
+    the u (|c_i| + |c_j|) by which centering can move a distance, and the
+    rounding of the norms. With sqrt(T) <= |c_i| + |c_j|, the pairs of row i
+    differ by at most P_i = sqrt(8 (y + 4) eps) (m |c_i| + sum_j |c_j|) in
+    all. Rounding m square roots and summing m terms in any order moves
+    each of the two sums by at most m u times the sum of its terms, which
+    is at most S~_i + 2 P_i. So M_i = P_i + 4 m eps (S~_i + P_i) bounds
+    |S~_i - S_i|, with room for the rounding of M_i and of the test. A margin
+    that is not finite keeps every row.
     """
-    return np.array([np.sum(_distances(values, row)) for row in values])
+    m, years = values.shape
+    centered = values - np.mean(values, axis=0)
+    squares = np.sum(centered**2, axis=1)
+    approx = np.empty(m)
+    # einsum, not a BLAS product: BLAS's buffers and kernel code would raise
+    # the peak RSS of a run by about 0.5 MB; a contiguous transpose keeps
+    # einsum's inner loop on the long axis
+    transposed = np.ascontiguousarray(centered.T)
+    step = max(1, _CHUNK_FLOATS // m)
+    for start in range(0, m, step):
+        stop = start + step
+        block = np.einsum("ik,kj->ij", centered[start:stop], transposed)
+        block *= -2.0
+        block += squares[start:stop, None]
+        block += squares
+        np.maximum(block, 0.0, out=block)
+        approx[start:stop] = np.sum(np.sqrt(block, out=block), axis=1)
+    norms = np.sqrt(squares)
+    eps = np.finfo(float).eps
+    pairs = math.sqrt(8 * (years + 4) * eps) * (m * norms + np.sum(norms))
+    margin = pairs + 4 * m * eps * (approx + pairs)
+    # NaN compares false, so a margin that is not finite keeps every row
+    candidates = np.flatnonzero(~(approx - margin > np.min(approx + margin)))
+    exact = [np.sum(_distances(values, values[i])) for i in candidates]
+    return int(candidates[np.argmin(exact)])
 
 
 def _farthest_first_seeds(values: np.ndarray, k: int) -> list[int]:
     """Deterministic seed indices: the 1-medoid, then maximin additions.
 
-    The 1-medoid's sums come from ``_within_sums`` and a seed's distances
-    are computed when it is chosen, so no (n, n) matrix is held.
+    The 1-medoid comes from ``_medoid`` and a seed's distances are computed
+    when it is chosen, so no (n, n) matrix is held.
     """
-    sums = _within_sums(values)
-    chosen = [int(np.argmin(sums))]
+    chosen = [_medoid(values)]
     nearest = np.full(len(values), np.inf)
     while len(chosen) < k:
         nearest = np.minimum(nearest, _distances(values, values[chosen[-1]]))
@@ -139,8 +191,9 @@ def k_medoids(
 
     Each iteration computes the distances of every series to the k medoids,
     for both the assignment and the cost, and re-centers each cluster on its
-    members' distance sums from ``_within_sums``. No (n, n) matrix is held,
-    nor one cluster's (m, m) block.
+    members' ``_medoid``. No (n, n) matrix is held, nor one cluster's (m, m)
+    block. Series that are not all finite are a DataError: no margin can
+    certify their medoid.
 
     With ``initial_medoids`` omitted, seeds come from a deterministic
     farthest-first traversal. Each cluster keeps the name of its seed slot,
@@ -158,6 +211,10 @@ def k_medoids(
     values = np.asarray(series, dtype=float)
     if values.ndim != 2 or len(values) != n:
         raise LengthMismatch(f"{n} geo ids for series of shape {values.shape}")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        geo = geo_ids[np.flatnonzero(~finite)[0]]
+        raise DataError(f"the series of geo {geo} holds a value that is not a finite number")
 
     order = sorted(range(n), key=geo_ids.__getitem__)
     values = values[order]
@@ -194,8 +251,7 @@ def k_medoids(
         new_medoids = []
         for slot in range(k):
             members = np.flatnonzero(slots == slot)
-            within = _within_sums(values[members])
-            new_medoids.append(int(members[np.argmin(within)]))
+            new_medoids.append(int(members[_medoid(values[members])]))
         n_iter += 1
         if new_medoids == medoids:
             break
@@ -314,7 +370,7 @@ def read_assignment(csv_path: str | Path, json_path: str | Path) -> ClusterAssig
             labels[geo] = row["label"]
     with reading(json_path) as fh:
         doc = json.load(fh)
-        total_cost = float(doc["total_cost"])
+        total_cost = number(doc["total_cost"], "total_cost")
         n_iter = integer(doc["n_iter"], "n_iter")
         if not isinstance(doc["medoids"], dict):
             raise TypeError(f"medoids must be an object, got {doc['medoids']!r}")

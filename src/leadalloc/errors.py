@@ -69,3 +69,11 @@ def integer(value, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number, else a TypeError: float()
+    would take true as 1.0 and "105.18" as 105.18."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -769,6 +769,19 @@ class TestReusedArtifacts:
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
         self.assert_data_error(rc, capsys, "evaluate", "plan.csv and")
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("plan.json", "p1", True), ("plan.json", "delta_cases", "105.18"), ("clusters.json", "total_cost", True)],
+    )
+    def test_float_field_that_is_not_a_json_number(self, fixture_path, tmp_path, capsys, name, key, value):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        doc = dict(read_json(out / name), **{key: value})
+        (out / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, self.REUSED[name][1], name, f"{key} must be a number")
+
     def test_plan_target_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
@@ -934,6 +947,21 @@ class TestFrontEnd:
         rc = run_cli("ingest", "--config", str(cfg))
         assert rc == 2
         assert "must be a path string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    @pytest.mark.parametrize("key", ["input", "out"])
+    def test_path_with_a_nul_character(self, fixture_path, tmp_path, capsys, form, key):
+        paths = dict({"input": str(fixture_path), "out": str(tmp_path / "artifacts")}, **{key: "a\0b"})
+        if form == "config":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(paths))
+            rc = run_cli("ingest", "--config", str(cfg))
+        else:
+            rc = run_cli("ingest", "--input", paths["input"], "--out", paths["out"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at stage config: {key} must not hold a NUL character")
+        assert not (tmp_path / "artifacts").exists()
 
     def test_zero_test_forecast_stops_before_the_search(self, tmp_path, capsys):
         # tests fall from 1,000 to 300 per neighborhood, so the trend forecasts

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panel_helpers import add_bom, make_panel, normalized_panel
+from test_cluster_reference import profile_panel
+from leadalloc import cluster
 from leadalloc.cluster import (
     RISK_LABELS,
     ClusterAssignment,
@@ -20,7 +22,7 @@ from leadalloc.cluster import (
     KTooLarge,
     LengthMismatch,
     _distances,
-    _within_sums,
+    _medoid,
     build_series,
     cluster_neighborhoods,
     k_medoids,
@@ -73,35 +75,88 @@ def broadcast_distances(values) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=2))
 
 
-class TestDistanceMatrix:
-    def assert_bit_identical(self, values):
-        want = broadcast_distances(values)
-        got = _within_sums(values)
-        assert got.shape == (len(values),)
-        assert np.array_equal(got.view(np.uint64), np.sum(want, axis=1).view(np.uint64))
-        # one full row, as re-centering and seeding compute it
-        for i, row in enumerate(values):
-            assert np.array_equal(_distances(values, row).view(np.uint64), want[i].view(np.uint64))
+def reference_medoid(values) -> int:
+    """The first row with the smallest sum of the full broadcast matrix."""
+    return int(np.argmin(np.sum(broadcast_distances(values), axis=1)))
 
-    def test_random_series(self):
+
+class TestMedoid:
+    def test_rows_match_the_broadcast(self):
         rng = np.random.default_rng(11)
         for n, length in ((2, 1), (7, 17), (60, 17), (33, 40)):
             values = rng.lognormal(0.0, 0.6, size=(n, length))
-            self.assert_bit_identical(values)
+            want = broadcast_distances(values)
+            # one full row, as the exact sums, seeding and assignment compute it
+            for i, row in enumerate(values):
+                assert np.array_equal(_distances(values, row).view(np.uint64), want[i].view(np.uint64))
+            assert _medoid(values) == reference_medoid(values)
 
-    def test_single_series(self):
-        values = np.array([[0.7, 1.3, 2.9]])
-        self.assert_bit_identical(values)
-        assert _within_sums(values).tolist() == [0.0]
+    def test_agrees_with_the_full_matrix_argmin(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n, length = rng.integers(1, 120), rng.integers(1, 25)
+            values = rng.lognormal(0.0, 0.6, size=(n, length))
+            assert _medoid(values) == reference_medoid(values)
 
-    def test_duplicate_series(self):
+    def test_single_row(self):
+        assert _medoid(np.array([[0.7, 1.3, 2.9]])) == 0
+
+    def test_all_rows_equal(self):
+        assert _medoid(np.full((9, 17), 1.3)) == 0
+
+    def test_duplicate_rows_tie_to_the_smallest_index(self):
         rng = np.random.default_rng(12)
         base = rng.uniform(0.0, 3.0, size=(4, 17))
         values = np.concatenate([base, base[::-1], base[:1]])
-        self.assert_bit_identical(values)
-        sums = _within_sums(values)
-        assert sums[0] == sums[7] == sums[8]
-        assert sums[1] == sums[6] and sums[2] == sums[5] and sums[3] == sums[4]
+        assert _medoid(values) == reference_medoid(values)
+        # the line 0, 1, 1, 2 ties rows 1 and 2, which have equal sums
+        assert _medoid(np.array([[0.0], [1.0], [1.0], [2.0]])) == 1
+
+    def test_rows_one_ulp_apart(self):
+        rng = np.random.default_rng(14)
+        for n in (2, 5, 40):
+            values = np.full((n, 17), 1.3)
+            up = rng.random(values.shape) < 0.5
+            values[up] = np.nextafter(1.3, 2.0)
+            assert _medoid(values) == reference_medoid(values)
+
+    def test_large_common_offset(self):
+        rng = np.random.default_rng(15)
+        for n in (3, 50, 200):
+            values = 1e6 + rng.normal(0.0, 1.0, size=(n, 17))
+            assert _medoid(values) == reference_medoid(values)
+
+    def test_random_scales(self):
+        rng = np.random.default_rng(16)
+        for n in (3, 50, 200):
+            scales = 10.0 ** rng.uniform(-6.0, 2.0, size=(n, 1))
+            values = rng.normal(0.0, 1.0, size=(n, 17)) * scales
+            assert _medoid(values) == reference_medoid(values)
+            shifted = values * 1e-6 + 5.0
+            assert _medoid(shifted) == reference_medoid(shifted)
+
+    def test_few_rows_are_summed_exactly(self, monkeypatch):
+        """k=1 finds the 1-medoid of 1,000 series twice, for the seed and for
+        the re-centering; at most 5% of those 2,000 rows are summed exactly."""
+        norm = profile_panel(1000, seed=67)
+        series = build_series(norm)
+        calls = []
+
+        def counted(values, row):
+            calls.append(len(values))
+            return _distances(values, row)
+
+        monkeypatch.setattr(cluster, "_distances", counted)
+        assignment = k_medoids(series, norm.geo_ids, 1)
+        # each assignment pass computes one row, the distances to the medoid
+        assert len(calls) - len(assignment.cost_history) <= 0.05 * 2000
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_series_rejected(self, bad):
+        series, geo_ids = line_instance()
+        series[3, 0] = bad
+        with pytest.raises(DataError, match="geo 4"):
+            k_medoids(series, geo_ids, 2)
 
 
 class TestKMedoids:
