@@ -12,7 +12,7 @@ Artifacts, by stage:
   ingest     panel.csv (canonical layout), validation.json
   normalize  normalized.csv
   cluster    clusters.csv, clusters.json
-  optimize   plan.csv, plan.json, trace.csv (with --emit-trace)
+  optimize   plan.csv, plan.json, trace.csv (with --emit-trace; removed without)
   evaluate   evaluation.json, evaluation.txt
   run        validation.json plus everything from normalize onward
 
@@ -201,6 +201,9 @@ def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
         allocate.write_plan(result.plan, out / "plan.csv", out / "plan.json")
         if config.emit_trace:
             allocate.write_trace(result.trace, out / "trace.csv")
+        else:
+            # an earlier run's trace would contradict the new plan
+            (out / "trace.csv").unlink(missing_ok=True)
     return result.plan, rates
 
 

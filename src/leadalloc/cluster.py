@@ -26,8 +26,6 @@ from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
 
-DEFAULT_MAX_ITER = 100
-
 
 class LengthMismatch(DataError):
     pass
@@ -178,7 +176,7 @@ def k_medoids(
     geo_ids,
     k: int,
     initial_medoids: list[int] | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = 100,
     cluster_names: tuple[str, ...] | None = None,
 ) -> ClusterAssignment:
     """Alternating k-medoids: assign to nearest medoid, re-center, repeat.
@@ -268,20 +266,15 @@ def k_medoids(
     )
 
 
-def seed_medoids(norm: NormalizedPanel) -> list[int]:
-    """Pick the five profile seeds from a normalized panel.
+def _profile_seeds(values: np.ndarray, geo_ids) -> list[int]:
+    """Pick the five profile seeds from the built series of ``geo_ids``.
 
     In order: highest mean level (High), lowest mean level (Low), series
     closest to a flat 1.0 (Average), steepest upward trend (Rising),
-    steepest downward trend (Declining). Seeds are forced distinct by
-    taking each criterion's best not-yet-chosen neighborhood; all ties
-    break toward the smaller geo_id.
+    steepest downward trend (Declining). Each criterion is a row reduction.
+    Seeds are forced distinct by taking each criterion's best not-yet-chosen
+    neighborhood; all ties break toward the smaller geo_id.
     """
-    return _profile_seeds(build_series(norm), norm.geo_ids)
-
-
-def _profile_seeds(values: np.ndarray, geo_ids) -> list[int]:
-    """``seed_medoids`` on built series; each criterion is a row reduction."""
     if len(values) < 5:
         raise InsufficientNeighborhoods(
             f"need at least 5 neighborhoods to seed profiles, have {len(values)}"
@@ -301,11 +294,7 @@ def _profile_seeds(values: np.ndarray, geo_ids) -> list[int]:
     return seeds
 
 
-def cluster_neighborhoods(
-    norm: NormalizedPanel,
-    k: int = 5,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ClusterAssignment:
+def cluster_neighborhoods(norm: NormalizedPanel, k: int = 5) -> ClusterAssignment:
     """Cluster a normalized panel into risk profiles.
 
     With the default k=5 the profile-criterion seeds and risk labels are
@@ -315,15 +304,8 @@ def cluster_neighborhoods(
     series = build_series(norm)
     if k == 5:
         seeds = _profile_seeds(series, norm.geo_ids)
-        return k_medoids(
-            series,
-            norm.geo_ids,
-            k,
-            initial_medoids=seeds,
-            max_iter=max_iter,
-            cluster_names=RISK_LABELS,
-        )
-    return k_medoids(series, norm.geo_ids, k, max_iter=max_iter)
+        return k_medoids(series, norm.geo_ids, k, initial_medoids=seeds, cluster_names=RISK_LABELS)
+    return k_medoids(series, norm.geo_ids, k)
 
 
 def write_assignment(assignment: ClusterAssignment, csv_path: str | Path, json_path: str | Path) -> None:

@@ -112,14 +112,14 @@ class EvaluationReport:
     cases_v2_rounded: int
     ztest: ZTestResult | None
     ztest_degenerate_reason: str | None
-    cluster_cases: dict[str, tuple[float, float]] | None
+    cluster_cases: dict[str, tuple[float, float]]
     reallocation: dict[int, float | None]
 
 
 def evaluate_plan(
     plan: AllocationPlan,
     rates: np.ndarray,
-    assignment: ClusterAssignment | None = None,
+    assignment: ClusterAssignment,
 ) -> EvaluationReport:
     """Full statistical summary of a plan against its baseline.
 
@@ -158,9 +158,6 @@ def evaluate_plan(
     except DegeneratePooled as exc:
         ztest = None
         reason = str(exc)
-    by_cluster = (
-        cluster_case_deltas(plan, assignment, rates) if assignment is not None else None
-    )
     improvement = (
         100.0 * plan.delta_cases / plan.projected_cases_v1
         if plan.projected_cases_v1 > 0
@@ -173,7 +170,7 @@ def evaluate_plan(
         cases_v2_rounded=cases_v2,
         ztest=ztest,
         ztest_degenerate_reason=reason,
-        cluster_cases=by_cluster,
+        cluster_cases=cluster_case_deltas(plan, assignment, rates),
         reallocation=reallocation_percentages(plan),
     )
 
@@ -202,9 +199,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "cases_v2_rounded": report.cases_v2_rounded,
         "ztest": ztest,
         "ztest_degenerate_reason": report.ztest_degenerate_reason,
-        "cluster_cases": None
-        if report.cluster_cases is None
-        else {
+        "cluster_cases": {
             label: {"cases_v1": pair[0], "cases_v2": pair[1]}
             for label, pair in report.cluster_cases.items()
         },
@@ -239,10 +234,9 @@ def format_report(report: EvaluationReport) -> str:
         )
     else:
         lines.append(f"Two-proportion z-test: degenerate ({report.ztest_degenerate_reason})")
-    if report.cluster_cases is not None:
-        lines.append("Projected cases by cluster (former -> chosen):")
-        for label, (before, after) in report.cluster_cases.items():
-            lines.append(f"  {label}: {before:.2f} -> {after:.2f} ({after - before:+.2f})")
+    lines.append("Projected cases by cluster (former -> chosen):")
+    for label, (before, after) in report.cluster_cases.items():
+        lines.append(f"  {label}: {before:.2f} -> {after:.2f} ({after - before:+.2f})")
     lines.append("Tests kept, as a share of former tests:")
     for geo, pct in report.reallocation.items():
         shown = f"{pct:.1f}%" if pct is not None else "n/a (no former tests)"

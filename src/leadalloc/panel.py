@@ -6,6 +6,9 @@ thresholds, and the child population. Case rates are always derived from the
 count columns (cases / tests), never read from a rate column, so there is a
 single source of truth for units.
 
+The header is read by the canonical column names, in any order; a file
+exported with other names needs its header renamed first. Bad rows are
+collected, never raised, and a row's year must lie in ``DEFAULT_YEAR_RANGE``.
 Rows are read into columns, one array per field, and checked column by
 column. Each row rule is stated once: ``_coerce_column`` converts a field
 and words each row it refuses, and ``_invariant_checks`` pairs each record
@@ -28,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -40,20 +43,10 @@ from .errors import DataError, reading
 
 DEFAULT_YEAR_RANGE = (2005, 2021)
 
-# canonical field -> CSV column, overridable via PanelSchema
-DEFAULT_COLUMNS = {
-    "geo_id": "geo_id",
-    "geo_name": "geo_name",
-    "borough": "borough",
-    "year": "year",
-    "tests": "tests",
-    "cases_5plus": "cases_5plus",
-    "cases_10plus": "cases_10plus",
-    "cases_15plus": "cases_15plus",
-    "child_population": "child_population",
-}
-
-CANONICAL_FIELDS = tuple(DEFAULT_COLUMNS)
+CANONICAL_FIELDS = (
+    "geo_id", "geo_name", "borough", "year", "tests",
+    "cases_5plus", "cases_10plus", "cases_15plus", "child_population",
+)
 _TEXT_FIELDS = frozenset({"geo_name", "borough"})  # every other field is an integer
 
 
@@ -63,38 +56,11 @@ class MissingColumn(DataError):
         self.name = name
 
 
-class MalformedRow(DataError):
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"row {row}: {reason}")
-        self.row = row
-        self.reason = reason
-
-
 class DuplicateCell(DataError):
     def __init__(self, geo_id: int, year: int):
         super().__init__(f"duplicate cell for geo {geo_id}, year {year}")
         self.geo_id = geo_id
         self.year = year
-
-
-@dataclass(frozen=True)
-class PanelSchema:
-    """Column-name mapping plus the accepted year range.
-
-    Keeping the mapping in configuration means a renamed portal column is a
-    config edit, not a code change.
-    """
-
-    columns: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLUMNS))
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE
-
-    def __post_init__(self):
-        missing = [f for f in CANONICAL_FIELDS if f not in self.columns]
-        if missing:
-            raise ValueError(f"schema missing canonical fields: {missing}")
-
-
-DEFAULT_SCHEMA = PanelSchema()
 
 
 @dataclass(frozen=True)
@@ -310,45 +276,39 @@ def _repeats(geo: np.ndarray, year: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def parse_panel(
-    path: str | Path,
-    schema: PanelSchema = DEFAULT_SCHEMA,
-    on_error: str = "collect",
-) -> NeighborhoodPanel:
+def parse_panel(path: str | Path) -> NeighborhoodPanel:
     """Parse a panel CSV into a validated NeighborhoodPanel.
 
-    Rows that fail type coercion or a record invariant are rejected and
-    reported with their 1-based data row number. With ``on_error="collect"``
-    (the default) rejects accumulate on ``panel.rejected``; with
-    ``on_error="raise"`` the first bad row raises MalformedRow. A duplicate
-    (geo_id, year) cell always raises DuplicateCell: there is no principled
-    way to pick which duplicate to keep. Errors come in row order, and a
-    cell counts as taken only by a row that was not rejected.
+    The header is read by name: the canonical columns may come in any
+    order, other columns are ignored, and a missing one is a MissingColumn.
+    Rows that fail type coercion or a record invariant (with years in
+    ``DEFAULT_YEAR_RANGE``) are rejected and collected on ``panel.rejected``
+    with their 1-based data row number. A duplicate (geo_id, year) cell
+    raises DuplicateCell: there is no principled way to pick which duplicate
+    to keep. A cell counts as taken only by a row that was not rejected.
 
     The rows are read into columns and checked column by column, and each
     rejected row is worded from its own chunk. A file that cannot be read
     is a DataError naming it (see ``errors.reading``).
     """
-    if on_error not in ("collect", "raise"):
-        raise ValueError(f"on_error must be 'collect' or 'raise', got {on_error!r}")
     with reading(path, "panel file", table=True) as table:
         # the header through csv.DictReader, and then each row as a list
         header, reader = table.fieldnames or [], table.reader
         # a repeated column name reads its last column, as csv.DictReader does
         position = {name: i for i, name in enumerate(header)}
-        for canonical in CANONICAL_FIELDS:
-            if schema.columns[canonical] not in position:
-                raise MissingColumn(schema.columns[canonical])
-        positions = [position[schema.columns[name]] for name in CANONICAL_FIELDS]
+        for name in CANONICAL_FIELDS:
+            if name not in position:
+                raise MissingColumn(name)
+        positions = [position[name] for name in CANONICAL_FIELDS]
         pick, pad = itemgetter(*positions), [""] * (max(positions) + 1)
         # each row's canonical fields; blank lines are skipped without a row
         # number, as csv.DictReader does, and a field past the end of a short
         # row reads as empty
         rows = (pick(row) if len(row) >= len(pad) else pick(row + pad) for row in reader if row)
         # in chunks, so the text of every row is never held at once
-        chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range)]
+        chunks = [_coerce_rows(list(islice(rows, _CHUNK_ROWS)))]
         while chunks[-1][1].size == _CHUNK_ROWS:
-            chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS)), schema.year_range))
+            chunks.append(_coerce_rows(list(islice(rows, _CHUNK_ROWS))))
 
     # each field's chunks are dropped as soon as they are joined
     columns = {name: np.concatenate([c.pop(name) for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
@@ -356,19 +316,17 @@ def parse_panel(
     reasons = [reason for _, _, chunk_reasons in chunks for reason in chunk_reasons]
     kept = np.flatnonzero(accepted)
     repeats = kept[_repeats(columns["geo_id"][kept], columns["year"][kept])]
-    bad = np.flatnonzero(~accepted).tolist()
-    if on_error == "raise" and bad and not (repeats.size and repeats[0] < bad[0]):
-        raise MalformedRow(bad[0] + 1, reasons[0])
     if repeats.size:
         first = repeats[0]
         raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
+    bad = np.flatnonzero(~accepted).tolist()
     rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
     # each joined column is dropped once its kept rows are taken, so the
     # constructor's sort is the second live copy of a column, never the third
     return NeighborhoodPanel({name: columns.pop(name)[kept] for name in CANONICAL_FIELDS}, rejected)
 
 
-def _coerce_rows(rows: list[tuple[str, ...]], year_range):
+def _coerce_rows(rows: list[tuple[str, ...]]):
     """(columns, accepted, reasons) for rows of canonical fields: the
     accepted mask marks rows whose every field coerces and that break no
     record invariant, and the reasons word the other rows, in order. A
@@ -380,7 +338,7 @@ def _coerce_rows(rows: list[tuple[str, ...]], year_range):
         columns[name], refused = _coerce_column(name, strings)
         for i, reason in refused.items():
             refusals.setdefault(i, reason)
-    checks = _invariant_checks(columns, year_range)
+    checks = _invariant_checks(columns, DEFAULT_YEAR_RANGE)
     rejected = _broken(checks)
     rejected[list(refusals)] = True
     reasons = [

@@ -10,6 +10,7 @@ LEADALLOC_NYC_DATA points at it; everything else runs on bundled or
 generated data.
 """
 
+import csv
 import hashlib
 import math
 import os
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from panel_helpers import GAPS_CSV, make_record
+from panel_helpers import GAPS_CSV, SHUFFLED_CSV, make_record
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
@@ -416,30 +417,45 @@ GAP_PANEL_K_ARTIFACT_SHA256 = {
 }
 
 
+def run_digests(panel_csv, out, *options):
+    """`run` on the panel into ``out``, and the SHA-256 of each artifact."""
+    assert cli_main(["run", "--input", str(panel_csv), "--out", str(out), *options]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+
+
+def reversed_layout(panel_csv, path):
+    """A copy of the panel CSV with its columns in reverse order and one
+    more column, which no stage reads."""
+    with open(panel_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["notes", *reversed(rows[0])])
+        writer.writerows(["unread", *reversed(row)] for row in rows[1:])
+    return path
+
+
 class TestGoldenArtifacts:
+    """Each panel's artifacts are pinned, and other layouts of the same
+    panel must give the same bytes: rows in another order, and the header
+    read by name rather than by position."""
+
     def test_fixture_run_bytes_are_pinned(self, fixture_path, tmp_path):
-        assert cli_main(["run", "--input", str(fixture_path), "--out", str(tmp_path), "--emit-trace"]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.iterdir())
-        }
-        assert digests == FIXTURE_ARTIFACT_SHA256
+        layouts = [fixture_path, SHUFFLED_CSV, reversed_layout(fixture_path, tmp_path / "reversed.csv")]
+        for i, panel_csv in enumerate(layouts):
+            digests = run_digests(panel_csv, tmp_path / f"out{i}", "--emit-trace")
+            assert digests == FIXTURE_ARTIFACT_SHA256, panel_csv.name
 
     def test_gap_panel_run_bytes_are_pinned(self, tmp_path):
-        assert cli_main(["run", "--input", str(GAPS_CSV), "--out", str(tmp_path), "--emit-trace"]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.iterdir())
-        }
-        assert digests == GAP_PANEL_ARTIFACT_SHA256
+        # the rows stay in file order: rejected rows are numbered by position
+        layouts = [GAPS_CSV, reversed_layout(GAPS_CSV, tmp_path / "reversed.csv")]
+        for i, panel_csv in enumerate(layouts):
+            digests = run_digests(panel_csv, tmp_path / f"out{i}", "--emit-trace")
+            assert digests == GAP_PANEL_ARTIFACT_SHA256, panel_csv.name
 
     @pytest.mark.parametrize("k", sorted(GAP_PANEL_K_ARTIFACT_SHA256))
     def test_gap_panel_run_bytes_at_other_k_are_pinned(self, tmp_path, k):
-        assert cli_main(["run", "--input", str(GAPS_CSV), "--out", str(tmp_path), "--k", str(k)]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.iterdir())
-        }
+        digests = run_digests(GAPS_CSV, tmp_path, "--k", str(k))
         want = {name: sha for name, sha in GAP_PANEL_ARTIFACT_SHA256.items() if name != "trace.csv"}
         assert digests == dict(want, **GAP_PANEL_K_ARTIFACT_SHA256[k])
 

@@ -270,6 +270,17 @@ class TestStageArtifacts:
         assert len(lines) == 26
         assert lines[0] == "p1,p2,delta_cases,feasible,reason"
 
+    def test_run_without_trace_removes_an_old_trace(self, fixture_path, tmp_path):
+        """A trace.csv left by an earlier run would contradict the new plan."""
+        out = tmp_path / "artifacts"
+        args = ("run", "--input", str(fixture_path), "--out", str(out))
+        assert run_cli(*args, "--emit-trace", "--floor", "0.9") == 0
+        assert (out / "trace.csv").exists()
+        assert run_cli(*args) == 0
+        doc = read_json(out / "plan.json")
+        assert (doc["p1"], doc["p2"]) == (-0.9, 9.8)
+        assert not (out / "trace.csv").exists()
+
     def test_optimize_total_tests_override(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
         rc = run_cli(

@@ -23,11 +23,11 @@ from leadalloc.cluster import (
     LengthMismatch,
     _distances,
     _medoid,
+    _profile_seeds,
     build_series,
     cluster_neighborhoods,
     k_medoids,
     read_assignment,
-    seed_medoids,
     write_assignment,
 )
 from leadalloc.errors import DataError
@@ -262,7 +262,8 @@ class TestSeeding:
         for geo, levels in profiles.items():
             for year, level in zip((2019, 2020, 2021), levels):
                 values[(geo, year)] = level
-        seeds = seed_medoids(norm_from_values(values))
+        norm = norm_from_values(values)
+        seeds = _profile_seeds(build_series(norm), norm.geo_ids)
         assert seeds == [1, 2, 3, 4, 5]
 
     def test_row_reductions_match_per_series_criteria(self):
@@ -290,10 +291,11 @@ class TestSeeding:
                           slopes, {g: -v for g, v in slopes.items()}):
                 candidates = [g for g in geo_ids if g not in expected]
                 expected.append(max(candidates, key=lambda g: (score[g], -g)))
-            assert seed_medoids(norm) == expected
+            assert _profile_seeds(build_series(norm), norm.geo_ids) == expected
 
     def test_seeds_are_distinct_on_fixture(self, fixture_panel):
-        seeds = seed_medoids(normalize_panel(fixture_panel))
+        norm = normalize_panel(fixture_panel)
+        seeds = _profile_seeds(build_series(norm), norm.geo_ids)
         assert len(seeds) == 5
         assert len(set(seeds)) == 5
 

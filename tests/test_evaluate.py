@@ -212,15 +212,16 @@ class TestEvaluatePlan:
         assert report.improvement_pct == pytest.approx(100.0 * 4.3 / 10.2)
         assert report.ztest is not None
         assert report.ztest_degenerate_reason is None
-        assert report.cluster_cases is not None
+        assert report.cluster_cases == {"a": (250.0, 125.0), "b": (125.0, 187.5)}
         assert report.reallocation == {1: 50.0, 2: 150.0}
 
     def test_degenerate_reported_not_raised(self):
         plan = make_plan(cases_v1=0.0, cases_v2=0.0)
-        report = evaluate_plan(plan, np.array([0.0, 0.0]))
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        report = evaluate_plan(plan, np.array([0.0, 0.0]), assignment)
         assert report.ztest is None
         assert "variance" in report.ztest_degenerate_reason
-        assert report.cluster_cases is None
+        assert report.cluster_cases == {"a": (0.0, 0.0), "b": (0.0, 0.0)}
         assert report.improvement_pct is None
 
     def test_report_dict_round_trips_json(self, tmp_path):
@@ -246,14 +247,16 @@ class TestEvaluatePlan:
         assert text.endswith("\n")
 
     def test_text_rendering_degenerate(self):
-        report = evaluate_plan(make_plan(cases_v1=0.0, cases_v2=0.0), np.array([0.0, 0.0]))
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        report = evaluate_plan(make_plan(cases_v1=0.0, cases_v2=0.0), np.array([0.0, 0.0]), assignment)
         assert "degenerate" in format_report(report)
 
     def test_misaligned_rates_rejected(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
         for rates in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
             with pytest.raises(ShareMismatch):
-                evaluate_plan(plan, rates)
+                evaluate_plan(plan, rates, assignment)
 
     def test_unlabeled_plan_geo_rejected(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
@@ -263,5 +266,6 @@ class TestEvaluatePlan:
 
     def test_undefined_reallocation_rendered(self):
         plan = make_plan(v1_tests=(0, 100), cases_v1=5.0, cases_v2=6.0, total=1000)
-        report = evaluate_plan(plan, np.array([0.5, 0.25]))
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        report = evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
         assert "n/a" in format_report(report)

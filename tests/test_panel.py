@@ -8,13 +8,10 @@ import pytest
 from panel_helpers import SHUFFLED_CSV, make_panel, make_record, random_panel
 from leadalloc.cli import main
 from leadalloc.panel import (
-    DEFAULT_SCHEMA,
     DuplicateCell,
     Gap,
-    MalformedRow,
     MissingColumn,
     NeighborhoodPanel,
-    PanelSchema,
     parse_panel,
     validate_panel,
     write_panel,
@@ -80,15 +77,6 @@ class TestParsePanel:
         assert panel.rejected[0].row == 2
         assert "tests" in panel.rejected[0].reason
 
-    def test_malformed_row_raises_in_raise_mode(self, tmp_path):
-        path = write_csv(
-            tmp_path / "rows.csv",
-            [HEADER, "101,A,B,2020,x,5,2,1,300"],
-        )
-        with pytest.raises(MalformedRow) as excinfo:
-            parse_panel(path, on_error="raise")
-        assert excinfo.value.row == 1
-
     def test_broken_case_nesting_rejected(self, tmp_path):
         path = write_csv(
             tmp_path / "nest.csv",
@@ -127,23 +115,6 @@ class TestParsePanel:
         )
         panel = parse_panel(path)
         assert panel.record(101, 2020).tests == 100
-
-    def test_renamed_columns_via_schema(self, tmp_path):
-        columns = dict(DEFAULT_SCHEMA.columns)
-        columns["tests"] = "num_tests"
-        path = write_csv(
-            tmp_path / "renamed.csv",
-            [
-                HEADER.replace("tests", "num_tests"),
-                "101,A,B,2020,100,5,2,1,300",
-            ],
-        )
-        panel = parse_panel(path, schema=PanelSchema(columns=columns))
-        assert panel.record(101, 2020).tests == 100
-
-    def test_bad_on_error_value(self, tmp_path):
-        with pytest.raises(ValueError):
-            parse_panel(tmp_path / "x.csv", on_error="ignore")
 
 
 class TestPanelContainer:
@@ -269,12 +240,6 @@ class TestValidatePanel:
         with pytest.raises(DuplicateCell) as excinfo:
             NeighborhoodPanel.from_records([first, other, again])
         assert (excinfo.value.geo_id, excinfo.value.year) == (1, 2020)
-
-
-class TestPanelSchema:
-    def test_schema_requires_all_fields(self):
-        with pytest.raises(ValueError, match="missing"):
-            PanelSchema(columns={"geo_id": "geo_id"})
 
 
 class TestRoundTrip:

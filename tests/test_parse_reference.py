@@ -17,14 +17,11 @@ import pytest
 
 from leadalloc.panel import (
     CANONICAL_FIELDS,
-    DEFAULT_SCHEMA,
     DuplicateCell,
     Gap,
-    MalformedRow,
     MissingColumn,
     NeighborhoodPanel,
     NeighborhoodYearRecord,
-    PanelSchema,
     RejectedRow,
     Violation,
     parse_panel,
@@ -67,9 +64,9 @@ def reference_invariant_errors(rec, year_range):
     return errs
 
 
-def reference_coerce_row(row, schema):
+def reference_coerce_row(row):
     def text(fieldname):
-        raw = row.get(schema.columns[fieldname])
+        raw = row.get(fieldname)
         if raw is None or raw.strip() == "":
             raise ValueError(f"{fieldname} is empty")
         return raw.strip()
@@ -94,27 +91,23 @@ def reference_coerce_row(row, schema):
     )
 
 
-def reference_parse(path, schema=DEFAULT_SCHEMA, on_error="collect"):
+def reference_parse(path):
     """(records, rejected, gaps) as the DictReader parser produced them."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for canonical in CANONICAL_FIELDS:
-            if schema.columns[canonical] not in header:
-                raise MissingColumn(schema.columns[canonical])
+            if canonical not in header:
+                raise MissingColumn(canonical)
         records, rejected, seen = [], [], set()
         for row_num, row in enumerate(reader, start=1):
             try:
-                rec = reference_coerce_row(row, schema)
+                rec = reference_coerce_row(row)
             except ValueError as exc:
-                if on_error == "raise":
-                    raise MalformedRow(row_num, str(exc)) from exc
                 rejected.append(RejectedRow(row_num, str(exc)))
                 continue
-            errs = reference_invariant_errors(rec, schema.year_range)
+            errs = reference_invariant_errors(rec, (2005, 2021))
             if errs:
-                if on_error == "raise":
-                    raise MalformedRow(row_num, "; ".join(errs))
                 rejected.append(RejectedRow(row_num, "; ".join(errs)))
                 continue
             key = (rec.geo_id, rec.year)
@@ -140,13 +133,8 @@ def random_value(rng, value):
 
 
 def random_csv(rng, path):
-    """A panel CSV with a random header layout and awkward rows.
-
-    Returns the schema to parse it with."""
-    names = dict(zip(CANONICAL_FIELDS, CANONICAL_FIELDS))
-    if rng.random() < 0.2:
-        names = {f: f"Col {f}, renamed" for f in CANONICAL_FIELDS}
-    header = list(names.values())
+    """A panel CSV with a random header layout and awkward rows."""
+    header = list(CANONICAL_FIELDS)
     if rng.random() < 0.3:
         header.append("notes")
     rng.shuffle(header)
@@ -156,9 +144,7 @@ def random_csv(rng, path):
     if rng.random() < 0.05:
         header[int(rng.integers(len(header)))] += " "  # a padded name is another name
     if rng.random() < 0.05:
-        header.remove(names[CANONICAL_FIELDS[int(rng.integers(len(CANONICAL_FIELDS)))]])
-    schema = PanelSchema(columns=names, year_range=(2005, 2012))
-    by_name = {v: k for k, v in names.items()}
+        header.remove(CANONICAL_FIELDS[int(rng.integers(len(CANONICAL_FIELDS)))])
 
     geos = rng.choice(np.arange(1, 30), size=int(rng.integers(1, 6)), replace=False).tolist()
     cells = [(g, y) for g in geos for y in range(2004, 2013)]
@@ -182,7 +168,7 @@ def random_csv(rng, path):
             "cases_10plus": c10, "cases_15plus": c15, "child_population": 3 * tests,
         }
         row = [
-            random_value(rng, clean[by_name[col]]) if col in by_name else "memo"
+            random_value(rng, clean[col]) if col in clean else "memo"
             for col in header
         ]
         roll = rng.random()
@@ -202,18 +188,17 @@ def random_csv(rng, path):
     if rng.random() < 0.2:
         text = "\ufeff" + text
     path.write_text(text, encoding="utf-8", newline="")
-    return schema
 
 
-def outcome(parse, path, schema, on_error):
+def outcome(parse, path):
     try:
-        return "ok", parse(path, schema, on_error)
-    except (MissingColumn, MalformedRow, DuplicateCell) as exc:
+        return "ok", parse(path)
+    except (MissingColumn, DuplicateCell) as exc:
         return "error", (type(exc), str(exc))
 
 
-def current(path, schema, on_error):
-    panel = parse_panel(path, schema, on_error)
+def current(path):
+    panel = parse_panel(path)
     return panel.records, panel.rejected, panel.gaps
 
 
@@ -224,10 +209,9 @@ class TestParserAgainstDictReader:
         rejected_rows = 0
         for case in range(400):
             path = tmp_path / f"panel_{case}.csv"
-            schema = random_csv(rng, path)
-            on_error = "raise" if case % 4 == 0 else "collect"
-            want = outcome(reference_parse, path, schema, on_error)
-            assert outcome(current, path, schema, on_error) == want, path.read_text()
+            random_csv(rng, path)
+            want = outcome(reference_parse, path)
+            assert outcome(current, path) == want, path.read_text()
             kinds[want[0]] += 1
             if want[0] == "ok":
                 rejected_rows += len(want[1][1])
@@ -249,9 +233,7 @@ class TestParserAgainstDictReader:
     def test_hand_written_edges(self, tmp_path, text):
         path = tmp_path / "edge.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        for on_error in ("collect", "raise"):
-            want = outcome(reference_parse, path, DEFAULT_SCHEMA, on_error)
-            assert outcome(current, path, DEFAULT_SCHEMA, on_error) == want
+        assert outcome(current, path) == outcome(reference_parse, path)
 
 
 class TestGapsFromView:
@@ -349,10 +331,10 @@ def wide_csv(rng, path):
 TOO_LARGE = "panel counts are too large to sum as 64-bit integers"
 
 
-def reference_outcome(path, schema, on_error):
+def reference_outcome(path):
     """The DictReader parser's outcome, with the int64 limit the panel's
     view sets on accepted counts."""
-    kind, value = outcome(reference_parse, path, schema, on_error)
+    kind, value = outcome(reference_parse, path)
     if kind == "ok":
         records = value[0]
         counts = [abs(v) for r in records for v in (r.tests, r.cases_5plus, r.child_population)]
@@ -361,9 +343,9 @@ def reference_outcome(path, schema, on_error):
     return kind, value
 
 
-def current_outcome(path, schema, on_error):
+def current_outcome(path):
     try:
-        return outcome(current, path, schema, on_error)
+        return outcome(current, path)
     except DataError as exc:
         return "error", (DataError, str(exc))
 
@@ -371,21 +353,19 @@ def current_outcome(path, schema, on_error):
 class TestColumnParser:
     def test_unusual_and_long_integers(self, tmp_path):
         rng = np.random.default_rng(20261019)
-        seen = dict.fromkeys(("ok", "malformed", "duplicate", "too_large", "long_geo", "rejected"), 0)
-        schema = PanelSchema(year_range=(2005, 2012))
+        seen = dict.fromkeys(("ok", "duplicate", "too_large", "long_geo", "rejected"), 0)
         for case in range(300):
             path = tmp_path / f"wide_{case}.csv"
             wide_csv(rng, path)
-            on_error = "raise" if case % 4 == 0 else "collect"
-            want = reference_outcome(path, schema, on_error)
-            assert current_outcome(path, schema, on_error) == want, path.read_text()
+            want = reference_outcome(path)
+            assert current_outcome(path) == want, path.read_text()
             kind, value = want
             if kind == "ok":
                 seen["ok"] += 1
                 seen["rejected"] += len(value[1])
                 seen["long_geo"] += sum(r.geo_id >= 2**63 for r in value[0])
             else:
-                seen[{MalformedRow: "malformed", DuplicateCell: "duplicate", DataError: "too_large"}[value[0]]] += 1
+                seen[{DuplicateCell: "duplicate", DataError: "too_large"}[value[0]]] += 1
         # every outcome is reached, and accepted panels hold geo ids past int64
         assert min(seen.values()) >= 10, seen
 
@@ -397,14 +377,8 @@ class TestColumnParser:
         rng = np.random.default_rng(20261020 + chunk_rows)
         for case in range(60):
             path = tmp_path / f"chunks_{case}.csv"
-            if case % 2:
-                wide_csv(rng, path)
-                schema = PanelSchema(year_range=(2005, 2012))
-            else:
-                schema = random_csv(rng, path)
-            on_error = "raise" if case % 3 == 0 else "collect"
-            want = reference_outcome(path, schema, on_error)
-            assert current_outcome(path, schema, on_error) == want, path.read_text()
+            (wide_csv if case % 2 else random_csv)(rng, path)
+            assert current_outcome(path) == reference_outcome(path), path.read_text()
 
     def test_unusual_integers_parse_as_int_reads_them(self, tmp_path):
         row = ["101", "A", "B", "2010", "12", "3", "2", "1", "40"]
@@ -428,35 +402,25 @@ class TestColumnParser:
         assert all(type(g.geo_id) is int for g in panel.gaps)
 
     @pytest.mark.parametrize(
-        "text, collected, raised",
+        "text, expected",
         [
             # a rejected copy does not take the cell, so the next copy is accepted
-            ("1,A,B,2010,x,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n", "ok", "row 1: tests is not an integer: 'x'"),
-            (
-                "1,A,B,2010,5,1,2,0,9\n1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n",
-                "duplicate",
-                "row 1: case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus "
-                "<= tests (got 0, 2, 1, 5)",
-            ),
-            # in row order: a duplicate before the first bad row raises first
-            ("1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n1,A\n", "duplicate", "duplicate"),
-            ("1,A,B,2010,5,1,0,0,9\n1,A\n1,A,B,2010,5,1,0,0,9\n", "duplicate", "row 2: borough is empty"),
-            ("1,A,B\n\n,,,,,,,,\n1,A,B,2010,5,1,0,0\n", "ok", "row 1: year is empty"),
+            ("1,A,B,2010,x,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n", "ok"),
+            ("1,A,B,2010,5,1,2,0,9\n1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n", "duplicate"),
+            ("1,A,B,2010,5,1,0,0,9\n1,A,B,2010,5,1,0,0,9\n1,A\n", "duplicate"),
+            ("1,A,B,2010,5,1,0,0,9\n1,A\n1,A,B,2010,5,1,0,0,9\n", "duplicate"),
+            ("1,A,B\n\n,,,,,,,,\n1,A,B,2010,5,1,0,0\n", "ok"),
         ],
     )
-    def test_short_rows_and_duplicates_after_rejected_copies(self, tmp_path, text, collected, raised):
+    def test_short_rows_and_duplicates_after_rejected_copies(self, tmp_path, text, expected):
         path = tmp_path / "copies.csv"
         path.write_text(",".join(CANONICAL_FIELDS) + "\n" + text, encoding="utf-8", newline="")
-        for on_error, expected in (("collect", collected), ("raise", raised)):
-            want = outcome(reference_parse, path, DEFAULT_SCHEMA, on_error)
-            got = outcome(current, path, DEFAULT_SCHEMA, on_error)
-            assert got == want
-            if expected == "ok":
-                assert got[0] == "ok"
-            elif expected == "duplicate":
-                assert got[1] == (DuplicateCell, "duplicate cell for geo 1, year 2010")
-            else:
-                assert got[1] == (MalformedRow, expected)
+        got = outcome(current, path)
+        assert got == outcome(reference_parse, path)
+        if expected == "ok":
+            assert got[0] == "ok"
+        else:
+            assert got[1] == (DuplicateCell, "duplicate cell for geo 1, year 2010")
 
 
 def reference_validate(panel, year_range=(2005, 2021)):
