@@ -48,9 +48,9 @@ def measure(argv: list[str]) -> dict:
     peaks["normalize"] = maxrss_mb()
     assignment = cli._cluster(config, norm)
     peaks["cluster"] = maxrss_mb()
-    plan, rates = cli._optimize(config, data)
+    plan = cli._optimize(config, data)
     peaks["optimize"] = maxrss_mb()
-    cli._evaluate(config, plan, rates, assignment)
+    cli._evaluate(config, plan, assignment)
     peaks["evaluate"] = maxrss_mb()
     return peaks
 

@@ -174,6 +174,10 @@ def _axis_size(lo: float, hi: float, step: float) -> int | float:
 
 @dataclass(frozen=True, eq=False)
 class AllocationPlan:
+    """One chosen allocation. The per-neighborhood arrays follow ``geo_ids``
+    and must each have one entry per neighborhood (ShareMismatch otherwise);
+    ``rates`` are the cases-per-test rates the plan was chosen on."""
+
     geo_ids: tuple[int, ...]
     p1: float
     p2: float
@@ -181,11 +185,18 @@ class AllocationPlan:
     v2_share: np.ndarray
     v1_tests: np.ndarray
     v2_tests: np.ndarray
+    rates: np.ndarray
     total_tests: int
     target_year: int
     projected_cases_v1: float
     projected_cases_v2: float
     delta_cases: float
+
+    def __post_init__(self):
+        for name in ("baseline_share", "v2_share", "v1_tests", "v2_tests", "rates"):
+            size, geos = len(getattr(self, name)), len(self.geo_ids)
+            if size != geos:
+                raise ShareMismatch(f"{name} has {size} entries for a plan of {geos} neighborhoods")
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,6 +427,7 @@ def build_plan(
         v2_share=candidate,
         v1_tests=v1_tests,
         v2_tests=v2_tests,
+        rates=rates,
         total_tests=total_tests,
         target_year=shares.target_year,
         projected_cases_v1=projected_v1,
@@ -590,14 +602,15 @@ def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["geo_id", "baseline_share", "v2_share", "v1_tests", "v2_tests", "pct_of_former"]
+            ["geo_id", "baseline_share", "v2_share", "v1_tests", "v2_tests", "pct_of_former", "case_rate"]
         )
         kept = pct_of_former(plan)
         for i, geo in enumerate(plan.geo_ids):
             v1, v2 = int(plan.v1_tests[i]), int(plan.v2_tests[i])
             pct = "" if kept[i] is None else repr(kept[i])
+            rate = repr(float(plan.rates[i]))
             writer.writerow(
-                [geo, repr(float(plan.baseline_share[i])), repr(float(plan.v2_share[i])), v1, v2, pct]
+                [geo, repr(float(plan.baseline_share[i])), repr(float(plan.v2_share[i])), v1, v2, pct, rate]
             )
     doc = {
         "p1": plan.p1,
@@ -616,7 +629,7 @@ def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path
 def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
     """Read back plan.csv and plan.json; an InputFileError for a number that
     is not finite or a column of counts that does not sum to total_tests."""
-    geo_ids, baseline, candidate, v1_tests, v2_tests = [], [], [], [], []
+    geo_ids, baseline, candidate, v1_tests, v2_tests, rates = [], [], [], [], [], []
     with reading(csv_path, table=True) as rows:
         for row in rows:
             geo_ids.append(int(row["geo_id"]))
@@ -624,6 +637,7 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
             candidate.append(float(row["v2_share"]))
             v1_tests.append(int(row["v1_tests"]))
             v2_tests.append(int(row["v2_tests"]))
+            rates.append(float(row["case_rate"]))
         v1_counts, v2_counts = (np.array(counts, dtype=np.int64) for counts in (v1_tests, v2_tests))
     with reading(json_path) as fh:
         doc = json.load(fh)
@@ -635,6 +649,7 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
             v2_share=np.array(candidate, dtype=float),
             v1_tests=v1_counts,
             v2_tests=v2_counts,
+            rates=np.array(rates, dtype=float),
             total_tests=integer(doc["total_tests"], "total_tests"),
             target_year=integer(doc["target_year"], "target_year"),
             projected_cases_v1=number(doc["projected_cases_v1"], "projected_cases_v1"),
@@ -642,7 +657,7 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
             delta_cases=number(doc["delta_cases"], "delta_cases"),
         )
     scalars = (plan.p1, plan.p2, plan.projected_cases_v1, plan.projected_cases_v2, plan.delta_cases)
-    if not all(map(math.isfinite, (*scalars, *baseline, *candidate))):
+    if not all(map(math.isfinite, (*scalars, *baseline, *candidate, *rates))):
         raise InputFileError(f"{csv_path} or {json_path} holds a number that is not finite")
     for name, counts in (("v1_tests", v1_tests), ("v2_tests", v2_tests)):
         if sum(counts) != plan.total_tests:

@@ -173,8 +173,8 @@ def _cluster(config: RunConfig, norm: normalize.NormalizedPanel) -> cluster.Clus
     return assignment
 
 
-def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
-    """Search the weights and write plan.* (and trace.csv); returns (plan, rates)."""
+def _optimize(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.AllocationPlan:
+    """Search the weights and write plan.* (and trace.csv); returns the plan."""
     with _stage("optimize", config):
         year = _target_year(config, data)
         shares = allocate.compute_shares(data, year, config.window)
@@ -204,12 +204,12 @@ def _optimize(config: RunConfig, data: panel.NeighborhoodPanel):
         else:
             # an earlier run's trace would contradict the new plan
             (out / "trace.csv").unlink(missing_ok=True)
-    return result.plan, rates
+    return result.plan
 
 
-def _evaluate(config: RunConfig, plan, rates, assignment) -> evaluate.EvaluationReport:
+def _evaluate(config: RunConfig, plan, assignment) -> dict:
     with _stage("evaluate", config):
-        report = evaluate.evaluate_plan(plan, rates, assignment)
+        report = evaluate.evaluate_plan(plan, assignment)
         out = _ensure_out(config)
         evaluate.write_report(report, out / "evaluation.json")
         (out / "evaluation.txt").write_text(evaluate.format_report(report), encoding="utf-8")
@@ -240,7 +240,7 @@ def cmd_cluster(config: RunConfig) -> None:
 
 
 def cmd_optimize(config: RunConfig) -> None:
-    plan, _ = _optimize(config, _load_panel(config))
+    plan = _optimize(config, _load_panel(config))
     print(
         f"best weights p1={plan.p1:g}, p2={plan.p2:g}: "
         f"projected case difference {plan.delta_cases:+.2f} at T={plan.total_tests}"
@@ -257,31 +257,25 @@ def cmd_evaluate(config: RunConfig) -> None:
                 f"a year of {config.input_path}; delete it to recompute"
             )
     if plan is None:
-        plan, rates = _optimize(config, data)
-    else:
-        with _stage("optimize", config):
-            rates = allocate.case_rates(data, plan.target_year, config.case_rate_window)
+        plan = _optimize(config, data)
     with _stage("cluster", config):
         assignment = _reused(config, data, cluster.read_assignment, "clusters.csv", "clusters.json")
     if assignment is None:
         assignment = _cluster(config, _normalized(config, data))
 
-    report = _evaluate(config, plan, rates, assignment)
-    if report.ztest is not None:
-        print(
-            f"case difference {report.plan.delta_cases:+.2f}; "
-            f"z={report.ztest.z:.4f}, p={report.ztest.p_value:.4g}"
-        )
+    ztest = _evaluate(config, plan, assignment)["ztest"]
+    if ztest is not None:
+        print(f"case difference {plan.delta_cases:+.2f}; z={ztest['z']:.4f}, p={ztest['p_value']:.4g}")
     else:
-        print(f"case difference {report.plan.delta_cases:+.2f}; z-test degenerate")
+        print(f"case difference {plan.delta_cases:+.2f}; z-test degenerate")
 
 
 def cmd_run(config: RunConfig) -> None:
     data = _load_panel(config)
     _validate(config, data)
     assignment = _cluster(config, _normalize(config, data))
-    plan, rates = _optimize(config, data)
-    _evaluate(config, plan, rates, assignment)
+    plan = _optimize(config, data)
+    _evaluate(config, plan, assignment)
     print(
         f"pipeline complete: p1={plan.p1:g}, p2={plan.p2:g}, "
         f"case difference {plan.delta_cases:+.2f}, artifacts in {config.output_dir}"

@@ -4,19 +4,18 @@ Answers three questions about a candidate plan against the baseline: is the
 projected change in detected cases statistically meaningful (pooled
 two-proportion z-test), where does the change land across risk profiles
 (per-cluster case deltas), and how much testing volume does each
-neighborhood keep (reallocation percentages).
+neighborhood keep (reallocation percentages). The answers form one
+document, the dict that evaluation.json holds and evaluation.txt renders.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .allocate import AllocationPlan, ShareMismatch, pct_of_former
+from .allocate import AllocationPlan, pct_of_former
 from .cluster import ClusterAssignment
 from .errors import DataError
 
@@ -73,11 +72,10 @@ def round_half_up(x: float) -> int:
 
 
 def cluster_case_deltas(
-    plan: AllocationPlan,
-    assignment: ClusterAssignment,
-    rates: np.ndarray,
+    plan: AllocationPlan, assignment: ClusterAssignment
 ) -> dict[str, tuple[float, float]]:
-    """Projected cases per cluster label under former and chosen shares.
+    """Projected cases per cluster label under former and chosen shares, at
+    the plan's own case rates.
 
     Each label maps to (cases under baseline shares, cases under candidate
     shares). Labels appear in the assignment's cluster order and every label
@@ -90,56 +88,27 @@ def cluster_case_deltas(
         label = assignment.labels.get(geo)
         if label is None:
             raise UnassignedGeo(f"geo {geo} has no cluster label")
-        before[label] += float(plan.total_tests * rates[i] * plan.baseline_share[i])
-        after[label] += float(plan.total_tests * rates[i] * plan.v2_share[i])
+        before[label] += float(plan.total_tests * plan.rates[i] * plan.baseline_share[i])
+        after[label] += float(plan.total_tests * plan.rates[i] * plan.v2_share[i])
     return {label: (before[label], after[label]) for label in before}
 
 
-def reallocation_percentages(plan: AllocationPlan) -> dict[int, float | None]:
-    """Candidate tests as a percentage of former tests, per neighborhood.
-
-    None marks neighborhoods with no former tests, where the ratio is
-    undefined.
-    """
-    return dict(zip(plan.geo_ids, pct_of_former(plan)))
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationReport:
-    plan: AllocationPlan
-    improvement_pct: float | None
-    cases_v1_rounded: int
-    cases_v2_rounded: int
-    ztest: ZTestResult | None
-    ztest_degenerate_reason: str | None
-    cluster_cases: dict[str, tuple[float, float]]
-    reallocation: dict[int, float | None]
-
-
-def evaluate_plan(
-    plan: AllocationPlan,
-    rates: np.ndarray,
-    assignment: ClusterAssignment,
-) -> EvaluationReport:
-    """Full statistical summary of a plan against its baseline.
+def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
+    """Full statistical summary of a plan against its baseline, as the
+    document that evaluation.json holds.
 
     The z-test compares detection rates at the shared test budget, using
     projected case counts rounded half-up to whole cases. A degenerate
     pooled rate (for example, zero projected cases under both plans) is
-    reported rather than raised.
+    reported rather than raised, with ``ztest`` None.
 
-    ``rates`` must hold one entry per plan neighborhood, in plan order
-    (ShareMismatch otherwise), and the assignment must label every plan
-    neighborhood (UnassignedGeo otherwise), so a plan read back from another
-    run's artifacts fails rather than being scored against the wrong
-    neighborhoods. A plan of no tests, or one whose projected case count
-    rounds to a value outside [0, total_tests], is a DataError: only a
-    hand-edited plan.json can hold either.
+    The assignment must label every plan neighborhood (UnassignedGeo
+    otherwise), so a plan read back from another run's artifacts fails
+    rather than being scored against the wrong neighborhoods. A plan of no
+    tests, or one whose projected case count rounds to a value outside
+    [0, total_tests], is a DataError: only a hand-edited plan.json can hold
+    either.
     """
-    if len(rates) != len(plan.geo_ids):
-        raise ShareMismatch(
-            f"{len(rates)} case rates for a plan of {len(plan.geo_ids)} neighborhoods"
-        )
     if plan.total_tests <= 0:
         raise DataError(f"a plan of {plan.total_tests} tests cannot be evaluated")
     cases_v1 = round_half_up(plan.projected_cases_v1)
@@ -150,42 +119,11 @@ def evaluate_plan(
                 f"{name} {getattr(plan, name)!r} rounds to {cases} cases, "
                 f"outside [0, {plan.total_tests}]"
             )
-    ztest: ZTestResult | None
-    reason: str | None
     try:
-        ztest = two_proportion_ztest(cases_v1, plan.total_tests, cases_v2, plan.total_tests)
+        ztest = asdict(two_proportion_ztest(cases_v1, plan.total_tests, cases_v2, plan.total_tests))
         reason = None
     except DegeneratePooled as exc:
-        ztest = None
-        reason = str(exc)
-    improvement = (
-        100.0 * plan.delta_cases / plan.projected_cases_v1
-        if plan.projected_cases_v1 > 0
-        else None
-    )
-    return EvaluationReport(
-        plan=plan,
-        improvement_pct=improvement,
-        cases_v1_rounded=cases_v1,
-        cases_v2_rounded=cases_v2,
-        ztest=ztest,
-        ztest_degenerate_reason=reason,
-        cluster_cases=cluster_case_deltas(plan, assignment, rates),
-        reallocation=reallocation_percentages(plan),
-    )
-
-
-def report_to_dict(report: EvaluationReport) -> dict:
-    ztest = None
-    if report.ztest is not None:
-        ztest = {
-            "z": report.ztest.z,
-            "p_value": report.ztest.p_value,
-            "rate1": report.ztest.rate1,
-            "rate2": report.ztest.rate2,
-            "pooled_rate": report.ztest.pooled_rate,
-        }
-    plan = report.plan
+        ztest, reason = None, str(exc)
     return {
         "target_year": plan.target_year,
         "total_tests": plan.total_tests,
@@ -194,51 +132,53 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "projected_cases_v1": plan.projected_cases_v1,
         "projected_cases_v2": plan.projected_cases_v2,
         "delta_cases": plan.delta_cases,
-        "improvement_pct": report.improvement_pct,
-        "cases_v1_rounded": report.cases_v1_rounded,
-        "cases_v2_rounded": report.cases_v2_rounded,
+        "improvement_pct": (
+            100.0 * plan.delta_cases / plan.projected_cases_v1 if plan.projected_cases_v1 > 0 else None
+        ),
+        "cases_v1_rounded": cases_v1,
+        "cases_v2_rounded": cases_v2,
         "ztest": ztest,
-        "ztest_degenerate_reason": report.ztest_degenerate_reason,
+        "ztest_degenerate_reason": reason,
         "cluster_cases": {
-            label: {"cases_v1": pair[0], "cases_v2": pair[1]}
-            for label, pair in report.cluster_cases.items()
+            label: {"cases_v1": before, "cases_v2": after}
+            for label, (before, after) in cluster_case_deltas(plan, assignment).items()
         },
-        "reallocation": {str(geo): pct for geo, pct in report.reallocation.items()},
+        "reallocation": {str(geo): pct for geo, pct in zip(plan.geo_ids, pct_of_former(plan))},
     }
 
 
-def write_report(report: EvaluationReport, json_path: str | Path) -> None:
+def write_report(report: dict, json_path: str | Path) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def format_report(report: EvaluationReport) -> str:
+def format_report(report: dict) -> str:
     """Plain-text rendering of the evaluation, one fact per line."""
-    plan = report.plan
+    v1, v2 = report["projected_cases_v1"], report["projected_cases_v2"]
     lines = [
-        f"Allocation evaluation, target year {plan.target_year}",
-        f"Total tests: {plan.total_tests}",
-        f"Chosen weights: p1={plan.p1:g}, p2={plan.p2:g}",
-        f"Projected cases, former shares: {plan.projected_cases_v1:.2f} (rounded {report.cases_v1_rounded})",
-        f"Projected cases, chosen shares: {plan.projected_cases_v2:.2f} (rounded {report.cases_v2_rounded})",
-        f"Projected case difference: {plan.delta_cases:+.2f}",
+        f"Allocation evaluation, target year {report['target_year']}",
+        f"Total tests: {report['total_tests']}",
+        f"Chosen weights: p1={report['p1']:g}, p2={report['p2']:g}",
+        f"Projected cases, former shares: {v1:.2f} (rounded {report['cases_v1_rounded']})",
+        f"Projected cases, chosen shares: {v2:.2f} (rounded {report['cases_v2_rounded']})",
+        f"Projected case difference: {report['delta_cases']:+.2f}",
     ]
-    if report.improvement_pct is not None:
-        lines.append(f"Detection improvement: {report.improvement_pct:+.1f}%")
+    if report["improvement_pct"] is not None:
+        lines.append(f"Detection improvement: {report['improvement_pct']:+.1f}%")
     else:
         lines.append("Detection improvement: n/a (no baseline cases)")
-    if report.ztest is not None:
-        lines.append(
-            f"Two-proportion z-test: z={report.ztest.z:.4f}, p={report.ztest.p_value:.4g}"
-        )
+    ztest = report["ztest"]
+    if ztest is not None:
+        lines.append(f"Two-proportion z-test: z={ztest['z']:.4f}, p={ztest['p_value']:.4g}")
     else:
-        lines.append(f"Two-proportion z-test: degenerate ({report.ztest_degenerate_reason})")
+        lines.append(f"Two-proportion z-test: degenerate ({report['ztest_degenerate_reason']})")
     lines.append("Projected cases by cluster (former -> chosen):")
-    for label, (before, after) in report.cluster_cases.items():
+    for label, cases in report["cluster_cases"].items():
+        before, after = cases["cases_v1"], cases["cases_v2"]
         lines.append(f"  {label}: {before:.2f} -> {after:.2f} ({after - before:+.2f})")
     lines.append("Tests kept, as a share of former tests:")
-    for geo, pct in report.reallocation.items():
+    for geo, pct in report["reallocation"].items():
         shown = f"{pct:.1f}%" if pct is not None else "n/a (no former tests)"
         lines.append(f"  {geo}: {shown}")
     return "\n".join(lines) + "\n"

@@ -31,15 +31,12 @@ from leadalloc.allocate import (
     compute_shares,
     finalize_tests,
     grid_search,
+    pct_of_former,
     v2_share,
 )
 from leadalloc.cli import main as cli_main
 from leadalloc.cluster import k_medoids
-from leadalloc.evaluate import (
-    normal_two_sided_p,
-    reallocation_percentages,
-    two_proportion_ztest,
-)
+from leadalloc.evaluate import normal_two_sided_p, two_proportion_ztest
 from leadalloc.normalize import (
     fit_share_regression,
     forecast_total_tests,
@@ -332,7 +329,8 @@ class TestCityReproduction:
         assert abs(fit.slope - 1.04) <= 0.05
 
     def test_lower_manhattan_keeps_quarter_of_tests(self, city):
-        pct = reallocation_percentages(city.result.plan)[310]
+        plan = city.result.plan
+        pct = dict(zip(plan.geo_ids, pct_of_former(plan)))[310]
         assert pct is not None
         assert abs(pct - 25.0) <= 10.0
 
@@ -374,7 +372,7 @@ FIXTURE_ARTIFACT_SHA256 = {
     "evaluation.json": "0502e1852959d093c32595fbfd7c3a87131b099bbe5296b2a08bda7079d426b7",
     "evaluation.txt": "60abaa3c56b0b3a06dda44401938712dbbff661051c4ef385c9ae7e245bfd7c2",
     "normalized.csv": "ba0f67d38e68fa853ff911d823cc42924a88dd4b26335566cf6984602c3472ca",
-    "plan.csv": "066fc69083181ad3fc81ab8d42e474f4eac24cb7c3aba8ba0d693a80c8a1a70d",
+    "plan.csv": "1a45ddbedebf72c6dac0c9dc29567d7e1c689dc4ff26236a0929b5412770b1ed",
     "plan.json": "10163fe1ca9e1c38898c6de66f63674463525e1e704fcf2197cc5e7b8dd56f56",
     "trace.csv": "0e7a1417a02cddb8f9ca7647a44303509c5adbbd3381144c562a539a35c49e19",
     "validation.json": "7a02f573705046a2b2056b789f6f624d7c5c0a3df46b83de6f96834691bc9249",
@@ -391,7 +389,7 @@ GAP_PANEL_ARTIFACT_SHA256 = {
     "evaluation.json": "fb0696fa96cf5351a3e34483dfd081e4ca41ea2ee7dd021577db54af2d64fca0",
     "evaluation.txt": "b140b2cbded2c160d8595176d4080f7ba45fccf5bf63c1d8411249f267d44048",
     "normalized.csv": "d05fe0ba9ce64e8a5cf1bf7a1f91401a25e384b26d8f3a624d44b7a168975619",
-    "plan.csv": "4e21b01fe910310924d5a3bb249abb2eee3c192ba511281b51b834af32f0103c",
+    "plan.csv": "30cade1420951042df12a7501dcef5dd6d45678980a198371b7b8fceb3f355b6",
     "plan.json": "5951c2aa8b9109c99ab2e082973b232aa2864cceed554b0001681954622dc7be",
     "trace.csv": "1693c3aa3714de2b93cd75fc7a427064671b88eb85337aeed39e17f8309fc0f2",
     "validation.json": "2c596ee0f47f0d8a3057809d89dab15e068a05272b255e3473830e646355eb57",

@@ -307,6 +307,7 @@ class TestCheckConstraints:
             v2_share=np.array(v2),
             v1_tests=np.array([50, 50], dtype=np.int64),
             v2_tests=np.array(v2_tests, dtype=np.int64),
+            rates=np.array([0.01, 0.02]),
             total_tests=total,
             target_year=2021,
             projected_cases_v1=0.0,
@@ -415,6 +416,7 @@ class TestCheckConstraints:
                 v2_share=candidate,
                 v1_tests=finalize_tests(baseline, total),
                 v2_tests=tests,
+                rates=rates,
                 total_tests=total,
                 target_year=2021,
                 projected_cases_v1=0.0,
@@ -582,6 +584,7 @@ class TestPlanRoundTrip:
         assert np.array_equal(again.v2_share, result.plan.v2_share)
         assert np.array_equal(again.v1_tests, result.plan.v1_tests)
         assert np.array_equal(again.v2_tests, result.plan.v2_tests)
+        assert np.array_equal(again.rates, result.plan.rates)
         assert again.delta_cases == result.plan.delta_cases
         assert again.p1 == result.plan.p1
 

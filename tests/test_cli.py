@@ -388,6 +388,23 @@ class TestPartialReruns:
         assert doc["delta_cases"] == 0.0
         assert (out / "plan.json").read_bytes() == plan_bytes
 
+    def test_reused_plan_is_evaluated_on_its_own_rates(self, fixture_path, tmp_path):
+        """A plan chosen on one-year case rates, evaluated again without that
+        setting: the cluster totals must still add up to the plan's own
+        projected cases."""
+        out = tmp_path / "artifacts"
+        cfg = tmp_path / "rates1.json"
+        cfg.write_text(json.dumps({"rate_window": 1}))
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv, "--config", str(cfg)) == 0
+        for name in ("evaluation.json", "evaluation.txt"):
+            (out / name).unlink()
+        assert run_cli("evaluate", *argv) == 0
+        doc = read_json(out / "evaluation.json")
+        for key in ("cases_v1", "cases_v2"):
+            total = sum(cases[key] for cases in doc["cluster_cases"].values())
+            assert total == pytest.approx(doc[f"projected_{key}"], abs=1e-6), key
+
     def test_recluster_keeps_a_year_with_no_defined_cell(self, fixture_path, tmp_path):
         def untested_2016(row):
             if row["year"] == "2016":
@@ -565,7 +582,8 @@ class TestReusedArtifacts:
         [(name, "directory") for name in REUSED]
         + [(name, "long_field") for name in REUSED if name.endswith(".csv")]
         + [(name, "not_utf8") for name in REUSED]
-        + [(name, "no_geo_id_column") for name in REUSED if name.endswith(".csv")],
+        + [(name, "no_geo_id_column") for name in REUSED if name.endswith(".csv")]
+        + [("plan.csv", "no_case_rate_column")],
     )
     def test_file_that_cannot_be_read(self, fixture_path, tmp_path, capsys, name, damage):
         out = tmp_path / "artifacts"
@@ -582,9 +600,12 @@ class TestReusedArtifacts:
             with open(path, "ab") as fh:
                 fh.write(b"\xe9\n")
             said = ["is not UTF-8 text (byte 0xe9)"]
-        else:
+        elif damage == "no_geo_id_column":
             path.write_text(path.read_text().replace("geo_id", "geo", 1))
             said = ["has no column 'geo_id'"]
+        else:  # a plan.csv written before the plan carried its case rates
+            path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
+            said = ["has no column 'case_rate'"]
         capsys.readouterr()
         command, stage = self.REUSED[name]
         rc = run_cli(command, "--input", str(fixture_path), "--out", str(out))
@@ -691,6 +712,13 @@ class TestReusedArtifacts:
             capsys.readouterr()
             rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
             self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+        (out / "plan.json").write_text(json.dumps(written))
+        lines = (out / "plan.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        (out / "plan.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "evaluate", str(out / "plan.csv"), "delete it to recompute")
 
     def test_clusters_total_cost_not_finite(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -1,5 +1,5 @@
 """Evaluation tests: the pooled z-test, cluster summaries, reallocation
-percentages, and report serialization.
+percentages, and the evaluation document and its renderings.
 
 Frozen statistical values were computed from the closed-form pooled
 two-proportion formula with 40-digit arithmetic and rounded to float:
@@ -9,6 +9,7 @@ two-proportion formula with 40-digit arithmetic and rounded to float:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ from leadalloc.evaluate import (
     evaluate_plan,
     format_report,
     normal_two_sided_p,
-    reallocation_percentages,
-    report_to_dict,
     round_half_up,
     two_proportion_ztest,
     write_report,
@@ -41,6 +40,7 @@ def make_plan(
     total=100,
     cases_v1=10.0,
     cases_v2=12.0,
+    rates=(0.5, 0.25),
 ) -> AllocationPlan:
     return AllocationPlan(
         geo_ids=(1, 2),
@@ -50,6 +50,7 @@ def make_plan(
         v2_share=np.array(v2),
         v1_tests=np.array(v1_tests, dtype=np.int64),
         v2_tests=np.array(v2_tests, dtype=np.int64),
+        rates=np.array(rates),
         total_tests=total,
         target_year=2021,
         projected_cases_v1=cases_v1,
@@ -154,36 +155,35 @@ class TestRounding:
 
 class TestClusterCases:
     def test_hand_totals(self):
-        plan = make_plan()
+        plan = make_plan(rates=(0.5, 0.25))
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        rates = np.array([0.5, 0.25])
-        out = cluster_case_deltas(plan, assignment, rates)
+        out = cluster_case_deltas(plan, assignment)
         assert out == {"a": (25.0, 12.5), "b": (12.5, 18.75)}
 
     def test_labels_aggregate(self):
         plan = make_plan()
         assignment = make_assignment({1: "a", 2: "a"}, {"a": 1})
-        out = cluster_case_deltas(plan, assignment, np.array([0.5, 0.25]))
+        out = cluster_case_deltas(plan, assignment)
         assert out == {"a": (37.5, 31.25)}
 
     def test_every_label_present(self):
         plan = make_plan()
         assignment = make_assignment({1: "a", 2: "a"}, {"a": 1, "empty": 2})
-        out = cluster_case_deltas(plan, assignment, np.array([0.5, 0.25]))
+        out = cluster_case_deltas(plan, assignment)
         assert out["empty"] == (0.0, 0.0)
 
     def test_unassigned_geo(self):
         plan = make_plan()
         assignment = make_assignment({1: "a"}, {"a": 1})
         with pytest.raises(UnassignedGeo):
-            cluster_case_deltas(plan, assignment, np.array([0.5, 0.25]))
+            cluster_case_deltas(plan, assignment)
 
     def test_cluster_sums_match_plan_totals(self, fixture_panel):
         shares = allocate.compute_shares(fixture_panel, 2021, 3)
         rates = allocate.case_rates(fixture_panel, 2021, 3)
         plan = allocate.build_plan(shares, rates, 12480, 0.5, 2.0)
         assignment = cluster_neighborhoods(normalize.normalize_panel(fixture_panel), 5)
-        out = cluster_case_deltas(plan, assignment, rates)
+        out = cluster_case_deltas(plan, assignment)
         total_before = sum(pair[0] for pair in out.values())
         total_after = sum(pair[1] for pair in out.values())
         assert total_before == pytest.approx(plan.projected_cases_v1, abs=1e-6)
@@ -192,46 +192,52 @@ class TestClusterCases:
 
 class TestReallocation:
     def test_hand_percentages(self):
-        out = reallocation_percentages(make_plan())
-        assert out == {1: 50.0, 2: 150.0}
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        out = evaluate_plan(make_plan(), assignment)["reallocation"]
+        assert out == {"1": 50.0, "2": 150.0}
 
     def test_zero_former_tests_is_none(self):
         plan = make_plan(v1_tests=(0, 100), v2_tests=(25, 75))
-        out = reallocation_percentages(plan)
-        assert out[1] is None
-        assert out[2] == 75.0
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        out = evaluate_plan(plan, assignment)["reallocation"]
+        assert out["1"] is None
+        assert out["2"] == 75.0
 
 
 class TestEvaluatePlan:
     def test_full_report(self):
         plan = make_plan(cases_v1=10.2, cases_v2=14.5, total=1000)
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
-        assert report.cases_v1_rounded == 10
-        assert report.cases_v2_rounded == 15
-        assert report.improvement_pct == pytest.approx(100.0 * 4.3 / 10.2)
-        assert report.ztest is not None
-        assert report.ztest_degenerate_reason is None
-        assert report.cluster_cases == {"a": (250.0, 125.0), "b": (125.0, 187.5)}
-        assert report.reallocation == {1: 50.0, 2: 150.0}
+        report = evaluate_plan(plan, assignment)
+        assert report["cases_v1_rounded"] == 10
+        assert report["cases_v2_rounded"] == 15
+        assert report["improvement_pct"] == pytest.approx(100.0 * 4.3 / 10.2)
+        assert report["ztest"] is not None
+        assert report["ztest_degenerate_reason"] is None
+        assert report["cluster_cases"] == {
+            "a": {"cases_v1": 250.0, "cases_v2": 125.0},
+            "b": {"cases_v1": 125.0, "cases_v2": 187.5},
+        }
+        assert report["reallocation"] == {"1": 50.0, "2": 150.0}
 
     def test_degenerate_reported_not_raised(self):
-        plan = make_plan(cases_v1=0.0, cases_v2=0.0)
+        plan = make_plan(cases_v1=0.0, cases_v2=0.0, rates=(0.0, 0.0))
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(plan, np.array([0.0, 0.0]), assignment)
-        assert report.ztest is None
-        assert "variance" in report.ztest_degenerate_reason
-        assert report.cluster_cases == {"a": (0.0, 0.0), "b": (0.0, 0.0)}
-        assert report.improvement_pct is None
+        report = evaluate_plan(plan, assignment)
+        assert report["ztest"] is None
+        assert "variance" in report["ztest_degenerate_reason"]
+        zero = {"cases_v1": 0.0, "cases_v2": 0.0}
+        assert report["cluster_cases"] == {"a": zero, "b": zero}
+        assert report["improvement_pct"] is None
 
     def test_report_dict_round_trips_json(self, tmp_path):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
+        report = evaluate_plan(plan, assignment)
         path = tmp_path / "evaluation.json"
         write_report(report, path)
         doc = json.loads(path.read_text())
-        assert doc == report_to_dict(report)
+        assert doc == report
         assert doc["improvement_pct"] == 40.0
         assert doc["reallocation"] == {"1": 50.0, "2": 150.0}
         assert doc["cluster_cases"]["a"] == {"cases_v1": 250.0, "cases_v2": 125.0}
@@ -239,7 +245,7 @@ class TestEvaluatePlan:
     def test_text_rendering(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
+        report = evaluate_plan(plan, assignment)
         text = format_report(report)
         assert "target year 2021" in text
         assert "z-test" in text
@@ -248,24 +254,26 @@ class TestEvaluatePlan:
 
     def test_text_rendering_degenerate(self):
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(make_plan(cases_v1=0.0, cases_v2=0.0), np.array([0.0, 0.0]), assignment)
+        report = evaluate_plan(make_plan(cases_v1=0.0, cases_v2=0.0, rates=(0.0, 0.0)), assignment)
         assert "degenerate" in format_report(report)
 
     def test_misaligned_rates_rejected(self):
+        """The plan refuses rates, and any other per-neighborhood array, of
+        another length than its neighborhoods."""
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
-        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        for rates in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
-            with pytest.raises(ShareMismatch):
-                evaluate_plan(plan, rates, assignment)
+        for name in ("rates", "baseline_share", "v2_share", "v1_tests", "v2_tests"):
+            for values in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
+                with pytest.raises(ShareMismatch, match=f"{name} has {values.size} entries for a plan of 2"):
+                    replace(plan, **{name: values})
 
     def test_unlabeled_plan_geo_rejected(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
         assignment = make_assignment({1: "a"}, {"a": 1})
         with pytest.raises(UnassignedGeo):
-            evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
+            evaluate_plan(plan, assignment)
 
     def test_undefined_reallocation_rendered(self):
         plan = make_plan(v1_tests=(0, 100), cases_v1=5.0, cases_v2=6.0, total=1000)
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
-        report = evaluate_plan(plan, np.array([0.5, 0.25]), assignment)
+        report = evaluate_plan(plan, assignment)
         assert "n/a" in format_report(report)
