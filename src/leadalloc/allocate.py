@@ -71,26 +71,6 @@ _VERDICTS = (
 )
 
 
-class ZeroCityTests(DataError):
-    pass
-
-
-class ZeroCityCases(DataError):
-    pass
-
-
-class InfeasibleWeights(InfeasibleError):
-    pass
-
-
-class ShareMismatch(DataError):
-    pass
-
-
-class NoFeasiblePoint(InfeasibleError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class ShareVectors:
     """Baseline testing shares and trailing-window case shares, aligned.
@@ -175,7 +155,7 @@ def _axis_size(lo: float, hi: float, step: float) -> int | float:
 @dataclass(frozen=True, eq=False)
 class AllocationPlan:
     """One chosen allocation. The per-neighborhood arrays follow ``geo_ids``
-    and must each have one entry per neighborhood (ShareMismatch otherwise);
+    and must each have one entry per neighborhood (DataError otherwise);
     ``rates`` are the cases-per-test rates the plan was chosen on."""
 
     geo_ids: tuple[int, ...]
@@ -196,7 +176,7 @@ class AllocationPlan:
         for name in ("baseline_share", "v2_share", "v1_tests", "v2_tests", "rates"):
             size, geos = len(getattr(self, name)), len(self.geo_ids)
             if size != geos:
-                raise ShareMismatch(f"{name} has {size} entries for a plan of {geos} neighborhoods")
+                raise DataError(f"{name} has {size} entries for a plan of {geos} neighborhoods")
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,11 +207,11 @@ def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEF
     cases = view.cases_5plus[:, columns].sum(axis=1).astype(float)
     total_tests = float(np.sum(tests))
     if total_tests <= 0:
-        raise ZeroCityTests(f"no tests recorded citywide in {target_year}")
+        raise DataError(f"no tests recorded citywide in {target_year}")
     total_cases = float(np.sum(cases))
     window_years = panel.years[columns]
     if total_cases <= 0:
-        raise ZeroCityCases(f"no cases recorded citywide over {list(window_years)}")
+        raise DataError(f"no cases recorded citywide over {list(window_years)}")
     return ShareVectors(
         geo_ids=panel.geo_ids,
         x=tests / total_tests,
@@ -284,7 +264,7 @@ def v2_share(shares: ShareVectors, p1: float, p2: float) -> np.ndarray:
         shares.x, shares.y, np.array([p1], dtype=float), np.array([p2], dtype=float)
     )
     if code[0] != _FEASIBLE:
-        raise InfeasibleWeights(_REASONS[code[0]].format(p1=p1, p2=p2))
+        raise InfeasibleError(_REASONS[code[0]].format(p1=p1, p2=p2))
     return share[0]
 
 
@@ -313,12 +293,12 @@ def case_difference(total_tests: float, rates, rho1, rho2) -> float:
     rho1 = np.asarray(rho1, dtype=float)
     rho2 = np.asarray(rho2, dtype=float)
     if not (rates.shape == rho1.shape == rho2.shape):
-        raise ShareMismatch(
+        raise DataError(
             f"misaligned vectors: rates {rates.shape}, rho1 {rho1.shape}, rho2 {rho2.shape}"
         )
     for name, rho in (("rho1", rho1), ("rho2", rho2)):
         if abs(float(np.sum(rho)) - 1.0) > 1e-6:
-            raise ShareMismatch(f"{name} does not sum to 1")
+            raise DataError(f"{name} does not sum to 1")
     return float(total_tests * np.sum(rates * (rho2 - rho1)))
 
 
@@ -388,7 +368,7 @@ def check_constraints(
     at the child population are both feasible.
     """
     if plan.geo_ids != panel.geo_ids:
-        raise ShareMismatch("the plan covers other neighborhoods than the panel")
+        raise DataError("the plan covers other neighborhoods than the panel")
     pop = population_vector(panel, plan.target_year)
     floor = config.floor_fraction * plan.baseline_share
     out: list[ConstraintViolation] = []
@@ -471,7 +451,7 @@ def grid_search(
     if not np.all(np.isfinite(rates)):
         raise DataError("case rates hold a non-finite value")
     if shares.geo_ids != panel.geo_ids:
-        raise ShareMismatch("the share vectors cover other neighborhoods than the panel")
+        raise DataError("the share vectors cover other neighborhoods than the panel")
     for name, share in (("x", shares.x), ("y", shares.y)):
         if not np.all(np.isfinite(share) & (share >= 0.0)):
             raise DataError(f"share vector {name} holds a negative or non-finite value")
@@ -501,7 +481,7 @@ def grid_search(
     if not feasible.size:
         counts = np.bincount(code.ravel(), minlength=len(_VERDICTS)).tolist()
         rejected = ", ".join(f"{n} {name}" for name, n in zip(_VERDICTS, counts) if n)
-        raise NoFeasiblePoint(f"no feasible (p1, p2) on the {len(p1_values)}x{n2} lattice: {rejected}")
+        raise InfeasibleError(f"no feasible (p1, p2) on the {len(p1_values)}x{n2} lattice: {rejected}")
     # argmax keeps the first of equal deltas, the smallest (p1, p2)
     best = int(feasible[np.argmax(delta.flat[feasible])])
     plan = build_plan(shares, rates, total_tests, p1_values[best // n2], p2_values[best % n2])
@@ -560,7 +540,7 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     rows = np.flatnonzero(code == _FEASIBLE)
     share = share[rows]
     if np.any(np.abs(np.sum(share, axis=1) - 1.0) > 1e-6):
-        raise ShareMismatch("rho2 does not sum to 1")
+        raise DataError("rho2 does not sum to 1")
     delta = np.zeros(code.size)
     delta[rows] = total_tests * np.sum(rates * (share - shares.x), axis=1)
     floored = np.any(share < floor, axis=1)
@@ -628,7 +608,9 @@ def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path
 
 def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
     """Read back plan.csv and plan.json; an InputFileError for a number that
-    is not finite or a column of counts that does not sum to total_tests."""
+    is not finite, a column of counts that does not sum to total_tests, a
+    negative case rate, or case rates that do not project the baseline's
+    projected_cases_v1."""
     geo_ids, baseline, candidate, v1_tests, v2_tests, rates = [], [], [], [], [], []
     with reading(csv_path, table=True) as rows:
         for row in rows:
@@ -665,6 +647,14 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
                 f"{csv_path} and {json_path} disagree: sum({name}) = {sum(counts)}, "
                 f"not the {plan.total_tests} tests"
             )
+    if min(rates, default=0.0) < 0.0:
+        raise InputFileError(f"{csv_path} holds a negative case_rate")
+    projected = float(plan.total_tests * np.sum(plan.rates * plan.baseline_share))
+    if not math.isclose(projected, plan.projected_cases_v1, rel_tol=1e-9):
+        raise InputFileError(
+            f"{csv_path} and {json_path} disagree: the case rates project {projected!r} "
+            f"baseline cases, not projected_cases_v1 = {plan.projected_cases_v1!r}"
+        )
     return plan
 
 

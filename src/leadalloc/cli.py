@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import allocate, cluster, evaluate, normalize, panel
-from .errors import ConfigError, DataError, InfeasibleError, InputFileError, LeadAllocError, reading
+from .errors import ConfigError, DataError, InputFileError, LeadAllocError, reading
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,6 @@ def _stage(name: str, config: RunConfig):
     except LeadAllocError as exc:
         exc.stage = name
         raise
-
-
-def _exit_code(error: LeadAllocError) -> int:
-    if isinstance(error, ConfigError):
-        return 2
-    if isinstance(error, InfeasibleError):
-        return 3
-    return 1
 
 
 def _ensure_out(config: RunConfig) -> Path:
@@ -459,9 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(args)
         COMMANDS[args.command][0](config)
     except LeadAllocError as exc:
-        # an error raised outside every stage is one in the settings
-        print(f"error at stage {getattr(exc, 'stage', 'config')}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        print(f"error at stage {exc.stage}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

@@ -27,22 +27,6 @@ from .normalize import NormalizedPanel
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
 
 
-class LengthMismatch(DataError):
-    pass
-
-
-class KTooLarge(DataError):
-    pass
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class InsufficientNeighborhoods(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: dict[int, str]  # geo_id -> cluster label
@@ -201,14 +185,14 @@ def k_medoids(
     geo_ids = list(geo_ids)
     n = len(geo_ids)
     if n == 0:
-        raise EmptyInput("no series to cluster")
+        raise DataError("no series to cluster")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > n:
-        raise KTooLarge(f"k={k} exceeds the {n} series available")
+        raise DataError(f"k={k} exceeds the {n} series available")
     values = np.asarray(series, dtype=float)
     if values.ndim != 2 or len(values) != n:
-        raise LengthMismatch(f"{n} geo ids for series of shape {values.shape}")
+        raise DataError(f"{n} geo ids for series of shape {values.shape}")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         geo = geo_ids[np.flatnonzero(~finite)[0]]
@@ -276,9 +260,7 @@ def _profile_seeds(values: np.ndarray, geo_ids) -> list[int]:
     neighborhood; all ties break toward the smaller geo_id.
     """
     if len(values) < 5:
-        raise InsufficientNeighborhoods(
-            f"need at least 5 neighborhoods to seed profiles, have {len(values)}"
-        )
+        raise DataError(f"need at least 5 neighborhoods to seed profiles, have {len(values)}")
     means = np.mean(values, axis=1)
     flat_dist = np.sqrt(np.sum((values - 1.0) ** 2, axis=1))
     # least-squares slope of each row on the year positions; 0 for one year

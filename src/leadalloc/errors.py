@@ -3,7 +3,7 @@ input file and on wording a failure to read it.
 
 Three base classes partition failures by who has to fix them: bad input
 data, bad configuration, or an optimization with no feasible answer.
-The CLI maps these onto distinct exit codes.
+Each carries the exit code the CLI returns for it.
 """
 
 import csv
@@ -15,6 +15,10 @@ from pathlib import Path
 class LeadAllocError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+    # the stage the CLI names; an error raised outside every stage is one in the settings
+    stage = "config"
+
 
 class DataError(LeadAllocError):
     """The input data violates a contract (parse failures, bad cells)."""
@@ -23,9 +27,13 @@ class DataError(LeadAllocError):
 class ConfigError(LeadAllocError):
     """The requested configuration cannot be applied to the given data."""
 
+    exit_code = 2
+
 
 class InfeasibleError(LeadAllocError):
     """No candidate satisfies the stated constraints."""
+
+    exit_code = 3
 
 
 class InputFileError(DataError, ValueError):

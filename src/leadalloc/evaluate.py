@@ -24,10 +24,6 @@ class DegeneratePooled(DataError):
     """Pooled success rate is 0 or 1, so the z statistic is undefined."""
 
 
-class UnassignedGeo(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class ZTestResult:
     z: float
@@ -80,14 +76,14 @@ def cluster_case_deltas(
     Each label maps to (cases under baseline shares, cases under candidate
     shares). Labels appear in the assignment's cluster order and every label
     is present even when its totals are zero. A plan neighborhood missing
-    from the assignment raises UnassignedGeo.
+    from the assignment raises DataError.
     """
     before = {label: 0.0 for label in assignment.medoids}
     after = {label: 0.0 for label in assignment.medoids}
     for i, geo in enumerate(plan.geo_ids):
         label = assignment.labels.get(geo)
         if label is None:
-            raise UnassignedGeo(f"geo {geo} has no cluster label")
+            raise DataError(f"geo {geo} has no cluster label")
         before[label] += float(plan.total_tests * plan.rates[i] * plan.baseline_share[i])
         after[label] += float(plan.total_tests * plan.rates[i] * plan.v2_share[i])
     return {label: (before[label], after[label]) for label in before}
@@ -102,7 +98,7 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
     pooled rate (for example, zero projected cases under both plans) is
     reported rather than raised, with ``ztest`` None.
 
-    The assignment must label every plan neighborhood (UnassignedGeo
+    The assignment must label every plan neighborhood (DataError
     otherwise), so a plan read back from another run's artifacts fails
     rather than being scored against the wrong neighborhoods. A plan of no
     tests, or one whose projected case count rounds to a value outside

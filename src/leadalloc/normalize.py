@@ -24,22 +24,12 @@ import numpy as np
 from .errors import ConfigError, DataError, InputFileError, reading
 from .panel import NeighborhoodPanel
 
-MEAN_TOLERANCE = 1e-9
-
 
 class ZeroMean(DataError):
     def __init__(self, year: int | None = None):
         where = f" in year {year}" if year is not None else ""
         super().__init__(f"all rates are zero{where}; mean normalization undefined")
         self.year = year
-
-
-class DegenerateInput(DataError):
-    pass
-
-
-class InsufficientData(ConfigError):
-    pass
 
 
 class NormalizedPanel:
@@ -122,7 +112,7 @@ def ols_line(x, y) -> tuple[float, float]:
     y_mean = float(np.mean(y))
     sxx = float(np.sum((x - x_mean) ** 2))
     if sxx == 0.0:
-        raise DegenerateInput("x has zero variance; line is vertical")
+        raise DataError("x has zero variance; line is vertical")
     sxy = float(np.sum((x - x_mean) * (y - y_mean)))
     slope = sxy / sxx
     return slope, y_mean - slope * x_mean
@@ -140,7 +130,7 @@ def fit_share_regression(x, y) -> RegressionFit:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d vectors of equal length")
     if x.size < 2:
-        raise InsufficientData("need at least 2 points to fit a line")
+        raise ConfigError("need at least 2 points to fit a line")
     for name, vec in (("x", x), ("y", y)):
         if abs(float(np.sum(vec)) - 1.0) > 1e-6:
             raise ValueError(f"{name} is not a share vector (sum != 1)")
@@ -166,10 +156,10 @@ def forecast_total_tests(yearly_totals, window: int | None = None) -> int:
     totals = list(yearly_totals)
     if window is not None:
         if window < 2:
-            raise InsufficientData("forecast window must cover at least 2 years")
+            raise ConfigError("forecast window must cover at least 2 years")
         totals = totals[-window:]
     if len(totals) < 2:
-        raise InsufficientData("need at least 2 yearly totals to forecast")
+        raise ConfigError("need at least 2 yearly totals to forecast")
     idx = np.arange(len(totals), dtype=float)
     slope, intercept = ols_line(idx, totals)
     projected = intercept + slope * len(totals)

@@ -25,7 +25,6 @@ from panel_helpers import GAPS_CSV, SHUFFLED_CSV, make_record
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
-    NoFeasiblePoint,
     build_plan,
     case_rates,
     compute_shares,
@@ -36,6 +35,7 @@ from leadalloc.allocate import (
 )
 from leadalloc.cli import main as cli_main
 from leadalloc.cluster import k_medoids
+from leadalloc.errors import InfeasibleError
 from leadalloc.evaluate import normal_two_sided_p, two_proportion_ztest
 from leadalloc.normalize import (
     fit_share_regression,
@@ -238,7 +238,7 @@ class TestOptimizerOracle:
             )
             shares = compute_shares(data, 2021, 2)
             if expected is None:
-                with pytest.raises(NoFeasiblePoint):
+                with pytest.raises(InfeasibleError, match=r"no feasible \(p1, p2\) on the "):
                     grid_search(data, shares, raw.total_tests, grid, constraints)
                 continue
             feasible_instances += 1

@@ -18,8 +18,6 @@ from leadalloc import allocate
 from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
-    InfeasibleWeights,
-    NoFeasiblePoint,
     ShareVectors,
     _apportion,
     _BLOCK_ELEMENTS,
@@ -29,7 +27,7 @@ from leadalloc.allocate import (
     grid_search,
     population_vector,
 )
-from leadalloc.errors import DataError
+from leadalloc.errors import DataError, InfeasibleError
 from leadalloc.panel import NeighborhoodPanel
 
 TARGET_YEAR = 2021
@@ -42,10 +40,10 @@ def reference_v2_share(x, y, p1, p2):
         return y.copy()
     s = x * p1 + y * p2
     if bool(np.any(s < 0.0)):
-        raise InfeasibleWeights(f"negative share score at (p1={p1}, p2={p2})")
+        raise InfeasibleError(f"negative share score at (p1={p1}, p2={p2})")
     total = float(np.sum(s))
     if total <= 0.0:
-        raise InfeasibleWeights(f"non-positive score total at (p1={p1}, p2={p2})")
+        raise InfeasibleError(f"non-positive score total at (p1={p1}, p2={p2})")
     return s / total
 
 
@@ -82,7 +80,7 @@ def reference_search(x, y, rates, total_tests, p1_values, p2_values, floor, popu
         for p2 in p2_values:
             try:
                 candidate = reference_v2_share(x, y, p1, p2)
-            except InfeasibleWeights as exc:
+            except InfeasibleError as exc:
                 trace.append((p1, p2, None, False, str(exc)))
                 continue
             delta = case_difference(total_tests, rates, x, candidate)
@@ -163,7 +161,7 @@ def compare(panel, shares, rates, total, config, grid, seen):
         floor, population, config, seen,
     )
     if best is None:
-        with pytest.raises(NoFeasiblePoint):
+        with pytest.raises(InfeasibleError, match=r"no feasible \(p1, p2\) on the "):
             grid_search(panel, shares, total, grid, config, rates=rates)
         seen["no_feasible"] += 1
     else:
@@ -337,7 +335,7 @@ class TestNegativeScoreStaircase:
             try:
                 grid_search(panel, shares, total, grid, config, rates=rates)
                 plan_rows = 1  # build_plan scores the winner once more
-            except NoFeasiblePoint:
+            except InfeasibleError:
                 plan_rows = 0
             n1, n2 = len(grid.p1_values()), len(grid.p2_values())
             negative = negative_score_points(shares, grid)

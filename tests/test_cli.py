@@ -739,6 +739,27 @@ class TestReusedArtifacts:
         self.assert_data_error(rc, capsys, "evaluate", "0 tests")
 
     @pytest.mark.parametrize(
+        "rate, said",
+        [("-1.5", "holds a negative case_rate"), ("0.5", "not projected_cases_v1 = ")],
+        ids=["negative", "off_the_projection"],
+    )
+    def test_edited_case_rate(self, fixture_path, tmp_path, capsys, rate, said):
+        """An edited case rate would rescore every cluster while plan.json still
+        reported the plan's own projected cases."""
+        out = tmp_path / "artifacts"
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv) == 0
+        lines = (out / "plan.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + rate
+        (out / "plan.csv").write_text("\n".join(lines) + "\n")
+        for name in ("evaluation.json", "evaluation.txt"):
+            (out / name).unlink()
+        capsys.readouterr()
+        rc = run_cli("evaluate", *argv)
+        self.assert_data_error(rc, capsys, "evaluate", str(out / "plan.csv"), said, "delete it to recompute")
+        assert not (out / "evaluation.json").exists()
+
+    @pytest.mark.parametrize(
         "projected", [lambda total: -5.0, lambda total: total + 1.0], ids=["below_0", "above_T"]
     )
     def test_projected_cases_outside_the_budget(self, fixture_path, tmp_path, capsys, projected):

@@ -18,9 +18,6 @@ from leadalloc import cluster
 from leadalloc.cluster import (
     RISK_LABELS,
     ClusterAssignment,
-    EmptyInput,
-    KTooLarge,
-    LengthMismatch,
     _distances,
     _medoid,
     _profile_seeds,
@@ -185,9 +182,9 @@ class TestKMedoids:
         assert assignment.cost_history[-1] == assignment.total_cost
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match=r"3 geo ids for series of shape \(2, 4\)"):
             k_medoids(np.ones((2, 4)), [1, 2, 3], 1)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match=r"3 geo ids for series of shape \(3,\)"):
             k_medoids(np.ones(3), [1, 2, 3], 1)
 
     def test_input_order_invariance(self):
@@ -208,11 +205,11 @@ class TestKMedoids:
         assert assignment.total_cost == 0.0
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(DataError, match="k=7 exceeds the 6 series available"):
             k_medoids(*line_instance(), 7)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no series to cluster"):
             k_medoids(np.empty((0, 1)), [], 2)
 
     def test_bad_k(self):

@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadalloc import allocate, normalize
-from leadalloc.allocate import AllocationPlan, ShareMismatch
+from leadalloc.allocate import AllocationPlan
 from leadalloc.cluster import ClusterAssignment, cluster_neighborhoods
+from leadalloc.errors import DataError
 from leadalloc.evaluate import (
     DegeneratePooled,
-    UnassignedGeo,
     cluster_case_deltas,
     evaluate_plan,
     format_report,
@@ -175,7 +175,7 @@ class TestClusterCases:
     def test_unassigned_geo(self):
         plan = make_plan()
         assignment = make_assignment({1: "a"}, {"a": 1})
-        with pytest.raises(UnassignedGeo):
+        with pytest.raises(DataError, match="geo 2 has no cluster label"):
             cluster_case_deltas(plan, assignment)
 
     def test_cluster_sums_match_plan_totals(self, fixture_panel):
@@ -263,13 +263,13 @@ class TestEvaluatePlan:
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
         for name in ("rates", "baseline_share", "v2_share", "v1_tests", "v2_tests"):
             for values in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
-                with pytest.raises(ShareMismatch, match=f"{name} has {values.size} entries for a plan of 2"):
+                with pytest.raises(DataError, match=f"{name} has {values.size} entries for a plan of 2"):
                     replace(plan, **{name: values})
 
     def test_unlabeled_plan_geo_rejected(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)
         assignment = make_assignment({1: "a"}, {"a": 1})
-        with pytest.raises(UnassignedGeo):
+        with pytest.raises(DataError, match="geo 2 has no cluster label"):
             evaluate_plan(plan, assignment)
 
     def test_undefined_reallocation_rendered(self):

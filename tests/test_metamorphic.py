@@ -14,39 +14,84 @@ byte for byte:
   its cap off at a fixed budget, leaves every artifact as it was: shares
   and rates are ratios of exactly doubled floats, so they keep their bits.
   ``validation.json`` is the exception where rows are rejected, because
-  the rejection reasons quote the counts.
+  the rejection reasons quote the counts;
+- shifting every geo_id by +10,000 keeps their order, and so every tie
+  break: each artifact of the shifted panel, with the ids shifted back,
+  is the artifact of the panel as given;
+- the plan of ``optimize`` reads only the case window's years, once the
+  target year and the budget are fixed: dropping the years before the
+  window leaves ``plan.*`` as it was.
 """
 
 import csv
 import json
+import re
 
 import pytest
 
 from leadalloc.cli import main
+from leadalloc.panel import parse_panel
 from panel_helpers import FIXTURE_CSV, GAPS_CSV
 
 PANELS = {"fixture": FIXTURE_CSV, "gaps": GAPS_CSV}
 COUNTS = ("tests", "cases_5plus", "cases_10plus", "cases_15plus")
+SHIFT = 10_000
+# the artifacts whose rows each start with a geo_id
+GEO_CSVS = ("normalized.csv", "clusters.csv", "plan.csv")
+# each panel's own forecast budget, given as a flag so that dropped years
+# cannot move the forecast
+OWN_TOTAL_TESTS = {"fixture": "12480", "gaps": "59101"}
 
 
-def run_artifacts(panel_csv, out, *options):
-    """The bytes of each artifact of `run` on the panel, by file name."""
-    assert main(["run", "--input", str(panel_csv), "--out", str(out), *options]) == 0
+def run_artifacts(panel_csv, out, *options, command="run"):
+    """The bytes of each artifact of the command on the panel, by file name."""
+    assert main([command, "--input", str(panel_csv), "--out", str(out), *options]) == 0
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def doubled_counts(panel_csv, path):
-    """A copy of the panel CSV with every test and case count doubled."""
+def edited_panel(panel_csv, path, edit):
+    """A copy of the panel CSV with ``edit`` applied to each row's dict of
+    fields; a row that ``edit`` returns as None is dropped."""
     with open(panel_csv, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields, rows = reader.fieldnames, list(reader)
-    for row in rows:
-        row.update({name: str(2 * int(row[name])) for name in COUNTS})
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(row for row in map(edit, rows) if row is not None)
     return path
+
+
+def doubled_counts(row):
+    return dict(row, **{name: str(2 * int(row[name])) for name in COUNTS})
+
+
+def shifted_geo(row):
+    return dict(row, geo_id=str(int(row["geo_id"]) + SHIFT))
+
+
+def unshifted(name, data):
+    """The bytes of an artifact of the shifted panel with its geo ids shifted
+    back; a JSON artifact is written again as its writer writes it."""
+    text = data.decode("utf-8")
+    if name in GEO_CSVS:
+        header, *rows = text.splitlines(keepends=True)
+        fields = (row.split(",", 1) for row in rows)
+        text = header + "".join(f"{int(geo) - SHIFT},{rest}" for geo, rest in fields)
+    elif name == "evaluation.txt":  # the lines of tests kept, one per geo
+        text = re.sub(r"^  (\d+): ", lambda m: f"  {int(m[1]) - SHIFT}: ", text, flags=re.M)
+    elif name.endswith(".json"):
+        doc = json.loads(text)
+        if name == "clusters.json":
+            doc["medoids"] = {label: geo - SHIFT for label, geo in doc["medoids"].items()}
+        elif name == "evaluation.json":
+            doc["reallocation"] = {str(int(geo) - SHIFT): kept for geo, kept in doc["reallocation"].items()}
+        elif name == "validation.json":
+            for entry in doc["gap_registry"] + doc["violations"]:
+                if entry["geo_id"] is not None:
+                    entry["geo_id"] -= SHIFT
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return text.encode("utf-8")
 
 
 @pytest.fixture(params=sorted(PANELS))
@@ -75,10 +120,48 @@ def test_a_setting_moves_only_the_artifacts_that_read_it(panel_csv, tmp_path, op
 def test_doubled_counts_give_the_same_artifacts(panel_csv, tmp_path):
     options = ("--no-population-cap", "--total-tests", "100000", "--emit-trace")
     given = run_artifacts(panel_csv, tmp_path / "given", *options)
-    doubled_csv = doubled_counts(panel_csv, tmp_path / "doubled.csv")
+    doubled_csv = edited_panel(panel_csv, tmp_path / "doubled.csv", doubled_counts)
     doubled = run_artifacts(doubled_csv, tmp_path / "doubled", *options)
     assert sorted(given) == sorted(doubled)
     rejected = json.loads(given["validation.json"])["rejected_rows"]
     for name in given:
         if not (rejected and name == "validation.json"):
             assert given[name] == doubled[name], name
+
+
+@pytest.mark.parametrize("k", ["5", "3"])
+def test_shifted_geo_ids_give_the_same_artifacts(panel_csv, tmp_path, k):
+    options = ("--k", k, "--emit-trace")
+    given = run_artifacts(panel_csv, tmp_path / "given", *options)
+    shifted_csv = edited_panel(panel_csv, tmp_path / "shifted.csv", shifted_geo)
+    shifted = run_artifacts(shifted_csv, tmp_path / "shifted", *options)
+    assert sorted(given) == sorted(shifted)
+    for name in given:
+        assert unshifted(name, shifted[name]) == given[name], name
+    # the ids did reach every artifact that holds them
+    for name in (*GEO_CSVS, "clusters.json", "evaluation.json", "evaluation.txt"):
+        assert shifted[name] != given[name], name
+
+
+@pytest.mark.parametrize(
+    "name, window", [("fixture", 3), ("gaps", 3), ("fixture", 1)], ids=["fixture-3", "gaps-3", "fixture-1"]
+)
+def test_years_before_the_window_do_not_move_the_plan(tmp_path, name, window):
+    panel_csv = PANELS[name]
+    first = 2021 - window + 1
+    kept_csv = edited_panel(panel_csv, tmp_path / "kept.csv", lambda row: row if int(row["year"]) >= first else None)
+    # the relation needs every geo to keep a row, or the plan covers fewer
+    assert parse_panel(kept_csv).geo_ids == parse_panel(panel_csv).geo_ids
+    options = ("--year", "2021", "--window", str(window), "--total-tests", OWN_TOTAL_TESTS[name])
+    given = run_artifacts(panel_csv, tmp_path / "given", *options, command="optimize")
+    kept = run_artifacts(kept_csv, tmp_path / "kept", *options, command="optimize")
+    assert sorted(given) == ["plan.csv", "plan.json"]
+    assert given == kept
+
+
+def test_a_geo_without_a_target_year_row_leaves_the_window_relation(tmp_path):
+    """At window 1, geos 106 and 151 of panel_gaps.csv have no 2021 row, so
+    dropping the earlier years drops them from the panel, and the plan
+    covers other neighborhoods: the relation above does not apply there."""
+    kept_csv = edited_panel(GAPS_CSV, tmp_path / "kept.csv", lambda row: row if row["year"] == "2021" else None)
+    assert set(parse_panel(GAPS_CSV).geo_ids) - set(parse_panel(kept_csv).geo_ids) == {106, 151}

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from panel_helpers import add_bom, make_panel, random_panel
 from leadalloc.cluster import build_series
-from leadalloc.errors import DataError
+from leadalloc.errors import ConfigError, DataError
 from leadalloc.normalize import (
-    DegenerateInput,
-    InsufficientData,
     ZeroMean,
     fit_share_regression,
     forecast_total_tests,
@@ -161,7 +159,7 @@ class TestOlsLine:
         assert math.isclose(intercept, 2.0, abs_tol=1e-12)
 
     def test_degenerate_x_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DataError, match="x has zero variance; line is vertical"):
             ols_line([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
@@ -198,11 +196,11 @@ class TestForecast:
         assert forecast_total_tests([30, 20, 10, 0]) == 0
 
     def test_too_short_history(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ConfigError, match="need at least 2 yearly totals to forecast"):
             forecast_total_tests([100])
 
     def test_window_below_two(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ConfigError, match="forecast window must cover at least 2 years"):
             forecast_total_tests([100, 110, 120], window=1)
 
 
