@@ -55,8 +55,9 @@ MAX_TOTAL_TESTS = 2**53
 _BLOCK_ELEMENTS = 2**14
 
 # verdict codes of one lattice point, in precedence order, their trace
-# reasons (the two score reasons name the point's weights) and their names
-# in the count of rejections when no point is feasible
+# reasons and their names in the count of rejections when no point is
+# feasible; a point with one of the two score verdicts has no delta, and its
+# reason names its weights
 _FEASIBLE, _NEGATIVE_SCORE, _NONPOSITIVE_TOTAL, _FLOOR, _POPULATION_CAP, _NEGATIVE_DELTA = range(6)
 _REASONS = (
     None,
@@ -69,6 +70,7 @@ _REASONS = (
 _VERDICTS = (
     "feasible", "negative score", "non-positive score total", "floor", "population cap", "negative delta"
 )
+_SCORE_VERDICTS = (_NEGATIVE_SCORE, _NONPOSITIVE_TOTAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +183,25 @@ class AllocationPlan:
 
 @dataclass(frozen=True, slots=True)
 class TracePoint:
+    """One lattice point of the search and its verdict code; ``feasible``
+    and ``reason`` word the code when read, so the trace holds no string
+    per point."""
+
     p1: float
     p2: float
     delta_cases: float | None
-    feasible: bool
-    reason: str | None
+    code: int
+
+    @property
+    def feasible(self) -> bool:
+        return self.code == _FEASIBLE
+
+    @property
+    def reason(self) -> str | None:
+        """The verdict's words; the two score reasons name the point's weights."""
+        if self.code in _SCORE_VERDICTS:
+            return _REASONS[self.code].format(p1=self.p1, p2=self.p2)
+        return _REASONS[self.code]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +288,8 @@ def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray,
     """Candidate shares for the weight pairs (p1[k], p2[k]), one row each,
     with a verdict code per row: _FEASIBLE, _NEGATIVE_SCORE or
     _NONPOSITIVE_TOTAL. Rows with a score verdict keep their raw scores."""
-    s = x * p1[:, None] + y * p2[:, None]
+    s = x * p1[:, None]
+    s += y * p2[:, None]
     on_x = (p2 == 0.0) & (p1 > 0.0)
     on_y = (p1 == 0.0) & (p2 > 0.0)
     s[on_x] = x
@@ -280,9 +297,15 @@ def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray,
     total = np.sum(s, axis=1)
     code = np.zeros(p1.size, dtype=np.int8)
     code[total <= 0.0] = _NONPOSITIVE_TOTAL
-    code[np.any(s < 0.0, axis=1)] = _NEGATIVE_SCORE
+    # finite shares and weights give no NaN score (a sum can only overflow
+    # to an infinity), so a row's min is below zero exactly when one of its
+    # scores is
+    code[np.min(s, axis=1) < 0.0] = _NEGATIVE_SCORE
     divide = (code == _FEASIBLE) & ~(on_x | on_y)
-    s[divide] /= total[divide, None]
+    if np.all(divide):
+        s /= total[:, None]
+    else:
+        s[divide] /= total[divide, None]
     return s, code
 
 
@@ -486,21 +509,14 @@ def grid_search(
     best = int(feasible[np.argmax(delta.flat[feasible])])
     plan = build_plan(shares, rates, total_tests, p1_values[best // n2], p2_values[best % n2])
     # the trace shares the lattice's float objects instead of one per point,
-    # and turns one row of the arrays into Python lists at a time
+    # and turns one row of the arrays into Python lists at a time; a point
+    # with a score verdict has no delta
     trace = tuple(
-        _trace_point(p1, p2, c, d)
+        TracePoint(p1, p2, None if c in _SCORE_VERDICTS else d, c)
         for p1, row_code, row_delta in zip(p1_values, code, delta)
         for p2, c, d in zip(p2_values, row_code.tolist(), row_delta.tolist())
     )
     return SearchResult(plan=plan, trace=trace)
-
-
-def _trace_point(p1: float, p2: float, code: int, delta: float) -> TracePoint:
-    """The trace row of one lattice point; a point with a score verdict has
-    no delta, and its reason names its weights."""
-    if code in (_NEGATIVE_SCORE, _NONPOSITIVE_TOTAL):
-        return TracePoint(p1, p2, None, False, _REASONS[code].format(p1=p1, p2=p2))
-    return TracePoint(p1, p2, delta, code == _FEASIBLE, _REASONS[code])
 
 
 def _nonnegative_starts(x, y, p1: np.ndarray, p2: np.ndarray) -> list[int]:
@@ -538,11 +554,15 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     """
     share, code = _candidate_shares(shares.x, shares.y, p1, p2)
     rows = np.flatnonzero(code == _FEASIBLE)
-    share = share[rows]
+    if rows.size < code.size:
+        share = share[rows]
     if np.any(np.abs(np.sum(share, axis=1) - 1.0) > 1e-6):
         raise DataError("rho2 does not sum to 1")
     delta = np.zeros(code.size)
-    delta[rows] = total_tests * np.sum(rates * (share - shares.x), axis=1)
+    # rates * (share - x), in one buffer
+    moved = share - shares.x
+    moved *= rates
+    delta[rows] = total_tests * np.sum(moved, axis=1)
     floored = np.any(share < floor, axis=1)
     code[rows[floored]] = _FLOOR
     if constraints.population_cap:
@@ -559,11 +579,16 @@ def _over_population(share: np.ndarray, total_tests: int, population: np.ndarray
 
     Each apportioned count is its floored share or one more, so only rows
     where a floored share equals the population, and none is above it, are
-    apportioned.
+    apportioned. One row max of ``floor(share*T) - population`` tells the
+    three kinds of row apart: the difference of two finite floats has the
+    sign of their comparison and is zero only when they are equal, and an
+    uncapped cell's infinite population gives -inf.
     """
     base = np.floor(share * float(total_tests))
-    over = np.any(base > population, axis=1)
-    unsure = np.flatnonzero(~over & np.any(base == population, axis=1))
+    base -= population
+    gap = np.max(base, axis=1)
+    over = gap > 0.0
+    unsure = np.flatnonzero(gap == 0.0)
     if unsure.size:
         over[unsure] = np.any(_apportion(share[unsure], total_tests) > population, axis=1)
     return over

@@ -20,6 +20,7 @@ from leadalloc.allocate import (
     ConstraintConfig,
     GridConfig,
     ShareVectors,
+    TracePoint,
     _REASONS,
     _evaluate_block,
     build_plan,
@@ -543,6 +544,33 @@ class TestGridSearch:
         assert not baseline_point.feasible
         assert baseline_point.reason == "population_cap"
         assert int(result.plan.v2_tests[0]) <= 60
+
+    @pytest.mark.parametrize(
+        "code, feasible, reason",
+        [
+            (allocate._FEASIBLE, True, None),
+            (allocate._NEGATIVE_SCORE, False, "negative share score at (p1=-0.5, p2=1.5)"),
+            (allocate._NONPOSITIVE_TOTAL, False, "non-positive score total at (p1=-0.5, p2=1.5)"),
+            (allocate._FLOOR, False, "floor"),
+            (allocate._POPULATION_CAP, False, "population_cap"),
+            (allocate._NEGATIVE_DELTA, False, "negative_delta"),
+        ],
+    )
+    def test_trace_point_words_its_verdict_code(self, code, feasible, reason):
+        point = TracePoint(-0.5, 1.5, None, code)
+        assert point.feasible is feasible
+        assert point.reason == reason
+
+    def test_trace_points_hold_no_text(self, fixture_panel):
+        # the lattice's 40,401 points keep a verdict code each, and word it
+        # only when read, so the trace holds no string per point
+        shares = compute_shares(fixture_panel, 2021, window=3)
+        result = grid_search(fixture_panel, shares, 12480, GridConfig(), ConstraintConfig())
+        assert len(result.trace) == 201 * 201
+        values = [getattr(point, name) for point in result.trace for name in TracePoint.__slots__]
+        assert not any(isinstance(value, str) for value in values)
+        # the score verdicts, whose reasons quote the weights, are in it
+        assert any(point.reason.startswith("negative share score at ") for point in result.trace if point.reason)
 
     def test_trace_covers_every_combination(self):
         panel = make_panel([(1, 2021, 50, 2), (2, 2021, 50, 6)])

@@ -1,9 +1,11 @@
 """Relations between whole runs that must hold on any panel.
 
-Each test runs ``leadalloc run`` twice on the bundled panels, once as given
-and once with the panel or one setting changed, and compares the artifacts
-byte for byte:
+Each test runs ``leadalloc run`` twice, on the bundled panels or on small
+drawn ones, once as given and once with the panel or one setting changed,
+and compares the artifacts byte for byte:
 
+- shuffling the rows of a drawn panel leaves the exit code and every
+  artifact as it was, ``trace.csv`` included;
 - a setting that an artifact does not read leaves its bytes alone:
   ``--floor`` does not move ``normalized.csv``, ``clusters.*`` or
   ``validation.json``, and ``--k`` does not move ``normalized.csv``,
@@ -25,9 +27,15 @@ byte for byte:
 
 import csv
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadalloc.cli import main
 from leadalloc.panel import parse_panel
@@ -41,12 +49,26 @@ GEO_CSVS = ("normalized.csv", "clusters.csv", "plan.csv")
 # each panel's own forecast budget, given as a flag so that dropped years
 # cannot move the forecast
 OWN_TOTAL_TESTS = {"fixture": "12480", "gaps": "59101"}
+HEADER = (
+    "geo_id", "geo_name", "borough", "year", "tests",
+    "cases_5plus", "cases_10plus", "cases_15plus", "child_population",
+)
+# a coarser lattice than the default keeps each drawn run short
+DRAWN_RUN_OPTIONS = ("--p1-range=-10:10:0.5", "--p2-range=-10:10:0.5", "--emit-trace")
+
+
+def run_outcome(panel_csv, out, *options, command="run"):
+    """The exit code of the command on the panel, and the bytes of each
+    artifact it wrote, by file name."""
+    code = main([command, "--input", str(panel_csv), "--out", str(out), *options])
+    return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def run_artifacts(panel_csv, out, *options, command="run"):
     """The bytes of each artifact of the command on the panel, by file name."""
-    assert main([command, "--input", str(panel_csv), "--out", str(out), *options]) == 0
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    code, artifacts = run_outcome(panel_csv, out, *options, command=command)
+    assert code == 0
+    return artifacts
 
 
 def edited_panel(panel_csv, path, edit):
@@ -59,6 +81,39 @@ def edited_panel(panel_csv, path, edit):
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(row for row in map(edit, rows) if row is not None)
+    return path
+
+
+def drawn_rows(seed, n_geos, n_years):
+    """The rows of a small valid panel, in (geo_id, year) order, ending in
+    2021: about one cell in ten has no row and one in ten has no tests,
+    case counts are nested draws, and each geo's child population is a
+    multiple of its expected tests."""
+    rng = np.random.default_rng(seed)
+    geo_ids = np.sort(rng.choice(np.arange(100, 1000), size=n_geos, replace=False)).tolist()
+    rows = []
+    for geo in geo_ids:
+        size = rng.uniform(50.0, 3000.0)
+        rate = rng.uniform(0.01, 0.2)
+        population = math.ceil(size * rng.uniform(1.5, 4.0))
+        for year in range(2022 - n_years, 2022):
+            if rng.random() < 0.1:
+                continue
+            tests = 0 if rng.random() < 0.1 else int(rng.poisson(size))
+            cases_5plus = int(rng.binomial(tests, rate))
+            cases_10plus = int(rng.binomial(cases_5plus, 0.3))
+            cases_15plus = int(rng.binomial(cases_10plus, 0.4))
+            rows.append(
+                (geo, f"Area {geo}", "Bronx", year, tests, cases_5plus, cases_10plus, cases_15plus, population)
+            )
+    return rows
+
+
+def written_panel(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        writer.writerows(rows)
     return path
 
 
@@ -115,6 +170,27 @@ def test_a_setting_moves_only_the_artifacts_that_read_it(panel_csv, tmp_path, op
         assert given[name] == changed[name], name
     # the setting does move the artifacts that read it
     assert any(given[name] != changed[name] for name in set(given) - set(untouched))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_geos=st.integers(min_value=5, max_value=9),
+    n_years=st.integers(min_value=3, max_value=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_shuffled_rows_give_the_same_artifacts(seed, n_geos, n_years):
+    rows = drawn_rows(seed, n_geos, n_years)
+    shuffled_rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        given_csv = written_panel(rows, tmp / "given.csv")
+        shuffled_csv = written_panel(shuffled_rows, tmp / "shuffled.csv")
+        given_code, given_artifacts = run_outcome(given_csv, tmp / "given", *DRAWN_RUN_OPTIONS)
+        shuffled_code, shuffled_artifacts = run_outcome(shuffled_csv, tmp / "shuffled", *DRAWN_RUN_OPTIONS)
+    assert shuffled_code == given_code
+    assert sorted(shuffled_artifacts) == sorted(given_artifacts)
+    for name in given_artifacts:
+        assert shuffled_artifacts[name] == given_artifacts[name], name
 
 
 def test_doubled_counts_give_the_same_artifacts(panel_csv, tmp_path):
