@@ -288,8 +288,7 @@ def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray,
     """Candidate shares for the weight pairs (p1[k], p2[k]), one row each,
     with a verdict code per row: _FEASIBLE, _NEGATIVE_SCORE or
     _NONPOSITIVE_TOTAL. Rows with a score verdict keep their raw scores."""
-    s = x * p1[:, None]
-    s += y * p2[:, None]
+    s = x * p1[:, None] + y * p2[:, None]
     on_x = (p2 == 0.0) & (p1 > 0.0)
     on_y = (p1 == 0.0) & (p2 > 0.0)
     s[on_x] = x
@@ -297,15 +296,9 @@ def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray,
     total = np.sum(s, axis=1)
     code = np.zeros(p1.size, dtype=np.int8)
     code[total <= 0.0] = _NONPOSITIVE_TOTAL
-    # finite shares and weights give no NaN score (a sum can only overflow
-    # to an infinity), so a row's min is below zero exactly when one of its
-    # scores is
-    code[np.min(s, axis=1) < 0.0] = _NEGATIVE_SCORE
+    code[np.any(s < 0.0, axis=1)] = _NEGATIVE_SCORE
     divide = (code == _FEASIBLE) & ~(on_x | on_y)
-    if np.all(divide):
-        s /= total[:, None]
-    else:
-        s[divide] /= total[divide, None]
+    s[divide] /= total[divide, None]
     return s, code
 
 
@@ -554,15 +547,11 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     """
     share, code = _candidate_shares(shares.x, shares.y, p1, p2)
     rows = np.flatnonzero(code == _FEASIBLE)
-    if rows.size < code.size:
-        share = share[rows]
+    share = share[rows]
     if np.any(np.abs(np.sum(share, axis=1) - 1.0) > 1e-6):
         raise DataError("rho2 does not sum to 1")
     delta = np.zeros(code.size)
-    # rates * (share - x), in one buffer
-    moved = share - shares.x
-    moved *= rates
-    delta[rows] = total_tests * np.sum(moved, axis=1)
+    delta[rows] = total_tests * np.sum(rates * (share - shares.x), axis=1)
     floored = np.any(share < floor, axis=1)
     code[rows[floored]] = _FLOOR
     if constraints.population_cap:
@@ -579,16 +568,11 @@ def _over_population(share: np.ndarray, total_tests: int, population: np.ndarray
 
     Each apportioned count is its floored share or one more, so only rows
     where a floored share equals the population, and none is above it, are
-    apportioned. One row max of ``floor(share*T) - population`` tells the
-    three kinds of row apart: the difference of two finite floats has the
-    sign of their comparison and is zero only when they are equal, and an
-    uncapped cell's infinite population gives -inf.
+    apportioned.
     """
     base = np.floor(share * float(total_tests))
-    base -= population
-    gap = np.max(base, axis=1)
-    over = gap > 0.0
-    unsure = np.flatnonzero(gap == 0.0)
+    over = np.any(base > population, axis=1)
+    unsure = np.flatnonzero(~over & np.any(base == population, axis=1))
     if unsure.size:
         over[unsure] = np.any(_apportion(share[unsure], total_tests) > population, axis=1)
     return over
