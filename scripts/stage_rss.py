@@ -72,11 +72,11 @@ def main() -> int:
         # size of the process that starts it, so this one never loads numpy
         flags = subprocess.run(
             [sys.executable, "-c", WRITE_PANEL, args.workload, str(args.seed), str(panel_csv)],
-            cwd=ROOT / "perfbench", check=True, capture_output=True, text=True,
+            cwd=ROOT / "perfbench", check=True, capture_output=True, text=True, encoding="utf-8",
         ).stdout.split()
         child = subprocess.run(
             [sys.executable, __file__, "--measure", "run", "--input", str(panel_csv), "--out", str(out), *flags],
-            check=True, capture_output=True, text=True,
+            check=True, capture_output=True, text=True, encoding="utf-8",
         )
     peaks = json.loads(child.stdout.splitlines()[-1])
     print(f"workload {args.workload} seed {args.seed}: max RSS (MB) at the end of each stage")

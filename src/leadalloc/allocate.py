@@ -27,7 +27,6 @@ test counts come from largest-remainder apportionment with index-order ties.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InfeasibleError, InputFileError, integer, number, reading
+from .errors import (
+    ConfigError, DataError, InfeasibleError, InputFileError, integer, number, reading, write_json, write_rows
+)
 from .panel import NeighborhoodPanel
 
 DEFAULT_FLOOR_FRACTION = 0.25
@@ -588,19 +589,14 @@ def pct_of_former(plan: AllocationPlan) -> list[float | None]:
 
 
 def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["geo_id", "baseline_share", "v2_share", "v1_tests", "v2_tests", "pct_of_former", "case_rate"]
-        )
-        kept = pct_of_former(plan)
-        for i, geo in enumerate(plan.geo_ids):
-            v1, v2 = int(plan.v1_tests[i]), int(plan.v2_tests[i])
-            pct = "" if kept[i] is None else repr(kept[i])
-            rate = repr(float(plan.rates[i]))
-            writer.writerow(
-                [geo, repr(float(plan.baseline_share[i])), repr(float(plan.v2_share[i])), v1, v2, pct, rate]
-            )
+    kept = pct_of_former(plan)
+    rows = (
+        [geo, repr(float(plan.baseline_share[i])), repr(float(plan.v2_share[i])), int(plan.v1_tests[i]),
+         int(plan.v2_tests[i]), "" if kept[i] is None else repr(kept[i]), repr(float(plan.rates[i]))]
+        for i, geo in enumerate(plan.geo_ids)
+    )
+    header = ["geo_id", "baseline_share", "v2_share", "v1_tests", "v2_tests", "pct_of_former", "case_rate"]
+    write_rows(csv_path, header, rows)
     doc = {
         "p1": plan.p1,
         "p2": plan.p2,
@@ -610,9 +606,7 @@ def write_plan(plan: AllocationPlan, csv_path: str | Path, json_path: str | Path
         "projected_cases_v2": plan.projected_cases_v2,
         "delta_cases": plan.delta_cases,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, doc)
 
 
 def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
@@ -668,16 +662,9 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
 
 
 def write_trace(trace, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p1", "p2", "delta_cases", "feasible", "reason"])
-        for point in trace:
-            writer.writerow(
-                [
-                    repr(point.p1),
-                    repr(point.p2),
-                    "" if point.delta_cases is None else repr(point.delta_cases),
-                    int(point.feasible),
-                    point.reason or "",
-                ]
-            )
+    rows = (
+        [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
+         int(point.feasible), point.reason or ""]
+        for point in trace
+    )
+    write_rows(path, ["p1", "p2", "delta_cases", "feasible", "reason"], rows)

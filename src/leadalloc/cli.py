@@ -18,8 +18,10 @@ Artifacts, by stage:
 
 Exit codes: 0 success, 1 data error, 2 configuration error, 3 infeasible
 optimization. Errors name the stage that failed on stderr. Identical input
-and configuration produce byte-identical artifacts; nothing in the pipeline
-is randomized or time-stamped.
+and configuration produce byte-identical artifacts on every platform;
+nothing in the pipeline is randomized or time-stamped. Each artifact is
+written by its module's ``write_*`` through the writers in ``errors``,
+never by this module.
 """
 
 from __future__ import annotations
@@ -203,8 +205,7 @@ def _evaluate(config: RunConfig, plan, assignment) -> dict:
     with _stage("evaluate", config):
         report = evaluate.evaluate_plan(plan, assignment)
         out = _ensure_out(config)
-        evaluate.write_report(report, out / "evaluation.json")
-        (out / "evaluation.txt").write_text(evaluate.format_report(report), encoding="utf-8")
+        evaluate.write_report(report, out / "evaluation.json", out / "evaluation.txt")
     return report
 
 

@@ -13,7 +13,6 @@ breaks toward the smaller geo_id, and no randomness is involved anywhere.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputFileError, integer, number, reading
+from .errors import DataError, InputFileError, integer, number, reading, write_json, write_rows
 from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
@@ -292,19 +291,14 @@ def cluster_neighborhoods(norm: NormalizedPanel, k: int = 5) -> ClusterAssignmen
 
 def write_assignment(assignment: ClusterAssignment, csv_path: str | Path, json_path: str | Path) -> None:
     medoid_geos = set(assignment.medoids.values())
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["geo_id", "label", "is_medoid"])
-        for geo in sorted(assignment.labels):
-            writer.writerow([geo, assignment.labels[geo], int(geo in medoid_geos)])
+    rows = ([geo, assignment.labels[geo], int(geo in medoid_geos)] for geo in sorted(assignment.labels))
+    write_rows(csv_path, ["geo_id", "label", "is_medoid"], rows)
     doc = {
         "medoids": {label: geo for label, geo in sorted(assignment.medoids.items())},
         "total_cost": assignment.total_cost,
         "n_iter": assignment.n_iter,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, doc)
 
 
 def _cluster_order(label: str) -> tuple:

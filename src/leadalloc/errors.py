@@ -1,5 +1,9 @@
-"""Shared exception hierarchy, and ``reading``, the one guard on opening an
-input file and on wording a failure to read it.
+"""Shared exception hierarchy, the one way in and the three ways out.
+
+``reading`` is the one guard on opening an input file and on wording a
+failure to read it. ``write_json``, ``write_rows`` and ``write_text`` write
+every artifact: UTF-8 with no byte-order mark and "\n" line ends on every
+platform, so a run's bytes depend only on its input and settings.
 
 Three base classes partition failures by who has to fix them: bad input
 data, bad configuration, or an optimization with no feasible answer.
@@ -69,6 +73,26 @@ def reading(path: str | Path, what="file", error: type[LeadAllocError] = InputFi
     except (csv.Error, ValueError, TypeError, OverflowError) as exc:
         line = "" if rows is None else f", line {rows.reader.line_num}"
         raise error(f"cannot read {name}{line}: {exc}") from exc
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON with two-space indents, sorted keys and a final newline."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_rows(path: str | Path, header, rows) -> None:
+    """A csv file of ``header`` and then each of ``rows``, read once, in order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def integer(value, name: str) -> int:

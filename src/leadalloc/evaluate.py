@@ -10,14 +10,13 @@ document, the dict that evaluation.json holds and evaluation.txt renders.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .allocate import AllocationPlan, pct_of_former
 from .cluster import ClusterAssignment
-from .errors import DataError
+from .errors import DataError, write_json, write_text
 
 
 class DegeneratePooled(DataError):
@@ -143,10 +142,10 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
     }
 
 
-def write_report(report: dict, json_path: str | Path) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_report(report: dict, json_path: str | Path, text_path: str | Path) -> None:
+    """The report as evaluation.json, and as ``format_report``'s text."""
+    write_json(json_path, report)
+    write_text(text_path, format_report(report))
 
 
 def format_report(report: dict) -> str:

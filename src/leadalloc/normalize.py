@@ -13,7 +13,6 @@ population-share fit and the next-year total-test forecast.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InputFileError, reading
+from .errors import ConfigError, DataError, InputFileError, reading, write_rows
 from .panel import NeighborhoodPanel
 
 
@@ -190,16 +189,15 @@ def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
     cells = np.ix_(geo_order, year_order)
     rows, cols = np.nonzero(norm.defined[cells])
     rates = norm.rates[cells][rows, cols]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["geo_id", "year", "normalized_rate"])
-        writer.writerows(
-            zip(
-                map(geo_ids.__getitem__, rows.tolist()),
-                map(years.__getitem__, cols.tolist()),
-                map(repr, rates.tolist()),
-            )
-        )
+    write_rows(
+        path,
+        ["geo_id", "year", "normalized_rate"],
+        zip(
+            map(geo_ids.__getitem__, rows.tolist()),
+            map(years.__getitem__, cols.tolist()),
+            map(repr, rates.tolist()),
+        ),
+    )
 
 
 def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> NormalizedPanel:

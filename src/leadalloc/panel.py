@@ -28,8 +28,6 @@ absent outright, so no cell ever goes missing silently.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, reading
+from .errors import DataError, reading, write_json, write_rows
 
 DEFAULT_YEAR_RANGE = (2005, 2021)
 
@@ -392,10 +390,7 @@ def validate_panel(
 def write_panel(panel: NeighborhoodPanel, path: str | Path) -> None:
     """Serialize to the canonical CSV layout (parse_panel round-trips it)."""
     columns = panel._columns
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CANONICAL_FIELDS)
-        writer.writerows(zip(*(columns[name].tolist() for name in CANONICAL_FIELDS)))
+    write_rows(path, CANONICAL_FIELDS, zip(*(columns[name].tolist() for name in CANONICAL_FIELDS)))
 
 
 def write_validation_report(
@@ -419,6 +414,4 @@ def write_validation_report(
             for v in violations
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -235,8 +235,9 @@ class TestEvaluatePlan:
         assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
         report = evaluate_plan(plan, assignment)
         path = tmp_path / "evaluation.json"
-        write_report(report, path)
+        write_report(report, path, tmp_path / "evaluation.txt")
         doc = json.loads(path.read_text())
+        assert (tmp_path / "evaluation.txt").read_text(encoding="utf-8") == format_report(report)
         assert doc == report
         assert doc["improvement_pct"] == 40.0
         assert doc["reallocation"] == {"1": 50.0, "2": 150.0}

@@ -4,8 +4,9 @@ Each test runs ``leadalloc run`` twice, on the bundled panels or on small
 drawn ones, once as given and once with the panel or one setting changed,
 and compares the artifacts byte for byte:
 
-- shuffling the rows of a drawn panel leaves every artifact as it was,
-  ``trace.csv`` included;
+- shuffling the rows of a drawn panel, or writing its header in reverse
+  order with one more column that no stage reads, leaves every artifact as
+  it was, ``trace.csv`` included;
 - a setting that an artifact does not read leaves its bytes alone:
   ``--floor`` does not move ``normalized.csv``, ``clusters.*`` or
   ``validation.json``, and ``--k`` does not move ``normalized.csv``,
@@ -19,7 +20,8 @@ and compares the artifacts byte for byte:
   the rejection reasons quote the counts;
 - shifting every geo_id by +10,000 keeps their order, and so every tie
   break: each artifact of the shifted panel, with the ids shifted back,
-  is the artifact of the panel as given;
+  is the artifact of the panel as given, on the bundled panels and on
+  drawn ones;
 - the plan of ``optimize`` reads only the case window's years, once the
   target year and the budget are fixed: dropping the years before the
   window leaves ``plan.*`` as it was.
@@ -103,12 +105,28 @@ def drawn_rows(seed, n_geos, n_years):
     return rows
 
 
-def written_panel(rows, path):
+def written_panel(rows, path, header=HEADER):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
+        writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def drawn_runs(rows, write_changed):
+    """The artifacts of ``leadalloc run`` on a drawn panel and on the panel
+    that ``write_changed(given_csv, path)`` writes to ``path``. Both runs
+    must get through to the trace, so no example passes on an early
+    failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        given_csv = written_panel(rows, tmp / "given.csv")
+        changed_csv = write_changed(given_csv, tmp / "changed.csv")
+        given = run_artifacts(given_csv, tmp / "given", *DRAWN_RUN_OPTIONS)
+        changed = run_artifacts(changed_csv, tmp / "changed", *DRAWN_RUN_OPTIONS)
+    assert "trace.csv" in given
+    assert sorted(changed) == sorted(given)
+    return given, changed
 
 
 def doubled_counts(row):
@@ -166,25 +184,44 @@ def test_a_setting_moves_only_the_artifacts_that_read_it(panel_csv, tmp_path, op
     assert any(given[name] != changed[name] for name in set(given) - set(untouched))
 
 
-@given(
+# a drawn panel: 5-9 geos over 3-6 years, from a seed
+DRAWN = dict(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_geos=st.integers(min_value=5, max_value=9),
     n_years=st.integers(min_value=3, max_value=6),
 )
+
+
+@given(**DRAWN)
 @settings(max_examples=25, deadline=None)
 def test_shuffled_rows_give_the_same_artifacts(seed, n_geos, n_years):
     rows = drawn_rows(seed, n_geos, n_years)
     shuffled_rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        given_csv = written_panel(rows, tmp / "given.csv")
-        shuffled_csv = written_panel(shuffled_rows, tmp / "shuffled.csv")
-        given_artifacts = run_artifacts(given_csv, tmp / "given", *DRAWN_RUN_OPTIONS)
-        shuffled_artifacts = run_artifacts(shuffled_csv, tmp / "shuffled", *DRAWN_RUN_OPTIONS)
-    assert "trace.csv" in given_artifacts
-    assert sorted(shuffled_artifacts) == sorted(given_artifacts)
-    for name in given_artifacts:
-        assert shuffled_artifacts[name] == given_artifacts[name], name
+    given, shuffled = drawn_runs(rows, lambda _, path: written_panel(shuffled_rows, path))
+    for name in given:
+        assert shuffled[name] == given[name], name
+
+
+@given(**DRAWN)
+@settings(max_examples=25, deadline=None)
+def test_a_reversed_header_gives_the_same_artifacts(seed, n_geos, n_years):
+    rows = drawn_rows(seed, n_geos, n_years)
+    reversed_rows = [("unread", *reversed(row)) for row in rows]
+    reversed_header = ("notes", *reversed(HEADER))
+    given, reversed_layout = drawn_runs(rows, lambda _, path: written_panel(reversed_rows, path, reversed_header))
+    for name in given:
+        assert reversed_layout[name] == given[name], name
+
+
+@given(**DRAWN)
+@settings(max_examples=25, deadline=None)
+def test_shifted_geo_ids_of_a_drawn_panel_give_the_same_artifacts(seed, n_geos, n_years):
+    rows = drawn_rows(seed, n_geos, n_years)
+    given, shifted = drawn_runs(rows, lambda given_csv, path: edited_panel(given_csv, path, shifted_geo))
+    for name in given:
+        assert unshifted(name, shifted[name]) == given[name], name
+    for name in (*GEO_CSVS, "clusters.json", "evaluation.json", "evaluation.txt"):
+        assert shifted[name] != given[name], name
 
 
 def test_doubled_counts_give_the_same_artifacts(panel_csv, tmp_path):
