@@ -5,11 +5,11 @@ Usage, from the root of a checkout:
     python3 scripts/stage_rss.py --workload tracts2000 --seed 0
 
 Writes the workload's seeded panel (perfbench/gen.py) to a temporary
-directory, then runs the stages of ``cmd_run`` one after another in a fresh
-child process and prints the child's ``ru_maxrss`` in MB after the imports
-and after each stage. A process's high-water mark never falls, so each line
-is the peak up to the end of that stage. The last line is one JSON object
-holding the same numbers.
+directory, then runs ``cli.STAGES`` in table order, as ``run`` does, in a
+fresh child process and prints the child's ``ru_maxrss`` in MB after the
+imports, after parsing the panel and after each stage. A process's
+high-water mark never falls, so each line is the peak up to the end of that
+stage. The last line is one JSON object holding the same numbers.
 """
 
 from __future__ import annotations
@@ -35,23 +35,15 @@ def maxrss_mb() -> float:
 
 
 def measure(argv: list[str]) -> dict:
-    """Run cmd_run's stages on ``leadalloc run`` arguments; the peak after each."""
+    """Run every stage on ``leadalloc run`` arguments; the peak after each."""
     from leadalloc import cli
 
     peaks = {"import": maxrss_mb()}
     config = cli.build_config(cli.build_parser().parse_args(argv))
     data = cli._load_panel(config)
     peaks["parse"] = maxrss_mb()
-    cli._validate(config, data)
-    peaks["validate"] = maxrss_mb()
-    norm = cli._normalize(config, data)
-    peaks["normalize"] = maxrss_mb()
-    assignment = cli._cluster(config, norm)
-    peaks["cluster"] = maxrss_mb()
-    plan = cli._optimize(config, data)
-    peaks["optimize"] = maxrss_mb()
-    cli._evaluate(config, plan, assignment)
-    peaks["evaluate"] = maxrss_mb()
+    for name, _ in cli._stages(config, data, *cli.STAGES):
+        peaks[name] = maxrss_mb()
     return peaks
 
 

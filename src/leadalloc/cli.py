@@ -1,20 +1,21 @@
 """Command-line pipeline driver.
 
 Commands mirror the pipeline stages: ingest, normalize, cluster,
-optimize, evaluate, and run (all stages end to end). Stages read the raw
-panel CSV from --input and write their artifacts into --out with fixed
-names, so a later stage can pick up a previous stage's files for partial
-reruns. Settings come from an optional flat JSON config file plus flags;
-flags win over file values and pass the same checks. Options may come
-before or after the command.
+optimize, evaluate, and run (all stages end to end). Every command reads
+the raw panel CSV from --input and writes into --out with fixed names.
+``STAGES`` is the table of the stages, and ``_stages`` the one driver that
+runs them: a stage command reuses the files of the earlier stages it needs
+from --out, and ``run`` computes every stage. Settings come from an
+optional flat JSON config file plus flags; flags win over file values and
+pass the same checks. Options may come before or after the command.
 
 Artifacts, by stage:
-  ingest     panel.csv (canonical layout), validation.json
+  ingest     validation.json; the ingest command also writes panel.csv (canonical layout)
   normalize  normalized.csv
   cluster    clusters.csv, clusters.json
   optimize   plan.csv, plan.json, trace.csv (with --emit-trace; removed without)
   evaluate   evaluation.json, evaluation.txt
-  run        validation.json plus everything from normalize onward
+  run        every stage's files, after removing those and trace.csv first
 
 Exit codes: 0 success, 1 data error, 2 configuration error, 3 infeasible
 optimization. Errors name the stage that failed on stderr. Identical input
@@ -31,7 +32,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -96,11 +96,6 @@ def _stage(name: str, config: RunConfig):
         raise
 
 
-def _ensure_out(config: RunConfig) -> Path:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    return config.output_dir
-
-
 def _load_panel(config: RunConfig) -> panel.NeighborhoodPanel:
     with _stage("ingest", config):
         return panel.parse_panel(config.input_path)
@@ -114,104 +109,134 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
     return data.years[-1]
 
 
-def _reused(config: RunConfig, data: panel.NeighborhoodPanel, reader, *names: str):
-    """An earlier stage's files read back, or None when one of them is missing.
-
-    Files that the reader refuses, or that were made from another panel, are
-    a DataError naming them, which says to delete them to recompute.
-    """
-    paths = [config.output_dir / name for name in names]
-    if not all(path.exists() for path in paths):
-        return None
-    try:
-        value = reader(*paths)
-    except InputFileError as exc:
-        raise DataError(f"{exc}; delete it to recompute") from exc
-    if tuple(value.geo_ids) != data.geo_ids:
-        raise DataError(
-            f"{paths[0]} holds other neighborhoods than {config.input_path}; "
-            "delete it to recompute"
-        )
-    return value
-
-
-def _validate(config: RunConfig, data: panel.NeighborhoodPanel) -> list:
-    """Check the panel and write validation.json; returns the violations."""
-    with _stage("ingest", config):
-        violations = panel.validate_panel(data)
-        out = _ensure_out(config)
-        panel.write_validation_report(data, violations, out / "validation.json")
-    return violations
-
-
-def _normalize(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
-    with _stage("normalize", config):
-        norm = normalize.normalize_panel(data)
-        normalize.write_normalized(norm, _ensure_out(config) / "normalized.csv")
-    return norm
-
-
-def _normalized(config: RunConfig, data: panel.NeighborhoodPanel) -> normalize.NormalizedPanel:
-    """Prefer a previously written normalized.csv; otherwise compute."""
-    with _stage("normalize", config):
-        read = partial(normalize.read_normalized, years=data.years)
-        norm = _reused(config, data, read, "normalized.csv")
-        return normalize.normalize_panel(data) if norm is None else norm
-
-
-def _cluster(config: RunConfig, norm: normalize.NormalizedPanel) -> cluster.ClusterAssignment:
-    with _stage("cluster", config):
-        assignment = cluster.cluster_neighborhoods(norm, config.k)
-        out = _ensure_out(config)
-        cluster.write_assignment(assignment, out / "clusters.csv", out / "clusters.json")
-    return assignment
-
-
-def _optimize(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.AllocationPlan:
-    """Search the weights and write plan.* (and trace.csv); returns the plan."""
-    with _stage("optimize", config):
-        year = _target_year(config, data)
-        shares = allocate.compute_shares(data, year, config.window)
-        total_tests = config.total_tests_override
-        if total_tests is None:
-            total_tests = normalize.forecast_total_tests(
-                data.yearly_test_totals(), config.forecast_window
+def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.AllocationPlan:
+    """The best plan on the lattice. The search also writes trace.csv with
+    --emit-trace, and otherwise removes it: an earlier run's trace would
+    contradict the new plan."""
+    year = _target_year(config, data)
+    shares = allocate.compute_shares(data, year, config.window)
+    total_tests = config.total_tests_override
+    if total_tests is None:
+        total_tests = normalize.forecast_total_tests(data.yearly_test_totals(), config.forecast_window)
+        if total_tests < 1:
+            raise DataError(
+                f"the test-total trend forecasts {total_tests} tests, "
+                "which leaves nothing to allocate; set a budget with --total-tests"
             )
-            if total_tests < 1:
-                raise DataError(
-                    f"the test-total trend forecasts {total_tests} tests, "
-                    "which leaves nothing to allocate; set a budget with --total-tests"
-                )
-            if total_tests > allocate.MAX_TOTAL_TESTS:
-                raise DataError(
-                    f"the test-total trend forecasts {total_tests} tests, more than 2**53 = "
-                    f"{allocate.MAX_TOTAL_TESTS}; set a budget with --total-tests"
-                )
-        rates = allocate.case_rates(data, year, config.case_rate_window)
-        result = allocate.grid_search(
-            data, shares, total_tests, config.grid, config.constraints, rates=rates
-        )
-        out = _ensure_out(config)
-        allocate.write_plan(result.plan, out / "plan.csv", out / "plan.json")
-        if config.emit_trace:
-            allocate.write_trace(result.trace, out / "trace.csv")
-        else:
-            # an earlier run's trace would contradict the new plan
-            (out / "trace.csv").unlink(missing_ok=True)
+        if total_tests > allocate.MAX_TOTAL_TESTS:
+            raise DataError(
+                f"the test-total trend forecasts {total_tests} tests, more than 2**53 = "
+                f"{allocate.MAX_TOTAL_TESTS}; set a budget with --total-tests"
+            )
+    rates = allocate.case_rates(data, year, config.case_rate_window)
+    result = allocate.grid_search(data, shares, total_tests, config.grid, config.constraints, rates=rates)
+    trace = config.output_dir / "trace.csv"
+    if config.emit_trace:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        allocate.write_trace(result.trace, trace)
+    else:
+        trace.unlink(missing_ok=True)
     return result.plan
 
 
-def _evaluate(config: RunConfig, plan, assignment) -> dict:
-    with _stage("evaluate", config):
-        report = evaluate.evaluate_plan(plan, assignment)
-        out = _ensure_out(config)
-        evaluate.write_report(report, out / "evaluation.json", out / "evaluation.txt")
-    return report
+def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path, json_path: Path):
+    plan = allocate.read_plan(csv_path, json_path)
+    if plan.target_year not in data.years:
+        raise InputFileError(
+            f"{json_path} targets {plan.target_year}, which is not a year of {config.input_path}"
+        )
+    return plan
+
+
+class Stage(NamedTuple):
+    files: tuple[str, ...]  # written into the output directory
+    takes: tuple[str, ...]  # the stages whose values compute takes, in its argument order
+    compute: Callable  # (config, panel, *values taken) -> the stage's value
+    write: Callable  # (panel, value, *paths of files)
+    read: Callable | None  # (config, panel, *paths of files) -> the value; None: never reused
+
+
+# The stages in run order. A row looks its module up only when the stage
+# runs, so a module swapped into this one after import is the one called.
+STAGES = {
+    "ingest": Stage(
+        ("validation.json",), (),
+        lambda config, data: panel.validate_panel(data),
+        lambda data, violations, path: panel.write_validation_report(data, violations, path),
+        None,
+    ),
+    "normalize": Stage(
+        ("normalized.csv",), (),
+        lambda config, data: normalize.normalize_panel(data),
+        lambda data, norm, path: normalize.write_normalized(norm, path),
+        lambda config, data, path: normalize.read_normalized(path, years=data.years),
+    ),
+    "cluster": Stage(
+        ("clusters.csv", "clusters.json"), ("normalize",),
+        lambda config, data, norm: cluster.cluster_neighborhoods(norm, config.k),
+        lambda data, assignment, *paths: cluster.write_assignment(assignment, *paths),
+        lambda config, data, *paths: cluster.read_assignment(*paths),
+    ),
+    "optimize": Stage(
+        ("plan.csv", "plan.json"), (),
+        _search,
+        lambda data, plan, *paths: allocate.write_plan(plan, *paths),
+        _read_plan,
+    ),
+    "evaluate": Stage(
+        ("evaluation.json", "evaluation.txt"), ("optimize", "cluster"),
+        lambda config, data, plan, assignment: evaluate.evaluate_plan(plan, assignment),
+        lambda data, report, *paths: evaluate.write_report(report, *paths),
+        None,
+    ),
+}
+
+
+def _stages(config: RunConfig, data: panel.NeighborhoodPanel, *fresh: str):
+    """Yield (name, value) for each stage in ``fresh`` and each stage they
+    take, in the order they are done.
+
+    A stage in ``fresh`` is computed and its files written. Any other stage
+    is read back when it has a reader and all of its files exist, before its
+    own upstream is touched; otherwise it too is computed and written. Files
+    that cannot be read, or that were made from other neighborhoods, are a
+    DataError of the stage that writes them, which names the file and says
+    to delete it to recompute.
+    """
+    values = {}
+    for name in STAGES:
+        if name in fresh:
+            yield from _resolve(name, config, data, fresh, values)
+
+
+def _resolve(name: str, config: RunConfig, data: panel.NeighborhoodPanel, fresh, values: dict):
+    """_stages for one stage and what it takes, skipping the stages in ``values``."""
+    if name in values:
+        return
+    stage = STAGES[name]
+    paths = [config.output_dir / file for file in stage.files]
+    if name not in fresh and stage.read and all(path.exists() for path in paths):
+        with _stage(name, config):
+            try:
+                value = stage.read(config, data, *paths)
+                if tuple(value.geo_ids) != data.geo_ids:
+                    raise InputFileError(f"{paths[0]} holds other neighborhoods than {config.input_path}")
+            except InputFileError as exc:
+                raise DataError(f"{exc}; delete it to recompute") from exc
+    else:
+        for upstream in stage.takes:
+            yield from _resolve(upstream, config, data, fresh, values)
+        with _stage(name, config):
+            value = stage.compute(config, data, *(values[upstream] for upstream in stage.takes))
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+            stage.write(data, value, *paths)
+    values[name] = value
+    yield name, value
 
 
 def cmd_ingest(config: RunConfig) -> None:
     data = _load_panel(config)
-    violations = _validate(config, data)
+    violations = dict(_stages(config, data, "ingest"))["ingest"]
     with _stage("ingest", config):
         panel.write_panel(data, config.output_dir / "panel.csv")
     print(
@@ -221,19 +246,18 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_normalize(config: RunConfig) -> None:
-    norm = _normalize(config, _load_panel(config))
+    norm = dict(_stages(config, _load_panel(config), "normalize"))["normalize"]
     print(f"normalized {int(norm.defined.sum())} cells across {len(norm.years)} years")
 
 
 def cmd_cluster(config: RunConfig) -> None:
-    data = _load_panel(config)
-    assignment = _cluster(config, _normalized(config, data))
+    assignment = dict(_stages(config, _load_panel(config), "cluster"))["cluster"]
     medoid_text = ", ".join(f"{label}={geo}" for label, geo in assignment.medoids.items())
     print(f"clustered into {config.k} profiles ({medoid_text})")
 
 
 def cmd_optimize(config: RunConfig) -> None:
-    plan = _optimize(config, _load_panel(config))
+    plan = dict(_stages(config, _load_panel(config), "optimize"))["optimize"]
     print(
         f"best weights p1={plan.p1:g}, p2={plan.p2:g}: "
         f"projected case difference {plan.delta_cases:+.2f} at T={plan.total_tests}"
@@ -241,34 +265,20 @@ def cmd_optimize(config: RunConfig) -> None:
 
 
 def cmd_evaluate(config: RunConfig) -> None:
-    data = _load_panel(config)
-    with _stage("evaluate", config):
-        plan = _reused(config, data, allocate.read_plan, "plan.csv", "plan.json")
-        if plan is not None and plan.target_year not in data.years:
-            raise DataError(
-                f"{config.output_dir / 'plan.json'} targets {plan.target_year}, which is not "
-                f"a year of {config.input_path}; delete it to recompute"
-            )
-    if plan is None:
-        plan = _optimize(config, data)
-    with _stage("cluster", config):
-        assignment = _reused(config, data, cluster.read_assignment, "clusters.csv", "clusters.json")
-    if assignment is None:
-        assignment = _cluster(config, _normalized(config, data))
-
-    ztest = _evaluate(config, plan, assignment)["ztest"]
-    if ztest is not None:
-        print(f"case difference {plan.delta_cases:+.2f}; z={ztest['z']:.4f}, p={ztest['p_value']:.4g}")
-    else:
-        print(f"case difference {plan.delta_cases:+.2f}; z-test degenerate")
+    values = dict(_stages(config, _load_panel(config), "evaluate"))
+    plan, ztest = values["optimize"], values["evaluate"]["ztest"]
+    test = "z-test degenerate" if ztest is None else f"z={ztest['z']:.4f}, p={ztest['p_value']:.4g}"
+    print(f"case difference {plan.delta_cases:+.2f}; {test}")
 
 
 def cmd_run(config: RunConfig) -> None:
-    data = _load_panel(config)
-    _validate(config, data)
-    assignment = _cluster(config, _normalize(config, data))
-    plan = _optimize(config, data)
-    _evaluate(config, plan, assignment)
+    # a run that stops part way must leave no earlier run's artifacts beside
+    # its own; a name taken by a directory or a device is left for its write
+    with _stage("ingest", config):
+        for name in (*(file for stage in STAGES.values() for file in stage.files), "trace.csv"):
+            if (config.output_dir / name).is_file():
+                (config.output_dir / name).unlink()
+    plan = dict(_stages(config, _load_panel(config), *STAGES))["optimize"]
     print(
         f"pipeline complete: p1={plan.p1:g}, p2={plan.p2:g}, "
         f"case difference {plan.delta_cases:+.2f}, artifacts in {config.output_dir}"

@@ -314,6 +314,7 @@ class TestStageArtifacts:
         )
         assert rc == 0
         for name in (
+            "normalized.csv",
             "plan.csv",
             "plan.json",
             "clusters.csv",
@@ -458,7 +459,7 @@ class TestFailureExits:
         rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
         assert rc == 1
         captured = capsys.readouterr()
-        assert "error at stage evaluate" in captured.err
+        assert "error at stage optimize" in captured.err
         assert "case difference" not in captured.out
 
     def test_evaluate_rejects_plan_of_same_size_panel(self, fixture_path, tmp_path, capsys):
@@ -479,7 +480,7 @@ class TestFailureExits:
         rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
         assert rc == 1
         captured = capsys.readouterr()
-        assert "error at stage evaluate" in captured.err
+        assert "error at stage optimize" in captured.err
         assert "case difference" not in captured.out
 
     def test_no_feasible_point(self, fixture_path, tmp_path, capsys):
@@ -496,6 +497,22 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert "error at stage optimize" in err
         assert "on the 3x3 lattice: 9 negative score" in err
+
+    def test_failed_run_leaves_no_earlier_plan(self, fixture_path, tmp_path, capsys):
+        """A run that stops at optimize leaves only what it wrote, so no
+        earlier plan is left for evaluate to score on the new clusters."""
+        out = tmp_path / "artifacts"
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv, "--emit-trace") == 0
+        infeasible = ["--k", "3", "--p1-range=-2:-1:0.5", "--p2-range=-2:-1:0.5"]
+        assert run_cli("run", *argv, *infeasible) == 3
+        for name in ("plan.csv", "plan.json", "trace.csv", "evaluation.json", "evaluation.txt"):
+            assert not (out / name).exists(), name
+        capsys.readouterr()
+        assert run_cli("evaluate", *argv, *infeasible) == 3
+        captured = capsys.readouterr()
+        assert "error at stage optimize" in captured.err
+        assert "case difference" not in captured.out
 
     # every artifact a command writes: the command, and the stage that writes it
     WRITTEN = {
@@ -568,13 +585,13 @@ class TestReusedArtifacts:
         assert "clustered into" not in captured.out
         assert "case difference" not in captured.out
 
-    # each reusable file: the command that reuses it, and the stage that reads it
+    # each reusable file: the command that reuses it, and the stage that writes it
     REUSED = {
         "normalized.csv": ("cluster", "normalize"),
         "clusters.csv": ("evaluate", "cluster"),
         "clusters.json": ("evaluate", "cluster"),
-        "plan.csv": ("evaluate", "evaluate"),
-        "plan.json": ("evaluate", "evaluate"),
+        "plan.csv": ("evaluate", "optimize"),
+        "plan.json": ("evaluate", "optimize"),
     }
 
     @pytest.mark.parametrize(
@@ -632,7 +649,7 @@ class TestReusedArtifacts:
         (out / name).write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run_cli("evaluate", *argv)
-        stage = "evaluate" if name == "plan.json" else "cluster"
+        stage = "optimize" if name == "plan.json" else "cluster"
         self.assert_data_error(rc, capsys, stage, str(out / name), "must be an integer")
 
     def test_cluster_rejects_normalized_of_another_panel(self, fixture_path, tmp_path, capsys):
@@ -663,7 +680,7 @@ class TestReusedArtifacts:
         (out / "plan.json").write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+        self.assert_data_error(rc, capsys, "optimize", "plan.json")
 
     def test_normalized_rate_not_a_number(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -711,14 +728,14 @@ class TestReusedArtifacts:
             (out / "plan.json").write_text(json.dumps(dict(written, **{key: float("inf")})))
             capsys.readouterr()
             rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-            self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+            self.assert_data_error(rc, capsys, "optimize", "plan.json")
         (out / "plan.json").write_text(json.dumps(written))
         lines = (out / "plan.csv").read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
         (out / "plan.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", str(out / "plan.csv"), "delete it to recompute")
+        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), "delete it to recompute")
 
     def test_clusters_total_cost_not_finite(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -736,7 +753,7 @@ class TestReusedArtifacts:
         (out / "plan.json").write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", "0 tests")
+        self.assert_data_error(rc, capsys, "optimize", "0 tests")
 
     @pytest.mark.parametrize(
         "rate, said",
@@ -756,7 +773,7 @@ class TestReusedArtifacts:
             (out / name).unlink()
         capsys.readouterr()
         rc = run_cli("evaluate", *argv)
-        self.assert_data_error(rc, capsys, "evaluate", str(out / "plan.csv"), said, "delete it to recompute")
+        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), said, "delete it to recompute")
         assert not (out / "evaluation.json").exists()
 
     @pytest.mark.parametrize(
@@ -827,7 +844,7 @@ class TestReusedArtifacts:
         (out / "plan.json").write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", "plan.csv and")
+        self.assert_data_error(rc, capsys, "optimize", "plan.csv and")
 
     @pytest.mark.parametrize(
         "name, key, value",
@@ -849,7 +866,7 @@ class TestReusedArtifacts:
         (out / "plan.json").write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", "plan.json")
+        self.assert_data_error(rc, capsys, "optimize", "plan.json")
 
 
 class TestLatticeBounds:
