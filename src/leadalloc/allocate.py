@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, DataError, InfeasibleError, InputFileError, integer, number, reading, write_json, write_rows
+    ConfigError, DataError, InfeasibleError, InputFileError, integer, number, reading, write_json, write_rows,
+    write_text,
 )
 from .panel import NeighborhoodPanel
 
@@ -662,9 +663,46 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
 
 
 def write_trace(trace, path: str | Path) -> None:
-    rows = (
-        [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
-         int(point.feasible), point.reason or ""]
-        for point in trace
-    )
-    write_rows(path, ["p1", "p2", "delta_cases", "feasible", "reason"], rows)
+    """trace.csv: a header, then one line per TracePoint in ``trace``, in
+    chunks of ``_TRACE_CHUNK`` lines.
+
+    Each line is the bytes ``csv.writer(lineterminator="\\n")`` writes for
+    [repr(p1), repr(p2), repr(delta_cases) or "", int(feasible), reason or ""].
+    No field but a score reason holds a comma, quote or line end, so only
+    the score reasons are quoted. A weight's repr is computed once per float
+    object, and the lattice shares one object per value; a cache keyed by
+    value would write 0.0 for -0.0, which compares equal to it.
+    """
+    write_text(path, _trace_chunks(trace))
+
+
+# lines of trace.csv formatted into one string before it is written
+_TRACE_CHUNK = 1024
+
+
+def _trace_chunks(trace):
+    yield "p1,p2,delta_cases,feasible,reason\n"
+    # the feasible and reason fields of each code that is not a score verdict
+    tails = [f"{int(code == _FEASIBLE)},{reason or ''}\n" for code, reason in enumerate(_REASONS)]
+    # each weight object, and its repr, by id; holding the object keeps its
+    # id from being given to another float while the trace is written
+    texts = {}
+    lines = []
+    for point in trace:
+        p1, p2, delta, code = point.p1, point.p2, point.delta_cases, point.code
+        text1 = texts.get(id(p1))
+        if text1 is None:
+            text1 = texts[id(p1)] = (p1, repr(p1))
+        text2 = texts.get(id(p2))
+        if text2 is None:
+            text2 = texts[id(p2)] = (p2, repr(p2))
+        if code in _SCORE_VERDICTS:
+            # str.format writes a float as its repr, so the weights' texts serve
+            tail = '0,"' + _REASONS[code].format(p1=text1[1], p2=text2[1]) + '"\n'
+        else:
+            tail = tails[code]
+        lines.append(f"{text1[1]},{text2[1]},{'' if delta is None else repr(delta)},{tail}")
+        if len(lines) == _TRACE_CHUNK:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)

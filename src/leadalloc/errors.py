@@ -4,6 +4,9 @@
 failure to read it. ``write_json``, ``write_rows`` and ``write_text`` write
 every artifact: UTF-8 with no byte-order mark and "\n" line ends on every
 platform, so a run's bytes depend only on its input and settings.
+``write_text`` takes an iterable of ``str`` chunks and writes them in turn,
+so a long file such as trace.csv is never held as one string; a whole text
+is one chunk, ``[text]``.
 
 Three base classes partition failures by who has to fix them: bad input
 data, bad configuration, or an optimization with no feasible answer.
@@ -90,9 +93,10 @@ def write_rows(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, chunks) -> None:
+    """The ``str`` chunks of an iterable, read once, one after another."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def integer(value, name: str) -> int:

@@ -145,7 +145,7 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
 def write_report(report: dict, json_path: str | Path, text_path: str | Path) -> None:
     """The report as evaluation.json, and as ``format_report``'s text."""
     write_json(json_path, report)
-    write_text(text_path, format_report(report))
+    write_text(text_path, [format_report(report)])
 
 
 def format_report(report: dict) -> str:

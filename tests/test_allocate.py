@@ -5,6 +5,8 @@ Hand-checked values use dyadic rationals (quarters, eighths) so float
 arithmetic is exact and assertions can use plain equality.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -621,3 +623,57 @@ class TestPlanRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0] == "p1,p2,delta_cases,feasible,reason"
         assert len(lines) == 5
+
+
+def csv_module_trace(trace) -> bytes:
+    """trace.csv as csv.writer writes it, the formula write_trace replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["p1", "p2", "delta_cases", "feasible", "reason"])
+    writer.writerows(
+        [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
+         int(point.feasible), point.reason or ""]
+        for point in trace
+    )
+    return out.getvalue().encode("utf-8")
+
+
+class TestTraceBytes:
+    """write_trace formats each line itself, and writes the csv module's bytes."""
+
+    def written(self, result, tmp_path) -> bytes:
+        path = tmp_path / "trace.csv"
+        write_trace(result.trace, path)
+        return path.read_bytes()
+
+    def test_default_lattice(self, fixture_panel, tmp_path):
+        shares = compute_shares(fixture_panel, 2021, window=3)
+        result = grid_search(fixture_panel, shares, 12480, GridConfig(), ConstraintConfig())
+        # more lines than one chunk holds
+        assert len(result.trace) > 10 * allocate._TRACE_CHUNK
+        assert self.written(result, tmp_path) == csv_module_trace(result.trace)
+
+    def test_signed_zero_lattice(self, fixture_panel, tmp_path):
+        # -0.0 and 0.0 compare and hash equal, and each axis holds both
+        grid = GridConfig(p1_range=(-1e-12, 1e-12), p2_range=(-1e-12, 3e-12), step=1e-13)
+        for values in (grid.p1_values(), grid.p2_values()):
+            assert {math.copysign(1.0, value) for value in values if value == 0.0} == {-1.0, 1.0}
+        shares = compute_shares(fixture_panel, 2021, window=3)
+        result = grid_search(fixture_panel, shares, 12480, grid, ConstraintConfig())
+        written = self.written(result, tmp_path)
+        assert written == csv_module_trace(result.trace)
+        assert b"\n-0.0,-0.0," in written and b"\n0.0,0.0," in written
+
+    def test_every_verdict(self, tmp_path):
+        records = [
+            make_record(1, 2021, 50, 1, child_population=400),
+            make_record(2, 2021, 50, 12, child_population=80),
+            make_record(3, 2021, 100, 4, child_population=400),
+        ]
+        panel = NeighborhoodPanel.from_records(records)
+        shares = compute_shares(panel, 2021, window=1)
+        grid = GridConfig(p1_range=(-1.0, 1.0), p2_range=(-1.0, 1.0), step=0.25)
+        constraints = ConstraintConfig(floor_fraction=0.3, require_nonnegative_delta=True)
+        result = grid_search(panel, shares, 200, grid, constraints)
+        assert {point.code for point in result.trace} == set(range(len(_REASONS)))
+        assert self.written(result, tmp_path) == csv_module_trace(result.trace)

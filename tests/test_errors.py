@@ -27,8 +27,14 @@ class TestWriterBytes:
 
     def test_text(self, tmp_path):
         path = tmp_path / "report.txt"
-        write_text(path, "Bédford\n  101: 50.0%\n")
+        write_text(path, ["Bédford\n  101: 50.0%\n"])
         assert path.read_bytes() == b"B\xc3\xa9dford\n  101: 50.0%\n"
+
+    def test_text_chunks(self, tmp_path):
+        # chunks from an iterator, one of them empty and one ending mid-line
+        path = tmp_path / "trace.csv"
+        write_text(path, iter(["p1,p2\n", "", "0.5,-0.0\n1.0,", "Bédford\n"]))
+        assert path.read_bytes() == b"p1,p2\n0.5,-0.0\n1.0,B\xc3\xa9dford\n"
 
 
 def _writes_a_file(call: ast.Call) -> bool:

@@ -7,6 +7,9 @@ and compares the artifacts byte for byte:
 - shuffling the rows of a drawn panel, or writing its header in reverse
   order with one more column that no stage reads, leaves every artifact as
   it was, ``trace.csv`` included;
+- a rerun on a drawn panel writes the same bytes, and its ``trace.csv``,
+  read back by ``csv.reader``, holds the field texts of the run's own
+  search trace, row for row;
 - a setting that an artifact does not read leaves its bytes alone:
   ``--floor`` does not move ``normalized.csv``, ``clusters.*`` or
   ``validation.json``, and ``--k`` does not move ``normalized.csv``,
@@ -33,12 +36,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadalloc import allocate
 from leadalloc.cli import main
 from leadalloc.panel import parse_panel
 from panel_helpers import FIXTURE_CSV, GAPS_CSV
@@ -201,6 +206,30 @@ def test_shuffled_rows_give_the_same_artifacts(seed, n_geos, n_years):
     for name in given:
         assert shuffled[name] == given[name], name
 
+
+
+@given(**DRAWN)
+@settings(max_examples=10, deadline=None)
+def test_a_rerun_gives_the_same_artifacts_and_the_trace_of_its_search(seed, n_geos, n_years):
+    rows = drawn_rows(seed, n_geos, n_years)
+    search, searches = allocate.grid_search, []
+
+    def recorded(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    with mock.patch.object(allocate, "grid_search", recorded):
+        given, rerun = drawn_runs(rows, lambda _, path: written_panel(rows, path))
+    for name in given:
+        assert rerun[name] == given[name], name
+    assert len(searches) == 2
+    fields = [
+        [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
+         str(int(point.feasible)), point.reason or ""]
+        for point in searches[0].trace
+    ]
+    read_back = list(csv.reader(given["trace.csv"].decode("utf-8").splitlines()))
+    assert read_back == [["p1", "p2", "delta_cases", "feasible", "reason"], *fields]
 
 @given(**DRAWN)
 @settings(max_examples=25, deadline=None)
