@@ -140,10 +140,25 @@ def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.Alloca
 
 
 def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path, json_path: Path):
+    """allocate.read_plan, and an InputFileError for a target year the panel
+    lacks, or for a projected_cases_v2 or delta_cases that plan.csv's
+    case_rate and v2_share columns do not give."""
     plan = allocate.read_plan(csv_path, json_path)
     if plan.target_year not in data.years:
         raise InputFileError(
             f"{json_path} targets {plan.target_year}, which is not a year of {config.input_path}"
+        )
+    v1, v2 = plan.projected_cases_v1, plan.projected_cases_v2
+    projected = float(plan.total_tests * (plan.rates * plan.v2_share).sum())
+    if abs(projected - v2) > 1e-9 * max(abs(projected), abs(v2)):
+        raise InputFileError(
+            f"{csv_path} and {json_path} disagree: the case rates project {projected!r} "
+            f"cases under v2_share, not projected_cases_v2 = {v2!r}"
+        )
+    if abs(plan.delta_cases - (v2 - v1)) > 1e-9 * max(abs(v1), abs(v2)):
+        raise InputFileError(
+            f"{json_path} holds delta_cases = {plan.delta_cases!r}, "
+            f"not projected_cases_v2 - projected_cases_v1 = {v2 - v1!r}"
         )
     return plan
 

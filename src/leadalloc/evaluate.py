@@ -101,7 +101,7 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
     otherwise), so a plan read back from another run's artifacts fails
     rather than being scored against the wrong neighborhoods. A plan of no
     tests, or one whose projected case count rounds to a value outside
-    [0, total_tests], is a DataError: only a hand-edited plan.json can hold
+    [0, total_tests], is a DataError: only hand-edited plan files can hold
     either.
     """
     if plan.total_tests <= 0:

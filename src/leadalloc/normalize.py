@@ -200,8 +200,8 @@ def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
     )
 
 
-def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> NormalizedPanel:
-    """Read back a normalized.csv. Given the panel's ``years``, a year with no
+def read_normalized(path: str | Path, years: tuple[int, ...]) -> NormalizedPanel:
+    """Read back a normalized.csv over the panel's ``years``: a year with no
     defined cell is kept and a cell in any other year is an InputFileError,
     as is a cell given twice."""
     cells: dict[tuple[int, int], float] = {}
@@ -213,11 +213,8 @@ def read_normalized(path: str | Path, years: tuple[int, ...] | None = None) -> N
             cells[cell] = float(row["normalized_rate"])
     if not all(map(math.isfinite, cells.values())):
         raise InputFileError(f"{path} holds a rate that is not a finite number")
-    found = {year for _, year in cells}
-    if years is None:
-        years = tuple(sorted(found))
-    elif not found <= set(years):
-        outside = sorted(found - set(years))
+    outside = sorted({year for _, year in cells} - set(years))
+    if outside:
         raise InputFileError(f"{path} holds cells in years {outside}, outside the panel's years")
     geo_ids = tuple(sorted({geo for geo, _ in cells}))
     row_of = {geo: i for i, geo in enumerate(geo_ids)}

@@ -15,9 +15,11 @@ and words each row it refuses, and ``_invariant_checks`` pairs each record
 invariant's array comparison with its wording. A rejected row's reason is
 its first refused field, or else every invariant it breaks; ``validate_panel``
 words violations from the same table. A panel has one constructor, over
-the columns, and holds one row per (geo_id, year) cell: a repeated cell is
-a DuplicateCell. ``view`` and the gap registry are built from the columns,
-and record objects only when something reads ``records`` or ``record()``.
+the columns, and holds one row per (geo_id, year) cell. The constructor
+alone checks for a repeated cell: a DuplicateCell names the first row, in
+the order given, whose cell an earlier row holds. ``view`` and the gap
+registry are built from the columns, and record objects only when
+something reads ``records`` or ``record()``.
 A parsed text column holds one string object per distinct value, and rows
 that arrive in (geo_id, year) order are kept without a sorting copy.
 
@@ -114,8 +116,9 @@ class NeighborhoodPanel:
 
     Built from columns, one array per canonical field: integers as int64,
     or as Python ints where a value does not fit, and text as Python
-    strings. The rows are put in (geo_id, year) order, ``geo_ids`` and
-    ``years`` are taken from them, and a repeated cell is a DuplicateCell.
+    strings. The rows are put in (geo_id, year) order, and ``geo_ids`` and
+    ``years`` are taken from them. A repeated cell is a DuplicateCell that
+    names the first row, in the order given, whose cell an earlier row holds.
     Rows that already arrive in that order are not copied: the panel then
     keeps, and makes read-only, the caller's own arrays. Every caller in
     leadalloc passes arrays it made for the panel.
@@ -133,7 +136,9 @@ class NeighborhoodPanel:
         geo, year = columns["geo_id"], columns["year"]
         repeats = np.flatnonzero((geo[1:] == geo[:-1]) & (year[1:] == year[:-1]))
         if repeats.size:
-            raise DuplicateCell(int(geo[repeats[0]]), int(year[repeats[0]]))
+            # the sort is stable, so order[1:][repeats] are the repeating rows' places in the input
+            first = repeats[np.argmin(order[1:][repeats])]
+            raise DuplicateCell(int(geo[first]), int(year[first]))
         for column in columns.values():
             column.flags.writeable = False
         years, geo_ids = (tuple(sorted(set(column.tolist()))) for column in (year, geo))
@@ -144,9 +149,9 @@ class NeighborhoodPanel:
         raise AttributeError(f"NeighborhoodPanel is immutable: cannot set {name!r}")
 
     @classmethod
-    def from_records(cls, records: list[NeighborhoodYearRecord], rejected=()) -> "NeighborhoodPanel":
+    def from_records(cls, records: list[NeighborhoodYearRecord]) -> "NeighborhoodPanel":
         """A panel over the records' cells; DuplicateCell for a repeated one."""
-        return cls(_columns_of(records), rejected)
+        return cls(_columns_of(records))
 
     @cached_property
     def records(self) -> tuple[NeighborhoodYearRecord, ...]:
@@ -265,15 +270,6 @@ def _errors(checks, i: int) -> list[str]:
     return [word(i) for mask, word in checks if mask[i]]
 
 
-def _repeats(geo: np.ndarray, year: np.ndarray) -> np.ndarray:
-    """The rows whose (geo, year) cell an earlier row holds, as a mask."""
-    order = np.lexsort((year, geo))  # stable, so each cell's rows stay in row order
-    geo, year = geo[order], year[order]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[order[1:][(geo[1:] == geo[:-1]) & (year[1:] == year[:-1])]] = True
-    return repeat
-
-
 def parse_panel(path: str | Path) -> NeighborhoodPanel:
     """Parse a panel CSV into a validated NeighborhoodPanel.
 
@@ -283,7 +279,9 @@ def parse_panel(path: str | Path) -> NeighborhoodPanel:
     ``DEFAULT_YEAR_RANGE``) are rejected and collected on ``panel.rejected``
     with their 1-based data row number. A duplicate (geo_id, year) cell
     raises DuplicateCell: there is no principled way to pick which duplicate
-    to keep. A cell counts as taken only by a row that was not rejected.
+    to keep. A cell counts as taken only by a row that was not rejected, and
+    the kept rows reach the panel's constructor in file order, so the error
+    names the first kept row whose cell an earlier kept row holds.
 
     The rows are read into columns and checked column by column, and each
     rejected row is worded from its own chunk. A file that cannot be read
@@ -312,16 +310,11 @@ def parse_panel(path: str | Path) -> NeighborhoodPanel:
     columns = {name: np.concatenate([c.pop(name) for c, _, _ in chunks]) for name in CANONICAL_FIELDS}
     accepted = np.concatenate([a for _, a, _ in chunks])
     reasons = [reason for _, _, chunk_reasons in chunks for reason in chunk_reasons]
-    kept = np.flatnonzero(accepted)
-    repeats = kept[_repeats(columns["geo_id"][kept], columns["year"][kept])]
-    if repeats.size:
-        first = repeats[0]
-        raise DuplicateCell(int(columns["geo_id"][first]), int(columns["year"][first]))
     bad = np.flatnonzero(~accepted).tolist()
     rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
     # each joined column is dropped once its kept rows are taken, so the
     # constructor's sort is the second live copy of a column, never the third
-    return NeighborhoodPanel({name: columns.pop(name)[kept] for name in CANONICAL_FIELDS}, rejected)
+    return NeighborhoodPanel({name: columns.pop(name)[accepted] for name in CANONICAL_FIELDS}, rejected)
 
 
 def _coerce_rows(rows: list[tuple[str, ...]]):
@@ -376,7 +369,8 @@ def validate_panel(
     rows were rejected up front; this exists for panels assembled by hand
     or round-tripped through files. The checks run on the columns; a row
     that fails one gets each of its errors, in (geo_id, year) order. No
-    panel repeats a cell: its constructor refuses one.
+    panel repeats a cell: its constructor refuses one, naming the first row,
+    in the order given, whose cell an earlier row holds.
     """
     columns = panel._columns
     checks = _invariant_checks(columns, year_range)

@@ -221,7 +221,7 @@ class TestStageArtifacts:
     def test_normalize(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
         assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
-        norm = normalize.read_normalized(out / "normalized.csv")
+        norm = normalize.read_normalized(out / "normalized.csv", panel.parse_panel(fixture_path).years)
         assert len(norm.values) == 72
         for year in norm.years:
             year_values = [v for (_, y), v in norm.values.items() if y == year]
@@ -787,7 +787,31 @@ class TestReusedArtifacts:
         (out / "plan.json").write_text(json.dumps(dict(written, projected_cases_v2=value)))
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "evaluate", f"projected_cases_v2 {value!r}")
+        self.assert_data_error(
+            rc, capsys, "optimize", "plan.json", f"projected_cases_v2 = {value!r}", "delete it to recompute"
+        )
+
+    @pytest.mark.parametrize(
+        "edited, words",
+        [
+            (("projected_cases_v2", "delta_cases"), "not projected_cases_v2 = "),
+            (("delta_cases",), "delta_cases = "),
+        ],
+        ids=["projected_and_delta", "delta_only"],
+    )
+    def test_plan_json_that_plan_csv_does_not_project(self, fixture_path, tmp_path, capsys, edited, words):
+        """plan.json's projected_cases_v2 and delta_cases must be those that
+        plan.csv's case rates and v2_share give, or the report would show
+        them beside cluster totals that plan.csv gives."""
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        written = read_json(out / "plan.json")
+        (out / "plan.json").write_text(json.dumps(dict(written, **{key: written[key] + 300 for key in edited})))
+        report = (out / "evaluation.json").read_bytes()
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "optimize", "plan.json", words, "delete it to recompute")
+        assert (out / "evaluation.json").read_bytes() == report
 
     def test_normalized_cell_in_a_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

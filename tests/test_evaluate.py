@@ -9,6 +9,7 @@ two-proportion formula with 40-digit arithmetic and rounded to float:
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,15 @@ class TestEvaluatePlan:
             for values in (np.array([0.5]), np.array([0.5, 0.25, 0.1])):
                 with pytest.raises(DataError, match=f"{name} has {values.size} entries for a plan of 2"):
                     replace(plan, **{name: values})
+
+    @pytest.mark.parametrize("cases_v2", [-5.0, -0.6, 100.5, 101.0])
+    def test_projected_cases_outside_the_budget(self, cases_v2):
+        """A hand-built plan whose projected case count rounds to a value
+        outside [0, total_tests] is refused."""
+        plan = make_plan(cases_v2=cases_v2, total=100)
+        assignment = make_assignment({1: "a", 2: "b"}, {"a": 1, "b": 2})
+        with pytest.raises(DataError, match=re.escape(f"projected_cases_v2 {cases_v2!r} rounds to")):
+            evaluate_plan(plan, assignment)
 
     def test_unlabeled_plan_geo_rejected(self):
         plan = make_plan(cases_v1=10.0, cases_v2=14.0, total=1000)

@@ -224,7 +224,7 @@ class TestNormalizedRoundTrip:
         write_normalized(norm, path)
         if bom:
             add_bom(path)
-        again = read_normalized(path)
+        again = read_normalized(path, norm.years)
         assert again.values == norm.values
         assert again.years == norm.years
         assert again.geo_ids == norm.geo_ids

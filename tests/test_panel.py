@@ -242,6 +242,27 @@ class TestValidatePanel:
         assert (excinfo.value.geo_id, excinfo.value.year) == (1, 2020)
 
 
+class TestOneDuplicateRule:
+    """A CSV and a list of records name the same repeated cell: the first
+    row, in input order, whose cell an earlier row holds, here not the
+    smallest repeated cell."""
+
+    CELLS = [(2, 2020), (1, 2019), (3, 2018), (2, 2020), (1, 2019)]
+
+    def test_parse_panel(self, tmp_path):
+        lines = [HEADER] + [f"{geo},A,B,{year},100,5,2,1,300" for geo, year in self.CELLS]
+        lines.insert(3, "1,A,B,2019,-5,1,0,0,300")  # rejected, so it takes no cell
+        with pytest.raises(DuplicateCell) as excinfo:
+            parse_panel(write_csv(tmp_path / "dup.csv", lines))
+        assert (excinfo.value.geo_id, excinfo.value.year) == (2, 2020)
+
+    def test_from_records(self):
+        records = [make_record(geo, year, 100, 5) for geo, year in self.CELLS]
+        with pytest.raises(DuplicateCell) as excinfo:
+            NeighborhoodPanel.from_records(records)
+        assert (excinfo.value.geo_id, excinfo.value.year) == (2, 2020)
+
+
 class TestRoundTrip:
     def test_write_then_parse_preserves_records(self, fixture_panel, tmp_path):
         out = tmp_path / "panel.csv"
