@@ -391,7 +391,7 @@ def check_constraints(
     floor = config.floor_fraction * plan.baseline_share
     out: list[ConstraintViolation] = []
     for i in np.flatnonzero(plan.v2_share < floor):
-        message = f"share {plan.v2_share[i]!r} below floor {floor[i]!r}"
+        message = f"share {float(plan.v2_share[i])!r} below floor {float(floor[i])!r}"
         out.append(ConstraintViolation("floor", plan.geo_ids[i], message))
     if config.population_cap:
         for i in np.flatnonzero(plan.v2_tests > pop):

@@ -5,12 +5,15 @@ optimize, evaluate, and run (all stages end to end). Every command reads
 the raw panel CSV from --input and writes into --out with fixed names.
 ``STAGES`` is the table of the stages, and ``_stages`` the one driver that
 runs them: a stage command reuses the files of the earlier stages it needs
-from --out, and ``run`` computes every stage. Settings come from an
-optional flat JSON config file plus flags; flags win over file values and
-pass the same checks. Options may come before or after the command.
+from --out, and ``run`` computes every stage. A reused plan must agree
+with itself and meet the current constraints (``_read_plan``). Settings
+come from an optional flat JSON config file plus flags; flags win over
+file values and pass the same checks. Options may come before or after
+the command.
 
 Artifacts, by stage:
-  ingest     validation.json; the ingest command also writes panel.csv (canonical layout)
+  ingest     validation.json, what the parse decided; the ingest command also
+             writes panel.csv (canonical layout)
   normalize  normalized.csv
   cluster    clusters.csv, clusters.json
   optimize   plan.csv, plan.json, trace.csv (with --emit-trace; removed without)
@@ -141,8 +144,10 @@ def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.Alloca
 
 def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path, json_path: Path):
     """allocate.read_plan, and an InputFileError for a target year the panel
-    lacks, or for a projected_cases_v2 or delta_cases that plan.csv's
-    case_rate and v2_share columns do not give."""
+    lacks, for a projected_cases_v2 or delta_cases that plan.csv's
+    case_rate and v2_share columns do not give, for test counts that are
+    not the apportionment of their shares, or for a plan that breaks the
+    current constraints."""
     plan = allocate.read_plan(csv_path, json_path)
     if plan.target_year not in data.years:
         raise InputFileError(
@@ -159,6 +164,24 @@ def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path,
         raise InputFileError(
             f"{json_path} holds delta_cases = {plan.delta_cases!r}, "
             f"not projected_cases_v2 - projected_cases_v1 = {v2 - v1!r}"
+        )
+    for counts, shares in (("v1_tests", "baseline_share"), ("v2_tests", "v2_share")):
+        # apportionment recomputes bit for bit; a negative budget apportions
+        # nothing, so its counts never match
+        apportioned = allocate.finalize_tests(getattr(plan, shares), max(plan.total_tests, 0))
+        if getattr(plan, counts).tolist() != apportioned.tolist():
+            raise InputFileError(
+                f"{csv_path} holds {counts} that are not the apportionment of its {shares} "
+                f"over {plan.total_tests} tests"
+            )
+    # a plan of other neighborhoods is left for _resolve to name
+    breaches = plan.geo_ids == data.geo_ids and allocate.check_constraints(plan, data, config.constraints)
+    if breaches:
+        first = breaches[0]
+        where = "" if first.geo_id is None else f" at geo {first.geo_id}"
+        raise InputFileError(
+            f"{csv_path} breaks the current constraints {len(breaches)} times, "
+            f"first {first.kind}{where}: {first.message}"
         )
     return plan
 

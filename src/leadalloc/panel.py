@@ -8,13 +8,15 @@ single source of truth for units.
 
 The header is read by the canonical column names, in any order; a file
 exported with other names needs its header renamed first. Bad rows are
-collected, never raised, and a row's year must lie in ``DEFAULT_YEAR_RANGE``.
-Rows are read into columns, one array per field, and checked column by
-column. Each row rule is stated once: ``_coerce_column`` converts a field
-and words each row it refuses, and ``_invariant_checks`` pairs each record
-invariant's array comparison with its wording. A rejected row's reason is
-its first refused field, or else every invariant it breaks; ``validate_panel``
-words violations from the same table. A panel has one constructor, over
+collected, never raised. Rows are read into columns, one array per field,
+and checked column by column. Each row rule is stated once:
+``_coerce_column`` converts a field and words each row it refuses, and
+``_invariant_checks`` pairs each record invariant's array comparison with
+its wording. A rejected row's reason is its first refused field, or else
+every invariant it breaks. The parse is a panel's one validation: a parsed
+panel's years are the years of its kept rows, and they must run without a
+gap. ``validate_panel`` words the same table's violations for panels built
+by hand. A panel has one constructor, over
 the columns, and holds one row per (geo_id, year) cell. The constructor
 alone checks for a repeated cell: a DuplicateCell names the first row, in
 the order given, whose cell an earlier row holds. ``view`` and the gap
@@ -40,8 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, reading, write_json, write_rows
-
-DEFAULT_YEAR_RANGE = (2005, 2021)
 
 CANONICAL_FIELDS = (
     "geo_id", "geo_name", "borough", "year", "tests",
@@ -243,12 +243,10 @@ _CHUNK_ROWS = 1024
 _COUNT_FIELDS = ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population")
 
 
-def _invariant_checks(columns: dict[str, np.ndarray], year_range) -> list:
+def _invariant_checks(columns: dict[str, np.ndarray]) -> list:
     """Each record invariant as (the rows that break it as a mask, the
     wording for row i), in the order a row's reasons are given."""
-    lo, hi = year_range
     tests, c5, c10, c15, _ = (columns[name] for name in _COUNT_FIELDS)
-    year = columns["year"]
     return [
         *((columns[name] < 0, lambda i, name=name: f"{name} is negative") for name in _COUNT_FIELDS),
         (
@@ -256,7 +254,6 @@ def _invariant_checks(columns: dict[str, np.ndarray], year_range) -> list:
             lambda i: "case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus "
             f"<= tests (got {c15[i]}, {c10[i]}, {c5[i]}, {tests[i]})",
         ),
-        ((year < lo) | (year > hi), lambda i: f"year {year[i]} outside {lo}-{hi}"),
     ]
 
 
@@ -275,13 +272,15 @@ def parse_panel(path: str | Path) -> NeighborhoodPanel:
 
     The header is read by name: the canonical columns may come in any
     order, other columns are ignored, and a missing one is a MissingColumn.
-    Rows that fail type coercion or a record invariant (with years in
-    ``DEFAULT_YEAR_RANGE``) are rejected and collected on ``panel.rejected``
-    with their 1-based data row number. A duplicate (geo_id, year) cell
-    raises DuplicateCell: there is no principled way to pick which duplicate
-    to keep. A cell counts as taken only by a row that was not rejected, and
-    the kept rows reach the panel's constructor in file order, so the error
-    names the first kept row whose cell an earlier kept row holds.
+    Rows that fail type coercion or a record invariant are rejected and
+    collected on ``panel.rejected`` with their 1-based data row number. A
+    duplicate (geo_id, year) cell raises DuplicateCell: there is no
+    principled way to pick which duplicate to keep. A cell counts as taken
+    only by a row that was not rejected, and the kept rows reach the panel's
+    constructor in file order, so the error names the first kept row whose
+    cell an earlier kept row holds. The panel's years are those of the kept
+    rows; a year missing between two of them is a DataError that names the
+    missing years and the first kept row after the gap.
 
     The rows are read into columns and checked column by column, and each
     rejected row is worded from its own chunk. A file that cannot be read
@@ -314,7 +313,18 @@ def parse_panel(path: str | Path) -> NeighborhoodPanel:
     rejected = tuple(RejectedRow(i + 1, reason) for i, reason in zip(bad, reasons))
     # each joined column is dropped once its kept rows are taken, so the
     # constructor's sort is the second live copy of a column, never the third
-    return NeighborhoodPanel({name: columns.pop(name)[accepted] for name in CANONICAL_FIELDS}, rejected)
+    kept = {name: columns.pop(name)[accepted] for name in CANONICAL_FIELDS}
+    panel = NeighborhoodPanel(kept, rejected)
+    # the years are the kept rows' own; only the gap's report reads the rows again
+    for before, after in zip(panel.years, panel.years[1:]):
+        if after > before + 1:
+            missing = f"year {before + 1}" if after == before + 2 else f"years {before + 1}-{after - 1}"
+            row = int(np.flatnonzero(accepted)[np.argmax(kept["year"] == after)]) + 1
+            raise DataError(
+                f"the panel's years must run without a gap, but no kept row holds {missing}; "
+                f"the first kept row after the gap is data row {row}, in {after}"
+            )
+    return panel
 
 
 def _coerce_rows(rows: list[tuple[str, ...]]):
@@ -329,7 +339,7 @@ def _coerce_rows(rows: list[tuple[str, ...]]):
         columns[name], refused = _coerce_column(name, strings)
         for i, reason in refused.items():
             refusals.setdefault(i, reason)
-    checks = _invariant_checks(columns, DEFAULT_YEAR_RANGE)
+    checks = _invariant_checks(columns)
     rejected = _broken(checks)
     rejected[list(refusals)] = True
     reasons = [
@@ -358,22 +368,21 @@ def _coerce_column(name: str, strings: tuple[str, ...]) -> tuple[np.ndarray, dic
         return _int_column(values), refused
 
 
-def validate_panel(
-    panel: NeighborhoodPanel,
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
-) -> list[Violation]:
-    """Check every record invariant.
+def validate_panel(panel: NeighborhoodPanel) -> list[Violation]:
+    """Check every record invariant of a panel built by hand.
 
     Violations are returned as data, never raised: an empty list means the
-    panel is clean. parse_panel output always validates clean because bad
-    rows were rejected up front; this exists for panels assembled by hand
-    or round-tripped through files. The checks run on the columns; a row
-    that fails one gets each of its errors, in (geo_id, year) order. No
-    panel repeats a cell: its constructor refuses one, naming the first row,
-    in the order given, whose cell an earlier row holds.
+    panel is clean. A parsed panel is always clean, because the parse
+    rejects every row that breaks an invariant; ``ingest`` and ``run`` still
+    write its empty list into validation.json. The checks run on the
+    columns; a row that fails one gets each of its errors, in (geo_id,
+    year) order. No panel repeats a cell: its constructor refuses one,
+    naming the first row, in the order given, whose cell an earlier row
+    holds. The years of a panel built by hand may have gaps; only
+    ``parse_panel`` refuses them.
     """
     columns = panel._columns
-    checks = _invariant_checks(columns, year_range)
+    checks = _invariant_checks(columns)
     violations: list[Violation] = []
     for i in np.flatnonzero(_broken(checks)).tolist():
         geo_id, year = int(columns["geo_id"][i]), int(columns["year"][i])

@@ -10,6 +10,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leadalloc import allocate, cluster, normalize, panel
@@ -435,6 +436,43 @@ class TestFailureExits:
         assert rc == 1
         assert "error at stage ingest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, words",
+        [
+            # row 31 is geo 103's 2016 row, its year typed as 2201
+            (
+                lambda i, year: "2201" if i == 30 else year,
+                "years 2022-2200; the first kept row after the gap is data row 31, in 2201",
+            ),
+            # every 2015 row dropped, so row 6 is geo 101's 2016 row
+            (
+                lambda i, year: None if year == "2015" else year,
+                "year 2015; the first kept row after the gap is data row 6, in 2016",
+            ),
+        ],
+        ids=["year_2201", "no_2015"],
+    )
+    def test_year_gap_in_the_fixture(self, fixture_path, tmp_path, capsys, edit, words):
+        """The panel's years are its rows' own, so a typo or a dropped year
+        leaves a gap that ends the run, not a plan over positions."""
+        header, *rows = fixture_path.read_text().splitlines()
+        edited = []
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            fields[3] = edit(i, fields[3])
+            if fields[3] is not None:
+                edited.append(",".join(fields))
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join([header, *edited]) + "\n")
+        rc = run_cli("run", "--input", str(broken), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error at stage ingest: the panel's years must run without a gap, "
+            f"but no kept row holds {words}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_window_longer_than_panel(self, fixture_path, tmp_path, capsys):
         rc = run_cli(
             "optimize", "--input", str(fixture_path), "--out", str(tmp_path), "--window", "50"
@@ -812,6 +850,68 @@ class TestReusedArtifacts:
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
         self.assert_data_error(rc, capsys, "optimize", "plan.json", words, "delete it to recompute")
         assert (out / "evaluation.json").read_bytes() == report
+
+    @pytest.mark.parametrize(
+        "edit, words",
+        [
+            ("swap_v2_share", "v2_tests that are not the apportionment of its v2_share over 12480 tests"),
+            ("move_v1_test", "v1_tests that are not the apportionment of its baseline_share over 12480 tests"),
+            ("move_v2_test", "v2_tests that are not the apportionment of its v2_share over 12480 tests"),
+            # every count and projection negated agrees with itself, but no
+            # apportionment gives a negative count
+            ("negative_budget", "v1_tests that are not the apportionment of its baseline_share over -12480 tests"),
+        ],
+        ids=["swap_v2_share", "move_v1_test", "move_v2_test", "negative_budget"],
+    )
+    def test_test_counts_that_their_shares_do_not_give(self, fixture_path, tmp_path, capsys, edit, words):
+        """Each test count must be its share's apportionment: with geos 101
+        and 102's v2_share swapped, and plan.json set to match, the report
+        would give the case difference of the swapped shares beside the
+        tests kept of the written counts."""
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        with open(out / "plan.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        first, second = rows[0], rows[1]
+        if edit == "swap_v2_share":
+            first["v2_share"], second["v2_share"] = second["v2_share"], first["v2_share"]
+            shares = [float(row["v2_share"]) for row in rows]
+            rates = [float(row["case_rate"]) for row in rows]
+            written = read_json(out / "plan.json")
+            v2 = float(written["total_tests"] * np.sum(np.array(rates) * np.array(shares)))
+            doc = dict(written, projected_cases_v2=v2, delta_cases=v2 - written["projected_cases_v1"])
+            (out / "plan.json").write_text(json.dumps(doc))
+        elif edit == "negative_budget":
+            for row in rows:
+                row["v1_tests"], row["v2_tests"] = str(-int(row["v1_tests"])), str(-int(row["v2_tests"]))
+            written = read_json(out / "plan.json")
+            negated = ("total_tests", "projected_cases_v1", "projected_cases_v2", "delta_cases")
+            (out / "plan.json").write_text(json.dumps(dict(written, **{key: -written[key] for key in negated})))
+        else:  # one test moved between two geos, so the column still sums to the budget
+            column = edit[len("move_"):] + "s"
+            first[column], second[column] = str(int(first[column]) - 1), str(int(second[column]) + 1)
+        with open(out / "plan.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        report = (out / "evaluation.json").read_bytes()
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(rc, capsys, "optimize", f"{out / 'plan.csv'} holds {words}", "delete it to recompute")
+        assert (out / "evaluation.json").read_bytes() == report
+
+    def test_plan_that_breaks_the_current_constraints(self, fixture_path, tmp_path, capsys):
+        """A reused plan must meet the current settings: the floor-0.25
+        plan falls below a floor of 0.9 at 102, 103, 105 and 106, so it is
+        not reported as the plan for that floor."""
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out), "--floor", "0.9")
+        words = "plan.csv breaks the current constraints 4 times, first floor at geo 102: share 0.03839170152173207"
+        self.assert_data_error(rc, capsys, "optimize", words, "delete it to recompute")
+        # the settings that made the plan still reuse it
+        assert run_cli("evaluate", "--input", str(fixture_path), "--out", str(out)) == 0
 
     def test_normalized_cell_in_a_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"

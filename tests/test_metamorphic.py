@@ -27,7 +27,13 @@ and compares the artifacts byte for byte:
   drawn ones;
 - the plan of ``optimize`` reads only the case window's years, once the
   target year and the budget are fixed: dropping the years before the
-  window leaves ``plan.*`` as it was.
+  window leaves ``plan.*`` as it was;
+- shifting every year by s, past 2021 or before 2005 too, shifts every year
+  an artifact holds by s and changes nothing else: a panel's years are the
+  years of its rows, and the test-total trend is fitted over their
+  positions. Each artifact of the shifted panel, with its years shifted
+  back, is the artifact of the panel as given, on the bundled panels and on
+  drawn ones.
 """
 
 import csv
@@ -140,6 +146,31 @@ def doubled_counts(row):
 
 def shifted_geo(row):
     return dict(row, geo_id=str(int(row["geo_id"]) + SHIFT))
+
+
+def shifted_year(shift):
+    return lambda row: dict(row, year=str(int(row["year"]) + shift))
+
+
+def unshifted_years(name, data, shift):
+    """The bytes of an artifact of the year-shifted panel with its years
+    shifted back; a JSON artifact is written again as its writer writes it."""
+    text = data.decode("utf-8")
+    if name == "normalized.csv":  # geo_id,year,normalized_rate
+        header, *rows = text.splitlines(keepends=True)
+        fields = (row.split(",", 2) for row in rows)
+        text = header + "".join(f"{geo},{int(year) - shift},{rate}" for geo, year, rate in fields)
+    elif name == "evaluation.txt":  # the title line names the target year
+        title = r"^(Allocation evaluation, target year )(-?\d+)$"
+        text = re.sub(title, lambda m: f"{m[1]}{int(m[2]) - shift}", text, flags=re.M)
+    elif name.endswith(".json"):
+        doc = json.loads(text)
+        if "target_year" in doc:  # plan.json and evaluation.json
+            doc["target_year"] -= shift
+        for entry in doc.get("gap_registry", []) + doc.get("violations", []):  # validation.json
+            entry["year"] -= shift
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return text.encode("utf-8")
 
 
 def unshifted(name, data):
@@ -276,6 +307,36 @@ def test_shifted_geo_ids_give_the_same_artifacts(panel_csv, tmp_path, k):
         assert unshifted(name, shifted[name]) == given[name], name
     # the ids did reach every artifact that holds them
     for name in (*GEO_CSVS, "clusters.json", "evaluation.json", "evaluation.txt"):
+        assert shifted[name] != given[name], name
+
+
+# the artifacts that hold a year
+YEAR_ARTIFACTS = ("normalized.csv", "plan.json", "evaluation.json", "evaluation.txt")
+
+
+@pytest.mark.parametrize("shift", [2, -3])
+def test_shifted_years_give_the_same_artifacts(panel_csv, tmp_path, shift):
+    given = run_artifacts(panel_csv, tmp_path / "given", "--emit-trace")
+    shifted_csv = edited_panel(panel_csv, tmp_path / "shifted.csv", shifted_year(shift))
+    shifted = run_artifacts(shifted_csv, tmp_path / "shifted", "--emit-trace")
+    assert sorted(given) == sorted(shifted)
+    for name in given:
+        assert unshifted_years(name, shifted[name], shift) == given[name], name
+    # the years did reach every artifact that holds them, and the plan
+    # targets the shifted panel's own latest year
+    for name in YEAR_ARTIFACTS:
+        assert shifted[name] != given[name], name
+    assert json.loads(shifted["plan.json"])["target_year"] == json.loads(given["plan.json"])["target_year"] + shift
+
+
+@given(**DRAWN, shift=st.integers(min_value=-40, max_value=40).filter(bool))
+@settings(max_examples=15, deadline=None)
+def test_shifted_years_of_a_drawn_panel_give_the_same_artifacts(seed, n_geos, n_years, shift):
+    rows = drawn_rows(seed, n_geos, n_years)
+    given, shifted = drawn_runs(rows, lambda given_csv, path: edited_panel(given_csv, path, shifted_year(shift)))
+    for name in given:
+        assert unshifted_years(name, shifted[name], shift) == given[name], name
+    for name in YEAR_ARTIFACTS:
         assert shifted[name] != given[name], name
 
 

@@ -86,14 +86,53 @@ class TestParsePanel:
         assert panel.records == ()
         assert "nested" in panel.rejected[0].reason
 
-    def test_year_outside_range_rejected(self, tmp_path):
+    def test_years_come_from_the_kept_rows(self, tmp_path):
+        # no year lies outside a fixed range, and a rejected row's year is
+        # not a panel year
         path = write_csv(
             tmp_path / "year.csv",
-            [HEADER, "101,A,B,1999,100,5,2,1,300"],
+            [HEADER, "101,A,B,1999,100,5,2,1,300", "101,A,B,2000,100,5,2,1,300", "101,A,B,2030,1,5,2,1,3"],
         )
         panel = parse_panel(path)
-        assert panel.records == ()
-        assert "1999" in panel.rejected[0].reason
+        assert panel.years == (1999, 2000)
+        assert [r.row for r in panel.rejected] == [3]
+
+    @pytest.mark.parametrize(
+        "rows, words",
+        [
+            (
+                ["101,A,B,2019,100,5,2,1,300", "101,A,B,2021,100,5,2,1,300"],
+                "year 2020; the first kept row after the gap is data row 2, in 2021",
+            ),
+            # a rejected row's year does not fill the gap
+            (
+                ["101,A,B,2019,100,5,2,1,300", "101,A,B,2020,x,5,2,1,300", "101,A,B,2021,100,5,2,1,300"],
+                "year 2020; the first kept row after the gap is data row 3, in 2021",
+            ),
+            # a typo far past the others; the row named is the first in file order
+            (
+                ["102,A,B,2201,100,5,2,1,300", "101,A,B,2020,100,5,2,1,300", "101,A,B,2201,100,5,2,1,300"],
+                "years 2021-2200; the first kept row after the gap is data row 1, in 2201",
+            ),
+            # the first of two gaps is named
+            (
+                ["101,A,B,2010,1,0,0,0,3", "101,A,B,2012,1,0,0,0,3", "101,A,B,2015,1,0,0,0,3"],
+                "year 2011; the first kept row after the gap is data row 2, in 2012",
+            ),
+        ],
+        ids=["one_year", "rejected_row", "typo", "two_gaps"],
+    )
+    def test_year_gap_raises(self, tmp_path, rows, words):
+        with pytest.raises(DataError) as excinfo:
+            parse_panel(write_csv(tmp_path / "gap.csv", [HEADER, *rows]))
+        assert str(excinfo.value) == f"the panel's years must run without a gap, but no kept row holds {words}"
+
+    def test_shuffled_rows_name_the_same_gap_row(self, tmp_path):
+        # rows out of (geo_id, year) order take the constructor's sorting
+        # copy; the row named is still counted in file order
+        rows = ["103,A,B,2019,1,0,0,0,3", "101,A,B,2017,1,0,0,0,3", "102,A,B,2019,1,0,0,0,3"]
+        with pytest.raises(DataError, match="data row 1, in 2019"):
+            parse_panel(write_csv(tmp_path / "gap.csv", [HEADER, *rows]))
 
     def test_duplicate_cell_always_raises(self, tmp_path):
         path = write_csv(

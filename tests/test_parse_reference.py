@@ -4,7 +4,10 @@ replaced, and the view-derived gap registry against the per-cell loop.
 The reference functions below are the earlier implementations, kept as the
 oracle: one dict per row, one closure per field, and a gap registry built
 by looking up every (geo, year) cell. Both parsers must agree on records,
-rejected rows (numbers and reasons), gaps and raised exceptions.
+rejected rows (numbers and reasons), gaps and raised exceptions. No year is
+out of range: the panel's years are the kept rows' years, and a year that
+no kept row holds between two that do is an error naming the first kept
+row after it.
 """
 
 import csv
@@ -46,7 +49,7 @@ def reference_gaps(records):
     return tuple(gaps)
 
 
-def reference_invariant_errors(rec, year_range):
+def reference_invariant_errors(rec):
     """Every record invariant the record breaks, worded, in order."""
     errs = []
     for name in ("tests", "cases_5plus", "cases_10plus", "cases_15plus", "child_population"):
@@ -57,9 +60,6 @@ def reference_invariant_errors(rec, year_range):
             "case counts must be nested: cases_15plus <= cases_10plus <= cases_5plus <= tests "
             f"(got {rec.cases_15plus}, {rec.cases_10plus}, {rec.cases_5plus}, {rec.tests})"
         )
-    lo, hi = year_range
-    if not lo <= rec.year <= hi:
-        errs.append(f"year {rec.year} outside {lo}-{hi}")
     return errs
 
 
@@ -90,8 +90,13 @@ def reference_coerce_row(row):
     )
 
 
+TOO_LARGE = "panel counts are too large to sum as 64-bit integers"
+
+
 def reference_parse(path):
-    """(records, rejected, gaps) as the DictReader parser produced them."""
+    """(records, rejected, gaps) as the DictReader parser produced them,
+    with the int64 limit the panel's view sets on kept counts, and the rule
+    that the kept rows' years run without a gap."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -99,13 +104,14 @@ def reference_parse(path):
             if canonical not in header:
                 raise MissingColumn(canonical)
         records, rejected, seen = [], [], set()
+        first_row = {}  # year -> the first kept row that holds it
         for row_num, row in enumerate(reader, start=1):
             try:
                 rec = reference_coerce_row(row)
             except ValueError as exc:
                 rejected.append(RejectedRow(row_num, str(exc)))
                 continue
-            errs = reference_invariant_errors(rec, (2005, 2021))
+            errs = reference_invariant_errors(rec)
             if errs:
                 rejected.append(RejectedRow(row_num, "; ".join(errs)))
                 continue
@@ -114,6 +120,18 @@ def reference_parse(path):
                 raise DuplicateCell(rec.geo_id, rec.year)
             seen.add(key)
             records.append(rec)
+            first_row.setdefault(rec.year, row_num)
+    counts = [abs(v) for r in records for v in (r.tests, r.cases_5plus, r.child_population)]
+    if counts and max(counts) * len(records) >= 2**63:
+        raise DataError(TOO_LARGE)
+    years = sorted(first_row)
+    for before, after in zip(years, years[1:]):
+        if after - before > 1:
+            missing = f"year {before + 1}" if after - before == 2 else f"years {before + 1}-{after - 1}"
+            raise DataError(
+                f"the panel's years must run without a gap, but no kept row holds {missing}; "
+                f"the first kept row after the gap is data row {first_row[after]}, in {after}"
+            )
     ordered = tuple(sorted(records, key=lambda r: (r.geo_id, r.year)))
     return ordered, tuple(rejected), reference_gaps(records)
 
@@ -192,7 +210,7 @@ def random_csv(rng, path):
 def outcome(parse, path):
     try:
         return "ok", parse(path)
-    except (MissingColumn, DuplicateCell) as exc:
+    except DataError as exc:  # MissingColumn and DuplicateCell among them
         return "error", (type(exc), str(exc))
 
 
@@ -327,44 +345,24 @@ def wide_csv(rng, path):
     path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-TOO_LARGE = "panel counts are too large to sum as 64-bit integers"
-
-
-def reference_outcome(path):
-    """The DictReader parser's outcome, with the int64 limit the panel's
-    view sets on accepted counts."""
-    kind, value = outcome(reference_parse, path)
-    if kind == "ok":
-        records = value[0]
-        counts = [abs(v) for r in records for v in (r.tests, r.cases_5plus, r.child_population)]
-        if counts and max(counts) * len(records) >= 2**63:
-            return "error", (DataError, TOO_LARGE)
-    return kind, value
-
-
-def current_outcome(path):
-    try:
-        return outcome(current, path)
-    except DataError as exc:
-        return "error", (DataError, str(exc))
-
-
 class TestColumnParser:
     def test_unusual_and_long_integers(self, tmp_path):
         rng = np.random.default_rng(20261019)
-        seen = dict.fromkeys(("ok", "duplicate", "too_large", "long_geo", "rejected"), 0)
-        for case in range(300):
+        seen = dict.fromkeys(("ok", "duplicate", "too_large", "year_gap", "long_geo", "rejected"), 0)
+        for case in range(600):
             path = tmp_path / f"wide_{case}.csv"
             wide_csv(rng, path)
-            want = reference_outcome(path)
-            assert current_outcome(path) == want, path.read_text()
+            want = outcome(reference_parse, path)
+            assert outcome(current, path) == want, path.read_text()
             kind, value = want
             if kind == "ok":
                 seen["ok"] += 1
                 seen["rejected"] += len(value[1])
                 seen["long_geo"] += sum(r.geo_id >= 2**63 for r in value[0])
+            elif value[0] is DuplicateCell:
+                seen["duplicate"] += 1
             else:
-                seen[{DuplicateCell: "duplicate", DataError: "too_large"}[value[0]]] += 1
+                seen["too_large" if value[1] == TOO_LARGE else "year_gap"] += 1
         # every outcome is reached, and accepted panels hold geo ids past int64
         assert min(seen.values()) >= 10, seen
 
@@ -377,7 +375,7 @@ class TestColumnParser:
         for case in range(60):
             path = tmp_path / f"chunks_{case}.csv"
             (wide_csv if case % 2 else random_csv)(rng, path)
-            assert current_outcome(path) == reference_outcome(path), path.read_text()
+            assert outcome(current, path) == outcome(reference_parse, path), path.read_text()
 
     def test_unusual_integers_parse_as_int_reads_them(self, tmp_path):
         row = ["101", "A", "B", "2010", "12", "3", "2", "1", "40"]
@@ -422,11 +420,11 @@ class TestColumnParser:
             assert got[1] == (DuplicateCell, "duplicate cell for geo 1, year 2010")
 
 
-def reference_validate(panel, year_range=(2005, 2021)):
+def reference_validate(panel):
     """validate_panel as it was written over the records, one at a time."""
     violations = []
     for rec in panel.records:
-        for err in reference_invariant_errors(rec, year_range):
+        for err in reference_invariant_errors(rec):
             violations.append(Violation("record", rec.geo_id, rec.year, err))
     return violations
 
@@ -463,7 +461,6 @@ class TestValidateAgainstRecordLoop:
         for _ in range(300):
             base = random_panel(rng)
             records = broken_records(rng, base.records)
-            year_range = (2005, int(rng.integers(2006, 2022)))
             if not _fits_int64_sums(records):
                 continue
             try:
@@ -471,8 +468,8 @@ class TestValidateAgainstRecordLoop:
             except DuplicateCell:
                 seen["refused"] += 1
                 continue
-            want = reference_validate(panel, year_range)
-            assert validate_panel(panel, year_range) == want
+            want = reference_validate(panel)
+            assert validate_panel(panel) == want
             assert all(type(v.geo_id) is int and type(v.year) is int for v in want)
             seen["record"] += len(want)
         assert min(seen.values()) >= 100, seen
