@@ -412,25 +412,34 @@ def build_plan(
 ) -> AllocationPlan:
     """Assemble the full plan for one (p1, p2) combination."""
     candidate = v2_share(shares, p1, p2)
-    v1_tests = finalize_tests(shares.x, total_tests)
-    v2_tests = finalize_tests(candidate, total_tests)
-    delta = case_difference(total_tests, rates, shares.x, candidate)
-    projected_v1 = float(total_tests * np.sum(rates * shares.x))
-    projected_v2 = float(total_tests * np.sum(rates * candidate))
+    return derive_plan(shares.geo_ids, p1, p2, shares.x, candidate, rates, total_tests, shares.target_year)
+
+
+def derive_plan(
+    geo_ids, p1: float, p2: float, baseline_share, v2_share, rates, total_tests: int, target_year: int
+) -> AllocationPlan:
+    """The plan of these shares, case rates and budget, with its test counts,
+    projected cases and delta computed from them, for a new plan and to
+    check a reused one.
+
+    The delta is ``case_difference``'s formula, bit for bit, without its
+    checks: shares that do not sum to 1 give counts that do not sum to the
+    budget, not an error.
+    """
     return AllocationPlan(
-        geo_ids=shares.geo_ids,
+        geo_ids=geo_ids,
         p1=p1,
         p2=p2,
-        baseline_share=shares.x,
-        v2_share=candidate,
-        v1_tests=v1_tests,
-        v2_tests=v2_tests,
+        baseline_share=baseline_share,
+        v2_share=v2_share,
+        v1_tests=finalize_tests(baseline_share, total_tests),
+        v2_tests=finalize_tests(v2_share, total_tests),
         rates=rates,
         total_tests=total_tests,
-        target_year=shares.target_year,
-        projected_cases_v1=projected_v1,
-        projected_cases_v2=projected_v2,
-        delta_cases=delta,
+        target_year=target_year,
+        projected_cases_v1=float(total_tests * np.sum(rates * baseline_share)),
+        projected_cases_v2=float(total_tests * np.sum(rates * v2_share)),
+        delta_cases=float(total_tests * np.sum(rates * (v2_share - baseline_share))),
     )
 
 

@@ -5,8 +5,10 @@ optimize, evaluate, and run (all stages end to end). Every command reads
 the raw panel CSV from --input and writes into --out with fixed names.
 ``STAGES`` is the table of the stages, and ``_stages`` the one driver that
 runs them: a stage command reuses the files of the earlier stages it needs
-from --out, and ``run`` computes every stage. A reused plan must agree
-with itself and meet the current constraints (``_read_plan``). Settings
+from --out, and ``run`` computes every stage. A reused plan's test
+counts, projected cases and delta must be exactly those that
+``allocate.derive_plan`` gives for its shares, case rates and budget, and
+the plan must meet the current constraints (``_read_plan``). Settings
 come from an optional flat JSON config file plus flags; flags win over
 file values and pass the same checks. Options may come before or after
 the command.
@@ -69,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"window must be at least 1, got {self.window}")
         if self.rate_window is not None and self.rate_window < 1:
             raise ConfigError(f"rate_window must be at least 1, got {self.rate_window}")
+        if self.forecast_window is not None and self.forecast_window < 2:
+            raise ConfigError(f"forecast_window must be at least 2, got {self.forecast_window}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         total = self.total_tests_override
@@ -144,36 +148,33 @@ def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.Alloca
 
 def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path, json_path: Path):
     """allocate.read_plan, and an InputFileError for a target year the panel
-    lacks, for a projected_cases_v2 or delta_cases that plan.csv's
-    case_rate and v2_share columns do not give, for test counts that are
-    not the apportionment of their shares, or for a plan that breaks the
-    current constraints."""
+    lacks, for test counts, projected cases or a delta that are not exactly
+    what the plan's shares, case rates and budget give (allocate.derive_plan),
+    or for a plan that breaks the current constraints."""
     plan = allocate.read_plan(csv_path, json_path)
     if plan.target_year not in data.years:
         raise InputFileError(
             f"{json_path} targets {plan.target_year}, which is not a year of {config.input_path}"
         )
-    v1, v2 = plan.projected_cases_v1, plan.projected_cases_v2
-    projected = float(plan.total_tests * (plan.rates * plan.v2_share).sum())
-    if abs(projected - v2) > 1e-9 * max(abs(projected), abs(v2)):
-        raise InputFileError(
-            f"{csv_path} and {json_path} disagree: the case rates project {projected!r} "
-            f"cases under v2_share, not projected_cases_v2 = {v2!r}"
-        )
-    if abs(plan.delta_cases - (v2 - v1)) > 1e-9 * max(abs(v1), abs(v2)):
-        raise InputFileError(
-            f"{json_path} holds delta_cases = {plan.delta_cases!r}, "
-            f"not projected_cases_v2 - projected_cases_v1 = {v2 - v1!r}"
-        )
-    for counts, shares in (("v1_tests", "baseline_share"), ("v2_tests", "v2_share")):
-        # apportionment recomputes bit for bit; a negative budget apportions
-        # nothing, so its counts never match
-        apportioned = allocate.finalize_tests(getattr(plan, shares), max(plan.total_tests, 0))
-        if getattr(plan, counts).tolist() != apportioned.tolist():
-            raise InputFileError(
-                f"{csv_path} holds {counts} that are not the apportionment of its {shares} "
-                f"over {plan.total_tests} tests"
-            )
+    # every field recomputes bit for bit; a negative budget apportions
+    # nothing, so its counts never match
+    derived = allocate.derive_plan(
+        plan.geo_ids, plan.p1, plan.p2, plan.baseline_share, plan.v2_share, plan.rates,
+        max(plan.total_tests, 0), plan.target_year,
+    )
+    for field in ("v1_tests", "v2_tests", "projected_cases_v1", "projected_cases_v2", "delta_cases"):
+        read, given = getattr(plan, field), getattr(derived, field)
+        if field.endswith("_tests"):  # compared geo by geo, and named at the first geo that differs
+            cells = zip(plan.geo_ids, read.tolist(), given.tolist())
+        else:
+            cells = [(None, read, given)]
+        for geo, value, expected in cells:
+            if value != expected:
+                where = "" if geo is None else f" at geo {geo}"
+                raise InputFileError(
+                    f"{csv_path} and {json_path} disagree: {field} = {value!r}{where}, "
+                    f"but the shares, case rates and {plan.total_tests} tests give {expected!r}"
+                )
     # a plan of other neighborhoods is left for _resolve to name
     breaches = plan.geo_ids == data.geo_ids and allocate.check_constraints(plan, data, config.constraints)
     if breaches:

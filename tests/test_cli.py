@@ -176,6 +176,18 @@ class TestConfigMerging:
         assert "rate_window must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "plan.csv").exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "run"])
+    def test_forecast_window_one_rejected(self, fixture_path, tmp_path, capsys, command):
+        """A trend needs two years; the window is refused with the other
+        settings, before any stage writes a file, not at the forecast."""
+        out = tmp_path / "artifacts"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": str(fixture_path), "out": str(out), "forecast_window": 1}))
+        rc = run_cli(command, "--config", str(cfg))
+        assert rc == 2
+        assert "error at stage config: forecast_window must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_integer_rejected(self, fixture_path, tmp_path, capsys):
         for key, value in (("k", 2.7), ("year", 2020.5)):
             cfg = tmp_path / "run.json"
@@ -832,8 +844,8 @@ class TestReusedArtifacts:
     @pytest.mark.parametrize(
         "edited, words",
         [
-            (("projected_cases_v2", "delta_cases"), "not projected_cases_v2 = "),
-            (("delta_cases",), "delta_cases = "),
+            (("projected_cases_v2", "delta_cases"), "disagree: projected_cases_v2 = "),
+            (("delta_cases",), "disagree: delta_cases = "),
         ],
         ids=["projected_and_delta", "delta_only"],
     )
@@ -851,17 +863,38 @@ class TestReusedArtifacts:
         self.assert_data_error(rc, capsys, "optimize", "plan.json", words, "delete it to recompute")
         assert (out / "evaluation.json").read_bytes() == report
 
+    @pytest.mark.parametrize("field", ["projected_cases_v1", "projected_cases_v2", "delta_cases"])
+    def test_plan_json_off_by_a_relative_1e_12(self, fixture_path, tmp_path, capsys, field):
+        """Every dependent field recomputes bit for bit, so a reused plan's
+        must be exactly the one its shares, case rates and budget give: no
+        tolerance lets a hand edit through."""
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        written = read_json(out / "plan.json")
+        edited = written[field] * (1 + 1e-12)
+        assert edited != written[field]
+        (out / "plan.json").write_text(json.dumps(dict(written, **{field: edited})))
+        report = (out / "evaluation.json").read_bytes()
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
+        self.assert_data_error(
+            rc, capsys, "optimize", "plan.json", f"disagree: {field} = {edited!r}", "delete it to recompute"
+        )
+        assert (out / "evaluation.json").read_bytes() == report
+
     @pytest.mark.parametrize(
         "edit, words",
         [
-            ("swap_v2_share", "v2_tests that are not the apportionment of its v2_share over 12480 tests"),
-            ("move_v1_test", "v1_tests that are not the apportionment of its baseline_share over 12480 tests"),
-            ("move_v2_test", "v2_tests that are not the apportionment of its v2_share over 12480 tests"),
+            ("swap_v2_share", "v2_tests = 4539 at geo 101, but the shares, case rates and 12480 tests give 479"),
+            ("move_v1_test", "v1_tests = 2138 at geo 101, but the shares, case rates and 12480 tests give 2139"),
+            ("move_v2_test", "v2_tests = 4538 at geo 101, but the shares, case rates and 12480 tests give 4539"),
+            # shares that do not sum to 1 are a plan.csv to delete, not an error of the search
+            ("scale_v2_share", "v2_tests = 4539 at geo 101, but the shares, case rates and 12480 tests give 6808"),
             # every count and projection negated agrees with itself, but no
             # apportionment gives a negative count
-            ("negative_budget", "v1_tests that are not the apportionment of its baseline_share over -12480 tests"),
+            ("negative_budget", "v1_tests = -2139 at geo 101, but the shares, case rates and -12480 tests give 0"),
         ],
-        ids=["swap_v2_share", "move_v1_test", "move_v2_test", "negative_budget"],
+        ids=["swap_v2_share", "move_v1_test", "move_v2_test", "scale_v2_share", "negative_budget"],
     )
     def test_test_counts_that_their_shares_do_not_give(self, fixture_path, tmp_path, capsys, edit, words):
         """Each test count must be its share's apportionment: with geos 101
@@ -881,6 +914,8 @@ class TestReusedArtifacts:
             v2 = float(written["total_tests"] * np.sum(np.array(rates) * np.array(shares)))
             doc = dict(written, projected_cases_v2=v2, delta_cases=v2 - written["projected_cases_v1"])
             (out / "plan.json").write_text(json.dumps(doc))
+        elif edit == "scale_v2_share":
+            first["v2_share"] = repr(1.5 * float(first["v2_share"]))
         elif edit == "negative_budget":
             for row in rows:
                 row["v1_tests"], row["v2_tests"] = str(-int(row["v1_tests"])), str(-int(row["v2_tests"]))
@@ -897,7 +932,7 @@ class TestReusedArtifacts:
         report = (out / "evaluation.json").read_bytes()
         capsys.readouterr()
         rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", f"{out / 'plan.csv'} holds {words}", "delete it to recompute")
+        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), words, "delete it to recompute")
         assert (out / "evaluation.json").read_bytes() == report
 
     def test_plan_that_breaks_the_current_constraints(self, fixture_path, tmp_path, capsys):

@@ -9,7 +9,8 @@ and compares the artifacts byte for byte:
   it was, ``trace.csv`` included;
 - a rerun on a drawn panel writes the same bytes, and its ``trace.csv``,
   read back by ``csv.reader``, holds the field texts of the run's own
-  search trace, row for row;
+  search trace, row for row; ``evaluate`` in the run's directory reuses
+  its plan and writes the same ``evaluation.*``;
 - a setting that an artifact does not read leaves its bytes alone:
   ``--floor`` does not move ``normalized.csv``, ``clusters.*`` or
   ``validation.json``, and ``--k`` does not move ``normalized.csv``,
@@ -251,8 +252,19 @@ def test_a_rerun_gives_the_same_artifacts_and_the_trace_of_its_search(seed, n_ge
 
     with mock.patch.object(allocate, "grid_search", recorded):
         given, rerun = drawn_runs(rows, lambda _, path: written_panel(rows, path))
+        # evaluate in the run's directory, without its evaluation.*, reuses
+        # the run's plan, searching no more, and writes the same bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            out.mkdir()
+            for name, data in given.items():
+                if not name.startswith("evaluation."):
+                    (out / name).write_bytes(data)
+            panel_csv = written_panel(rows, Path(tmp) / "given.csv")
+            evaluated = run_artifacts(panel_csv, out, *DRAWN_RUN_OPTIONS, command="evaluate")
     for name in given:
         assert rerun[name] == given[name], name
+        assert evaluated[name] == given[name], name
     assert len(searches) == 2
     fields = [
         [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
