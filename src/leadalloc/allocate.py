@@ -419,8 +419,7 @@ def derive_plan(
     geo_ids, p1: float, p2: float, baseline_share, v2_share, rates, total_tests: int, target_year: int
 ) -> AllocationPlan:
     """The plan of these shares, case rates and budget, with its test counts,
-    projected cases and delta computed from them, for a new plan and to
-    check a reused one.
+    projected cases and delta computed from them.
 
     The delta is ``case_difference``'s formula, bit for bit, without its
     checks: shares that do not sum to 1 give counts that do not sum to the

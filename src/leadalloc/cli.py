@@ -4,23 +4,24 @@ Commands mirror the pipeline stages: ingest, normalize, cluster,
 optimize, evaluate, and run (all stages end to end). Every command reads
 the raw panel CSV from --input and writes into --out with fixed names.
 ``STAGES`` is the table of the stages, and ``_stages`` the one driver that
-runs them: a stage command reuses the files of the earlier stages it needs
-from --out, and ``run`` computes every stage. A reused plan's test
-counts, projected cases and delta must be exactly those that
-``allocate.derive_plan`` gives for its shares, case rates and budget, and
-the plan must meet the current constraints (``_read_plan``). Settings
-come from an optional flat JSON config file plus flags; flags win over
-file values and pass the same checks. Options may come before or after
-the command.
+runs them. A command computes its own stages and every stage they take
+from the input panel, and writes each one's files; it reads no earlier
+artifact back. Before it parses, it removes the files of each stage it
+computes and of each stage that takes one of those, directly or through
+another stage, and trace.csv with optimize, so no earlier run's file of
+those stages is left beside what it writes. Settings come from an optional
+flat JSON config file plus flags; flags win over file values and pass the
+same checks. Options may come before or after the command.
 
 Artifacts, by stage:
   ingest     validation.json, what the parse decided; the ingest command also
              writes panel.csv (canonical layout)
   normalize  normalized.csv
   cluster    clusters.csv, clusters.json
-  optimize   plan.csv, plan.json, trace.csv (with --emit-trace; removed without)
+  optimize   plan.csv, plan.json, trace.csv (with --emit-trace)
   evaluate   evaluation.json, evaluation.txt
-  run        every stage's files, after removing those and trace.csv first
+A command also writes the files of the stages it takes: cluster writes
+normalized.csv, evaluate every file but validation.json, and run all.
 
 Exit codes: 0 success, 1 data error, 2 configuration error, 3 infeasible
 optimization. Errors name the stage that failed on stderr. Identical input
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import allocate, cluster, evaluate, normalize, panel
-from .errors import ConfigError, DataError, InputFileError, LeadAllocError, reading
+from .errors import ConfigError, DataError, LeadAllocError, reading
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,20 @@ def _stage(name: str, config: RunConfig):
         raise
 
 
-def _load_panel(config: RunConfig) -> panel.NeighborhoodPanel:
+def _load_panel(config: RunConfig, *names: str) -> panel.NeighborhoodPanel:
+    """The input panel, parsed after removing the files that computing the
+    stages ``names`` would leave stale: those of each stage computed and of
+    each stage that takes one of those, and trace.csv with optimize. A name
+    taken by a directory or a device is left for its write."""
+    computed = set(_computed(names))
+    stale = [name for name in STAGES if computed.intersection(_computed([name]))]
+    files = [file for name in stale for file in STAGES[name].files]
+    if "optimize" in computed:
+        files.append("trace.csv")
     with _stage("ingest", config):
+        for file in files:
+            if (config.output_dir / file).is_file():
+                (config.output_dir / file).unlink()
         return panel.parse_panel(config.input_path)
 
 
@@ -117,14 +130,15 @@ def _target_year(config: RunConfig, data: panel.NeighborhoodPanel) -> int:
 
 
 def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.AllocationPlan:
-    """The best plan on the lattice. The search also writes trace.csv with
-    --emit-trace, and otherwise removes it: an earlier run's trace would
-    contradict the new plan."""
+    """The best plan on the lattice, for a budget forecast from the test
+    totals up to the target year. The search also writes trace.csv with
+    --emit-trace."""
     year = _target_year(config, data)
     shares = allocate.compute_shares(data, year, config.window)
     total_tests = config.total_tests_override
     if total_tests is None:
-        total_tests = normalize.forecast_total_tests(data.yearly_test_totals(), config.forecast_window)
+        totals = data.yearly_test_totals()[: data.column(year) + 1]
+        total_tests = normalize.forecast_total_tests(totals, config.forecast_window)
         if total_tests < 1:
             raise DataError(
                 f"the test-total trend forecasts {total_tests} tests, "
@@ -137,54 +151,10 @@ def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.Alloca
             )
     rates = allocate.case_rates(data, year, config.case_rate_window)
     result = allocate.grid_search(data, shares, total_tests, config.grid, config.constraints, rates=rates)
-    trace = config.output_dir / "trace.csv"
     if config.emit_trace:
         config.output_dir.mkdir(parents=True, exist_ok=True)
-        allocate.write_trace(result.trace, trace)
-    else:
-        trace.unlink(missing_ok=True)
+        allocate.write_trace(result.trace, config.output_dir / "trace.csv")
     return result.plan
-
-
-def _read_plan(config: RunConfig, data: panel.NeighborhoodPanel, csv_path: Path, json_path: Path):
-    """allocate.read_plan, and an InputFileError for a target year the panel
-    lacks, for test counts, projected cases or a delta that are not exactly
-    what the plan's shares, case rates and budget give (allocate.derive_plan),
-    or for a plan that breaks the current constraints."""
-    plan = allocate.read_plan(csv_path, json_path)
-    if plan.target_year not in data.years:
-        raise InputFileError(
-            f"{json_path} targets {plan.target_year}, which is not a year of {config.input_path}"
-        )
-    # every field recomputes bit for bit; a negative budget apportions
-    # nothing, so its counts never match
-    derived = allocate.derive_plan(
-        plan.geo_ids, plan.p1, plan.p2, plan.baseline_share, plan.v2_share, plan.rates,
-        max(plan.total_tests, 0), plan.target_year,
-    )
-    for field in ("v1_tests", "v2_tests", "projected_cases_v1", "projected_cases_v2", "delta_cases"):
-        read, given = getattr(plan, field), getattr(derived, field)
-        if field.endswith("_tests"):  # compared geo by geo, and named at the first geo that differs
-            cells = zip(plan.geo_ids, read.tolist(), given.tolist())
-        else:
-            cells = [(None, read, given)]
-        for geo, value, expected in cells:
-            if value != expected:
-                where = "" if geo is None else f" at geo {geo}"
-                raise InputFileError(
-                    f"{csv_path} and {json_path} disagree: {field} = {value!r}{where}, "
-                    f"but the shares, case rates and {plan.total_tests} tests give {expected!r}"
-                )
-    # a plan of other neighborhoods is left for _resolve to name
-    breaches = plan.geo_ids == data.geo_ids and allocate.check_constraints(plan, data, config.constraints)
-    if breaches:
-        first = breaches[0]
-        where = "" if first.geo_id is None else f" at geo {first.geo_id}"
-        raise InputFileError(
-            f"{csv_path} breaks the current constraints {len(breaches)} times, "
-            f"first {first.kind}{where}: {first.message}"
-        )
-    return plan
 
 
 class Stage(NamedTuple):
@@ -192,7 +162,6 @@ class Stage(NamedTuple):
     takes: tuple[str, ...]  # the stages whose values compute takes, in its argument order
     compute: Callable  # (config, panel, *values taken) -> the stage's value
     write: Callable  # (panel, value, *paths of files)
-    read: Callable | None  # (config, panel, *paths of files) -> the value; None: never reused
 
 
 # The stages in run order. A row looks its module up only when the stage
@@ -202,79 +171,56 @@ STAGES = {
         ("validation.json",), (),
         lambda config, data: panel.validate_panel(data),
         lambda data, violations, path: panel.write_validation_report(data, violations, path),
-        None,
     ),
     "normalize": Stage(
         ("normalized.csv",), (),
         lambda config, data: normalize.normalize_panel(data),
         lambda data, norm, path: normalize.write_normalized(norm, path),
-        lambda config, data, path: normalize.read_normalized(path, years=data.years),
     ),
     "cluster": Stage(
         ("clusters.csv", "clusters.json"), ("normalize",),
         lambda config, data, norm: cluster.cluster_neighborhoods(norm, config.k),
         lambda data, assignment, *paths: cluster.write_assignment(assignment, *paths),
-        lambda config, data, *paths: cluster.read_assignment(*paths),
     ),
     "optimize": Stage(
         ("plan.csv", "plan.json"), (),
         _search,
         lambda data, plan, *paths: allocate.write_plan(plan, *paths),
-        _read_plan,
     ),
     "evaluate": Stage(
         ("evaluation.json", "evaluation.txt"), ("optimize", "cluster"),
         lambda config, data, plan, assignment: evaluate.evaluate_plan(plan, assignment),
         lambda data, report, *paths: evaluate.write_report(report, *paths),
-        None,
     ),
 }
 
 
-def _stages(config: RunConfig, data: panel.NeighborhoodPanel, *fresh: str):
-    """Yield (name, value) for each stage in ``fresh`` and each stage they
-    take, in the order they are done.
+def _computed(names) -> list[str]:
+    """The stages ``names`` and every stage they take, directly or through
+    another stage, in table order."""
+    taken = set(names)
+    for name in reversed(STAGES):  # a stage takes only stages listed before it
+        if name in taken:
+            taken.update(STAGES[name].takes)
+    return [name for name in STAGES if name in taken]
 
-    A stage in ``fresh`` is computed and its files written. Any other stage
-    is read back when it has a reader and all of its files exist, before its
-    own upstream is touched; otherwise it too is computed and written. Files
-    that cannot be read, or that were made from other neighborhoods, are a
-    DataError of the stage that writes them, which names the file and says
-    to delete it to recompute.
-    """
+
+def _stages(config: RunConfig, data: panel.NeighborhoodPanel, *names: str):
+    """Yield (name, value) for each stage in ``names`` and each stage they
+    take, in table order, each computed from the panel and the values of
+    the stages it takes, and its files written."""
     values = {}
-    for name in STAGES:
-        if name in fresh:
-            yield from _resolve(name, config, data, fresh, values)
-
-
-def _resolve(name: str, config: RunConfig, data: panel.NeighborhoodPanel, fresh, values: dict):
-    """_stages for one stage and what it takes, skipping the stages in ``values``."""
-    if name in values:
-        return
-    stage = STAGES[name]
-    paths = [config.output_dir / file for file in stage.files]
-    if name not in fresh and stage.read and all(path.exists() for path in paths):
+    for name in _computed(names):
+        stage = STAGES[name]
         with _stage(name, config):
-            try:
-                value = stage.read(config, data, *paths)
-                if tuple(value.geo_ids) != data.geo_ids:
-                    raise InputFileError(f"{paths[0]} holds other neighborhoods than {config.input_path}")
-            except InputFileError as exc:
-                raise DataError(f"{exc}; delete it to recompute") from exc
-    else:
-        for upstream in stage.takes:
-            yield from _resolve(upstream, config, data, fresh, values)
-        with _stage(name, config):
-            value = stage.compute(config, data, *(values[upstream] for upstream in stage.takes))
+            values[name] = stage.compute(config, data, *(values[upstream] for upstream in stage.takes))
             config.output_dir.mkdir(parents=True, exist_ok=True)
-            stage.write(data, value, *paths)
-    values[name] = value
-    yield name, value
+            stage.write(data, values[name], *(config.output_dir / file for file in stage.files))
+        yield name, values[name]
 
 
 def cmd_ingest(config: RunConfig) -> None:
-    data = _load_panel(config)
+    data = _load_panel(config, "ingest")
     violations = dict(_stages(config, data, "ingest"))["ingest"]
     with _stage("ingest", config):
         panel.write_panel(data, config.output_dir / "panel.csv")
@@ -285,18 +231,18 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_normalize(config: RunConfig) -> None:
-    norm = dict(_stages(config, _load_panel(config), "normalize"))["normalize"]
+    norm = dict(_stages(config, _load_panel(config, "normalize"), "normalize"))["normalize"]
     print(f"normalized {int(norm.defined.sum())} cells across {len(norm.years)} years")
 
 
 def cmd_cluster(config: RunConfig) -> None:
-    assignment = dict(_stages(config, _load_panel(config), "cluster"))["cluster"]
+    assignment = dict(_stages(config, _load_panel(config, "cluster"), "cluster"))["cluster"]
     medoid_text = ", ".join(f"{label}={geo}" for label, geo in assignment.medoids.items())
     print(f"clustered into {config.k} profiles ({medoid_text})")
 
 
 def cmd_optimize(config: RunConfig) -> None:
-    plan = dict(_stages(config, _load_panel(config), "optimize"))["optimize"]
+    plan = dict(_stages(config, _load_panel(config, "optimize"), "optimize"))["optimize"]
     print(
         f"best weights p1={plan.p1:g}, p2={plan.p2:g}: "
         f"projected case difference {plan.delta_cases:+.2f} at T={plan.total_tests}"
@@ -304,20 +250,14 @@ def cmd_optimize(config: RunConfig) -> None:
 
 
 def cmd_evaluate(config: RunConfig) -> None:
-    values = dict(_stages(config, _load_panel(config), "evaluate"))
+    values = dict(_stages(config, _load_panel(config, "evaluate"), "evaluate"))
     plan, ztest = values["optimize"], values["evaluate"]["ztest"]
     test = "z-test degenerate" if ztest is None else f"z={ztest['z']:.4f}, p={ztest['p_value']:.4g}"
     print(f"case difference {plan.delta_cases:+.2f}; {test}")
 
 
 def cmd_run(config: RunConfig) -> None:
-    # a run that stops part way must leave no earlier run's artifacts beside
-    # its own; a name taken by a directory or a device is left for its write
-    with _stage("ingest", config):
-        for name in (*(file for stage in STAGES.values() for file in stage.files), "trace.csv"):
-            if (config.output_dir / name).is_file():
-                (config.output_dir / name).unlink()
-    plan = dict(_stages(config, _load_panel(config), *STAGES))["optimize"]
+    plan = dict(_stages(config, _load_panel(config, *STAGES), *STAGES))["optimize"]
     print(
         f"pipeline complete: p1={plan.p1:g}, p2={plan.p2:g}, "
         f"case difference {plan.delta_cases:+.2f}, artifacts in {config.output_dir}"

@@ -13,14 +13,13 @@ breaks toward the smaller geo_id, and no randomness is involved anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputFileError, integer, number, reading, write_json, write_rows
+from .errors import DataError, write_json, write_rows
 from .normalize import NormalizedPanel
 
 RISK_LABELS = ("High", "Low", "Average", "Rising", "Declining")
@@ -33,10 +32,6 @@ class ClusterAssignment:
     total_cost: float
     n_iter: int
     cost_history: tuple[float, ...]
-
-    @property
-    def geo_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.labels))
 
 
 def build_series(norm: NormalizedPanel) -> np.ndarray:
@@ -299,56 +294,3 @@ def write_assignment(assignment: ClusterAssignment, csv_path: str | Path, json_p
         "n_iter": assignment.n_iter,
     }
     write_json(json_path, doc)
-
-
-def _cluster_order(label: str) -> tuple:
-    """Where a label stands in the order ``cluster_neighborhoods`` gives its
-    clusters: the risk labels in profile order, then ``cluster<i>`` by i,
-    then any other label by its text."""
-    if label in RISK_LABELS:
-        return (0, RISK_LABELS.index(label), label)
-    number = label.removeprefix("cluster")
-    return (1, int(number), label) if number.isdecimal() else (2, 0, label)
-
-
-def read_assignment(csv_path: str | Path, json_path: str | Path) -> ClusterAssignment:
-    """Read back clusters.csv and clusters.json, with the medoids in cluster
-    order, as ``cluster_neighborhoods`` returns them.
-
-    Each geo must be listed once in clusters.csv, each medoid must carry its
-    own label there, and each label there must have a medoid; otherwise
-    this is an InputFileError.
-    """
-    labels: dict[int, str] = {}
-    with reading(csv_path, table=True) as rows:
-        for row in rows:
-            geo = int(row["geo_id"])
-            if geo in labels:
-                raise InputFileError(f"{csv_path} lists geo {geo} twice")
-            labels[geo] = row["label"]
-    with reading(json_path) as fh:
-        doc = json.load(fh)
-        total_cost = number(doc["total_cost"], "total_cost")
-        n_iter = integer(doc["n_iter"], "n_iter")
-        if not isinstance(doc["medoids"], dict):
-            raise TypeError(f"medoids must be an object, got {doc['medoids']!r}")
-        ordered = sorted(doc["medoids"].items(), key=lambda item: _cluster_order(item[0]))
-        medoids = {label: integer(geo, f"the {label} medoid") for label, geo in ordered}
-    if not math.isfinite(total_cost):
-        raise InputFileError(f"{json_path} holds a total_cost that is not a finite number")
-    for label, geo in medoids.items():
-        if labels.get(geo) != label:
-            raise InputFileError(
-                f"{json_path} makes geo {geo} the {label} medoid, "
-                f"but {csv_path} labels it {labels.get(geo)!r}"
-            )
-    unknown = sorted(set(labels.values()) - medoids.keys())
-    if unknown:
-        raise InputFileError(f"{csv_path} holds labels {unknown} with no medoid in {json_path}")
-    return ClusterAssignment(
-        labels=labels,
-        medoids=medoids,
-        total_cost=total_cost,
-        n_iter=n_iter,
-        cost_history=(),
-    )

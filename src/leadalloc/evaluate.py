@@ -98,8 +98,9 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
     reported rather than raised, with ``ztest`` None.
 
     The assignment must label every plan neighborhood (DataError
-    otherwise), so a plan read back from another run's artifacts fails
-    rather than being scored against the wrong neighborhoods. A plan of no
+    otherwise), so a plan of other neighborhoods, such as one read back
+    by ``allocate.read_plan``, fails rather than being scored against the
+    wrong neighborhoods. A plan of no
     tests, or one whose projected case count rounds to a value outside
     [0, total_tests], is a DataError: only hand-edited plan files can hold
     either.

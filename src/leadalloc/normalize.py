@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InputFileError, reading, write_rows
+from .errors import ConfigError, DataError, write_rows
 from .panel import NeighborhoodPanel
 
 
@@ -148,9 +148,12 @@ def fit_share_regression(x, y) -> RegressionFit:
 def forecast_total_tests(yearly_totals, window: int | None = None) -> int:
     """Project next year's citywide test count from a linear trend.
 
-    ``window`` restricts the fit to the last N years; default uses every
-    year given. The forecast is rounded half-up and floored at 0, since a
-    negative test count is not a usable budget.
+    ``yearly_totals`` must be the totals of consecutive years, oldest
+    first: the trend is fitted over their positions, so a missing year
+    would be fitted as if it were not there, and the forecast is for the
+    year after the last total. ``window`` restricts the fit to the last N
+    years; default uses every year given. The forecast is rounded half-up
+    and floored at 0, since a negative test count is not a usable budget.
     """
     totals = list(yearly_totals)
     if window is not None:
@@ -198,30 +201,3 @@ def write_normalized(norm: NormalizedPanel, path: str | Path) -> None:
             map(repr, rates.tolist()),
         ),
     )
-
-
-def read_normalized(path: str | Path, years: tuple[int, ...]) -> NormalizedPanel:
-    """Read back a normalized.csv over the panel's ``years``: a year with no
-    defined cell is kept and a cell in any other year is an InputFileError,
-    as is a cell given twice."""
-    cells: dict[tuple[int, int], float] = {}
-    with reading(path, table=True) as rows:
-        for row in rows:
-            cell = (int(row["geo_id"]), int(row["year"]))
-            if cell in cells:
-                raise InputFileError(f"{path} holds geo {cell[0]}, year {cell[1]} twice")
-            cells[cell] = float(row["normalized_rate"])
-    if not all(map(math.isfinite, cells.values())):
-        raise InputFileError(f"{path} holds a rate that is not a finite number")
-    outside = sorted({year for _, year in cells} - set(years))
-    if outside:
-        raise InputFileError(f"{path} holds cells in years {outside}, outside the panel's years")
-    geo_ids = tuple(sorted({geo for geo, _ in cells}))
-    row_of = {geo: i for i, geo in enumerate(geo_ids)}
-    column_of = {year: j for j, year in enumerate(years)}
-    at = ([row_of[geo] for geo, _ in cells], [column_of[year] for _, year in cells])
-    rates = np.zeros((len(geo_ids), len(years)))
-    defined = np.zeros(rates.shape, dtype=bool)
-    rates[at] = list(cells.values())
-    defined[at] = True
-    return NormalizedPanel(rates, defined, years, geo_ids)

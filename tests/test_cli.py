@@ -1,5 +1,5 @@
-"""Command-line tests: config merging, per-stage artifacts, partial reruns
-that pick up earlier outputs, and exit codes on failure paths.
+"""Command-line tests: config merging, per-stage artifacts, stage commands
+rerun over earlier outputs, and exit codes on failure paths.
 
 Everything drives ``cli.main`` in process against the small panel fixture,
 so stdout, stderr, and the files left in the output directory are all
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leadalloc import allocate, cluster, normalize, panel
+from leadalloc import allocate, panel
 from leadalloc.cli import COMMANDS, build_config, build_parser, main
 from leadalloc.errors import ConfigError
 
@@ -234,21 +234,23 @@ class TestStageArtifacts:
     def test_normalize(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
         assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
-        norm = normalize.read_normalized(out / "normalized.csv", panel.parse_panel(fixture_path).years)
-        assert len(norm.values) == 72
-        for year in norm.years:
-            year_values = [v for (_, y), v in norm.values.items() if y == year]
+        with open(out / "normalized.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 72
+        for year in {row["year"] for row in rows}:
+            year_values = [float(row["normalized_rate"]) for row in rows if row["year"] == year]
             assert abs(sum(year_values) / len(year_values) - 1.0) <= 1e-9
 
     def test_cluster(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
         assert run_cli("cluster", "--input", str(fixture_path), "--out", str(out)) == 0
-        assignment = cluster.read_assignment(out / "clusters.csv", out / "clusters.json")
-        assert assignment.labels[101] == "High"
-        assert assignment.labels[102] == "Low"
-        assert assignment.labels[106] == "Average"
-        assert assignment.labels[104] == "Rising"
-        assert assignment.labels[105] == "Declining"
+        with open(out / "clusters.csv", newline="") as fh:
+            labels = {int(row["geo_id"]): row["label"] for row in csv.DictReader(fh)}
+        assert labels[101] == "High"
+        assert labels[102] == "Low"
+        assert labels[106] == "Average"
+        assert labels[104] == "Rising"
+        assert labels[105] == "Declining"
 
     def test_optimize(self, fixture_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -314,6 +316,20 @@ class TestStageArtifacts:
         assert plan.total_tests == 1000
         assert int(plan.v2_tests.sum()) == 1000
 
+    def test_budget_is_forecast_from_the_years_up_to_the_target(self, fixture_path, tmp_path, capsys):
+        """A plan for 2019 spends the 2020 forecast of the 2010-2019 totals,
+        not the 2022 forecast of every panel year."""
+        for year, total in ((2019, 12400), (2021, 12480)):
+            out = tmp_path / str(year)
+            assert run_cli("run", "--input", str(fixture_path), "--out", str(out), "--year", str(year)) == 0
+            doc = read_json(out / "plan.json")
+            assert (doc["target_year"], doc["total_tests"]) == (year, total)
+        # the first panel year has no trend to forecast from
+        argv = ["run", "--input", str(fixture_path), "--out", str(tmp_path / "2010"), "--year", "2010", "--window", "1"]
+        assert run_cli(*argv) == 2
+        assert "error at stage optimize: need at least 2 yearly totals to forecast" in capsys.readouterr().err
+        assert run_cli(*argv, "--total-tests", "12480") == 0
+
     def test_evaluate_from_scratch(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
         rc = run_cli(
@@ -365,59 +381,72 @@ class TestStageArtifacts:
 
 
 class TestPartialReruns:
-    def test_cluster_reads_existing_normalized(self, fixture_path, tmp_path):
+    """A stage command over a run's directory computes every stage it needs
+    from the panel and its own settings, and first removes the files of the
+    stages it computes and of every stage downstream of them."""
+
+    # what each command leaves of a `run --emit-trace` directory
+    LEFT = {
+        "ingest": {"validation.json", "panel.csv", "normalized.csv", "clusters.csv", "clusters.json",
+                   "plan.csv", "plan.json", "trace.csv", "evaluation.json", "evaluation.txt"},
+        "normalize": {"validation.json", "normalized.csv", "plan.csv", "plan.json", "trace.csv"},
+        "cluster": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
+                    "plan.csv", "plan.json", "trace.csv"},
+        "optimize": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json", "plan.csv", "plan.json"},
+        "evaluate": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
+                     "plan.csv", "plan.json", "evaluation.json", "evaluation.txt"},
+        "run": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
+                "plan.csv", "plan.json", "evaluation.json", "evaluation.txt"},
+    }
+
+    @pytest.mark.parametrize("command", LEFT)
+    def test_a_command_removes_the_files_it_would_leave_stale(self, fixture_path, tmp_path, command):
+        """Over the default floor's run, optimize --floor 0.9 leaves no
+        evaluation of the old plan."""
         out = tmp_path / "artifacts"
-        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
-
-        swapped = {101: 102, 102: 101}
-        path = out / "normalized.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            geo = int(row["geo_id"])
-            row["geo_id"] = str(swapped.get(geo, geo))
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["geo_id", "year", "normalized_rate"])
-            writer.writeheader()
-            writer.writerows(rows)
-
-        assert run_cli("cluster", "--input", str(fixture_path), "--out", str(out)) == 0
-        assignment = cluster.read_assignment(out / "clusters.csv", out / "clusters.json")
-        assert assignment.labels[102] == "High"
-        assert assignment.labels[101] == "Low"
-
-    def test_evaluate_reads_existing_plan(self, fixture_path, tmp_path):
-        out = tmp_path / "artifacts"
-        out.mkdir()
-        data = panel.parse_panel(fixture_path)
-        shares = allocate.compute_shares(data, 2021, 3)
-        rates = allocate.case_rates(data, 2021, 3)
-        plan = allocate.build_plan(shares, rates, 12480, 1.0, 0.0)
-        allocate.write_plan(plan, out / "plan.csv", out / "plan.json")
-        plan_bytes = (out / "plan.json").read_bytes()
-
-        assert run_cli("evaluate", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = read_json(out / "evaluation.json")
-        assert (doc["p1"], doc["p2"]) == (1.0, 0.0)
-        assert doc["delta_cases"] == 0.0
-        assert (out / "plan.json").read_bytes() == plan_bytes
-
-    def test_reused_plan_is_evaluated_on_its_own_rates(self, fixture_path, tmp_path):
-        """A plan chosen on one-year case rates, evaluated again without that
-        setting: the cluster totals must still add up to the plan's own
-        projected cases."""
-        out = tmp_path / "artifacts"
-        cfg = tmp_path / "rates1.json"
-        cfg.write_text(json.dumps({"rate_window": 1}))
         argv = ["--input", str(fixture_path), "--out", str(out)]
-        assert run_cli("run", *argv, "--config", str(cfg)) == 0
-        for name in ("evaluation.json", "evaluation.txt"):
-            (out / name).unlink()
+        assert run_cli("run", *argv, "--emit-trace") == 0
+        assert run_cli(command, *argv, "--floor", "0.9") == 0
+        assert {path.name for path in out.iterdir()} == self.LEFT[command]
+
+    def test_evaluate_at_another_floor_plans_for_that_floor(self, fixture_path, tmp_path, capsys):
+        """The floor-0.25 plan also meets a floor of 0.1, but it is not the
+        plan for that floor."""
+        out, fresh = tmp_path / "artifacts", tmp_path / "fresh"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(fresh), "--floor", "0.1") == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--input", str(fixture_path), "--out", str(out), "--floor", "0.1") == 0
+        assert capsys.readouterr().out.startswith("case difference +126.22;")
+        for path in fresh.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_evaluate_at_another_k_writes_its_clusters(self, fixture_path, tmp_path):
+        out = tmp_path / "artifacts"
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv) == 0
+        assert run_cli("evaluate", *argv, "--k", "3") == 0
+        names = {"cluster1", "cluster2", "cluster3"}
+        assert set(read_json(out / "clusters.json")["medoids"]) == names
+        assert set(read_json(out / "evaluation.json")["cluster_cases"]) == names
+
+    def test_evaluate_rewrites_an_edited_plan(self, fixture_path, tmp_path):
+        out = tmp_path / "artifacts"
+        argv = ["--input", str(fixture_path), "--out", str(out)]
+        assert run_cli("run", *argv) == 0
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        (out / "plan.json").write_text(json.dumps(dict(read_json(out / "plan.json"), p1=1.0, p2=0.0)))
         assert run_cli("evaluate", *argv) == 0
-        doc = read_json(out / "evaluation.json")
-        for key in ("cases_v1", "cases_v2"):
-            total = sum(cases[key] for cases in doc["cluster_cases"].values())
-            assert total == pytest.approx(doc[f"projected_{key}"], abs=1e-6), key
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def test_evaluate_over_the_run_of_another_panel(self, fixture_path, tmp_path):
+        out, fresh = tmp_path / "artifacts", tmp_path / "fresh"
+        other = write_fixture_variant(fixture_path, tmp_path / "shifted.csv", shift_geo)
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        assert run_cli("evaluate", "--input", str(other), "--out", str(out)) == 0
+        assert run_cli("evaluate", "--input", str(other), "--out", str(fresh)) == 0
+        for path in fresh.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_recluster_keeps_a_year_with_no_defined_cell(self, fixture_path, tmp_path):
         def untested_2016(row):
@@ -491,47 +520,6 @@ class TestFailureExits:
         )
         assert rc == 2
         assert "error at stage optimize" in capsys.readouterr().err
-
-    def test_evaluate_rejects_plan_of_another_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        other = tmp_path / "city42.csv"
-        with open(other, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["geo_id", "geo_name", "borough", "year", "tests", "cases_5plus",
-                 "cases_10plus", "cases_15plus", "child_population"]
-            )
-            for geo in range(1, 43):
-                for year in range(2010, 2022):
-                    writer.writerow([geo, f"Area {geo}", "Riverside", year, 1000 + geo, 50, 20, 5, 4000])
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "error at stage optimize" in captured.err
-        assert "case difference" not in captured.out
-
-    def test_evaluate_rejects_plan_of_same_size_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        with open(fixture_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fieldnames = reader.fieldnames
-            rows = list(reader)
-        for row in rows:
-            row["geo_id"] = str(int(row["geo_id"]) + 800)
-        other = tmp_path / "shifted.csv"
-        with open(other, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "error at stage optimize" in captured.err
-        assert "case difference" not in captured.out
 
     def test_no_feasible_point(self, fixture_path, tmp_path, capsys):
         rc = run_cli(
@@ -622,20 +610,11 @@ def shift_geo(row):
 
 
 class TestReusedArtifacts:
-    """An earlier stage's file made from another panel, or one that does not
-    parse, ends the run with exit 1 and a message, not a report or a traceback."""
+    """A file of an earlier stage that was damaged or edited is never read
+    back: the next stage command that takes it computes its stage again
+    from the panel, exits 0 and writes the run's bytes."""
 
-    def assert_data_error(self, rc, capsys, stage, *names):
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert f"error at stage {stage}" in captured.err
-        assert "Traceback" not in captured.err
-        for name in names:
-            assert name in captured.err
-        assert "clustered into" not in captured.out
-        assert "case difference" not in captured.out
-
-    # each reusable file: the command that reuses it, and the stage that writes it
+    # each file a run writes: the command that takes it, and the stage that writes it
     REUSED = {
         "normalized.csv": ("cluster", "normalize"),
         "clusters.csv": ("evaluate", "cluster"),
@@ -643,6 +622,30 @@ class TestReusedArtifacts:
         "plan.csv": ("evaluate", "optimize"),
         "plan.json": ("evaluate", "optimize"),
     }
+
+    # a coarse lattice keeps the two searches of each case short
+    LATTICE = ("--p1-range=-10:10:0.5", "--p2-range=-10:10:0.5")
+
+    @pytest.fixture
+    def out(self, fixture_path, tmp_path):
+        out = tmp_path / "artifacts"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out), *self.LATTICE) == 0
+        self.written = {path.name: path.read_bytes() for path in out.iterdir()}
+        return out
+
+    def assert_recomputed(self, fixture_path, out, capsys, name):
+        """The command that takes ``name`` rewrites it, and every file it
+        leaves holds the run's bytes."""
+        capsys.readouterr()
+        command = self.REUSED[name][0]
+        assert run_cli(command, "--input", str(fixture_path), "--out", str(out), *self.LATTICE) == 0
+        assert capsys.readouterr().err == ""
+        left = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert name in left
+        assert left == {file: self.written[file] for file in left}
+
+    def edit_json(self, path, **changes):
+        path.write_text(json.dumps(dict(read_json(path), **changes)))
 
     @pytest.mark.parametrize(
         "name, damage",
@@ -652,11 +655,8 @@ class TestReusedArtifacts:
         + [(name, "no_geo_id_column") for name in REUSED if name.endswith(".csv")]
         + [("plan.csv", "no_case_rate_column")],
     )
-    def test_file_that_cannot_be_read(self, fixture_path, tmp_path, capsys, name, damage):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_file_that_cannot_be_read(self, fixture_path, out, capsys, name, damage):
         path = out / name
-        said = []
         if damage == "directory":
             path.unlink()
             path.mkdir()
@@ -666,17 +666,18 @@ class TestReusedArtifacts:
         elif damage == "not_utf8":  # an é saved as cp1252
             with open(path, "ab") as fh:
                 fh.write(b"\xe9\n")
-            said = ["is not UTF-8 text (byte 0xe9)"]
         elif damage == "no_geo_id_column":
             path.write_text(path.read_text().replace("geo_id", "geo", 1))
-            said = ["has no column 'geo_id'"]
         else:  # a plan.csv written before the plan carried its case rates
             path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
-            said = ["has no column 'case_rate'"]
+        if damage != "directory":
+            self.assert_recomputed(fixture_path, out, capsys, name)
+            return
+        # a directory in a file's place is left for the stage's write
         capsys.readouterr()
         command, stage = self.REUSED[name]
-        rc = run_cli(command, "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, stage, str(path), "delete it to recompute", *said)
+        assert run_cli(command, "--input", str(fixture_path), "--out", str(out), *self.LATTICE) == 1
+        assert f"error at stage {stage}: cannot write {path}" in capsys.readouterr().err
 
     # a hand edit that puts a non-integer in an integer field, and the file it edits
     NOT_INTEGERS = {
@@ -688,64 +689,29 @@ class TestReusedArtifacts:
     }
 
     @pytest.mark.parametrize("edit", NOT_INTEGERS)
-    def test_integer_field_that_is_not_a_json_integer(self, fixture_path, tmp_path, capsys, edit):
-        """int() would read 2020.5 as 2020, and so score a 2021 plan with 2020 rates."""
-        out = tmp_path / "artifacts"
-        argv = ["--input", str(fixture_path), "--out", str(out)]
-        assert run_cli("run", *argv) == 0
+    def test_integer_field_that_is_not_a_json_integer(self, fixture_path, out, capsys, edit):
         name, change = self.NOT_INTEGERS[edit]
         doc = read_json(out / name)
         change(doc)
         (out / name).write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", *argv)
-        stage = "optimize" if name == "plan.json" else "cluster"
-        self.assert_data_error(rc, capsys, stage, str(out / name), "must be an integer")
+        self.assert_recomputed(fixture_path, out, capsys, name)
 
-    def test_cluster_rejects_normalized_of_another_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        other = write_fixture_variant(fixture_path, tmp_path / "shifted.csv", shift_geo)
-        capsys.readouterr()
-        rc = run_cli("cluster", "--input", str(other), "--out", str(out))
-        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
-
-    def test_evaluate_rejects_clusters_of_another_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        (out / "plan.csv").unlink()
-        (out / "plan.json").unlink()
-        other = write_fixture_variant(
-            fixture_path, tmp_path / "five.csv", lambda row: None if row["geo_id"] == "106" else row
-        )
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(other), "--out", str(out))
-        self.assert_data_error(rc, capsys, "cluster", "clusters.csv")
-
-    def test_plan_json_without_a_key(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_plan_json_without_a_key(self, fixture_path, out, capsys):
         doc = read_json(out / "plan.json")
         del doc["p1"]
         (out / "plan.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", "plan.json")
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
-    def test_normalized_rate_not_a_number(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
-        path = out / "normalized.csv"
+    def replace_last_field_of_first_row(self, path, value):
         lines = path.read_text().splitlines()
-        lines[1] = ",".join(lines[1].split(",")[:-1] + ["zz"])
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
         path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
 
-    def test_clusters_json_without_a_key_or_with_a_list(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_normalized_rate_not_a_number(self, fixture_path, out, capsys):
+        self.replace_last_field_of_first_row(out / "normalized.csv", "zz")
+        self.assert_recomputed(fixture_path, out, capsys, "normalized.csv")
+
+    def test_clusters_json_without_a_key_or_with_a_list(self, fixture_path, out, capsys):
         written = read_json(out / "clusters.json")
         for medoids in (None, list(written["medoids"].values())):
             doc = dict(written)
@@ -754,174 +720,74 @@ class TestReusedArtifacts:
             else:
                 doc["medoids"] = medoids
             (out / "clusters.json").write_text(json.dumps(doc))
-            capsys.readouterr()
-            rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-            self.assert_data_error(rc, capsys, "cluster", "clusters.json")
+            self.assert_recomputed(fixture_path, out, capsys, "clusters.json")
 
-    def test_normalized_rate_not_finite(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
-        path = out / "normalized.csv"
-        lines = path.read_text().splitlines()
-        lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
-        assert not (out / "clusters.json").exists()
+    def test_normalized_rate_not_finite(self, fixture_path, out, capsys):
+        self.replace_last_field_of_first_row(out / "normalized.csv", "nan")
+        self.assert_recomputed(fixture_path, out, capsys, "normalized.csv")
 
-    def test_plan_number_not_finite(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        written = read_json(out / "plan.json")
+    def test_plan_number_not_finite(self, fixture_path, out, capsys):
         for key in ("projected_cases_v2", "total_tests"):
-            (out / "plan.json").write_text(json.dumps(dict(written, **{key: float("inf")})))
-            capsys.readouterr()
-            rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-            self.assert_data_error(rc, capsys, "optimize", "plan.json")
-        (out / "plan.json").write_text(json.dumps(written))
-        lines = (out / "plan.csv").read_text().splitlines()
-        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
-        (out / "plan.csv").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), "delete it to recompute")
+            self.edit_json(out / "plan.json", **{key: float("inf")})
+            self.assert_recomputed(fixture_path, out, capsys, "plan.json")
+        self.replace_last_field_of_first_row(out / "plan.csv", "nan")
+        self.assert_recomputed(fixture_path, out, capsys, "plan.csv")
 
-    def test_clusters_total_cost_not_finite(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = dict(read_json(out / "clusters.json"), total_cost=float("nan"))
-        (out / "clusters.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "cluster", "clusters.json")
+    def test_clusters_total_cost_not_finite(self, fixture_path, out, capsys):
+        self.edit_json(out / "clusters.json", total_cost=float("nan"))
+        self.assert_recomputed(fixture_path, out, capsys, "clusters.json")
 
-    def test_plan_of_no_tests(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = dict(read_json(out / "plan.json"), total_tests=0)
-        (out / "plan.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", "0 tests")
+    def test_plan_of_no_tests(self, fixture_path, out, capsys):
+        self.edit_json(out / "plan.json", total_tests=0)
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
-    @pytest.mark.parametrize(
-        "rate, said",
-        [("-1.5", "holds a negative case_rate"), ("0.5", "not projected_cases_v1 = ")],
-        ids=["negative", "off_the_projection"],
-    )
-    def test_edited_case_rate(self, fixture_path, tmp_path, capsys, rate, said):
-        """An edited case rate would rescore every cluster while plan.json still
-        reported the plan's own projected cases."""
-        out = tmp_path / "artifacts"
-        argv = ["--input", str(fixture_path), "--out", str(out)]
-        assert run_cli("run", *argv) == 0
-        lines = (out / "plan.csv").read_text().splitlines()
-        lines[1] = lines[1].rsplit(",", 1)[0] + "," + rate
-        (out / "plan.csv").write_text("\n".join(lines) + "\n")
-        for name in ("evaluation.json", "evaluation.txt"):
-            (out / name).unlink()
-        capsys.readouterr()
-        rc = run_cli("evaluate", *argv)
-        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), said, "delete it to recompute")
-        assert not (out / "evaluation.json").exists()
+    @pytest.mark.parametrize("rate", ["-1.5", "0.5"], ids=["negative", "off_the_projection"])
+    def test_edited_case_rate(self, fixture_path, out, capsys, rate):
+        self.replace_last_field_of_first_row(out / "plan.csv", rate)
+        self.assert_recomputed(fixture_path, out, capsys, "plan.csv")
 
     @pytest.mark.parametrize(
         "projected", [lambda total: -5.0, lambda total: total + 1.0], ids=["below_0", "above_T"]
     )
-    def test_projected_cases_outside_the_budget(self, fixture_path, tmp_path, capsys, projected):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        written = read_json(out / "plan.json")
-        value = projected(written["total_tests"])
-        (out / "plan.json").write_text(json.dumps(dict(written, projected_cases_v2=value)))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(
-            rc, capsys, "optimize", "plan.json", f"projected_cases_v2 = {value!r}", "delete it to recompute"
-        )
+    def test_projected_cases_outside_the_budget(self, fixture_path, out, capsys, projected):
+        self.edit_json(out / "plan.json", projected_cases_v2=projected(read_json(out / "plan.json")["total_tests"]))
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
     @pytest.mark.parametrize(
-        "edited, words",
-        [
-            (("projected_cases_v2", "delta_cases"), "disagree: projected_cases_v2 = "),
-            (("delta_cases",), "disagree: delta_cases = "),
-        ],
-        ids=["projected_and_delta", "delta_only"],
+        "edited", [("projected_cases_v2", "delta_cases"), ("delta_cases",)], ids=["projected_and_delta", "delta_only"]
     )
-    def test_plan_json_that_plan_csv_does_not_project(self, fixture_path, tmp_path, capsys, edited, words):
-        """plan.json's projected_cases_v2 and delta_cases must be those that
-        plan.csv's case rates and v2_share give, or the report would show
-        them beside cluster totals that plan.csv gives."""
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_plan_json_that_plan_csv_does_not_project(self, fixture_path, out, capsys, edited):
         written = read_json(out / "plan.json")
-        (out / "plan.json").write_text(json.dumps(dict(written, **{key: written[key] + 300 for key in edited})))
-        report = (out / "evaluation.json").read_bytes()
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", "plan.json", words, "delete it to recompute")
-        assert (out / "evaluation.json").read_bytes() == report
+        self.edit_json(out / "plan.json", **{key: written[key] + 300 for key in edited})
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
     @pytest.mark.parametrize("field", ["projected_cases_v1", "projected_cases_v2", "delta_cases"])
-    def test_plan_json_off_by_a_relative_1e_12(self, fixture_path, tmp_path, capsys, field):
-        """Every dependent field recomputes bit for bit, so a reused plan's
-        must be exactly the one its shares, case rates and budget give: no
-        tolerance lets a hand edit through."""
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        written = read_json(out / "plan.json")
-        edited = written[field] * (1 + 1e-12)
-        assert edited != written[field]
-        (out / "plan.json").write_text(json.dumps(dict(written, **{field: edited})))
-        report = (out / "evaluation.json").read_bytes()
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(
-            rc, capsys, "optimize", "plan.json", f"disagree: {field} = {edited!r}", "delete it to recompute"
-        )
-        assert (out / "evaluation.json").read_bytes() == report
+    def test_plan_json_off_by_a_relative_1e_12(self, fixture_path, out, capsys, field):
+        self.edit_json(out / "plan.json", **{field: read_json(out / "plan.json")[field] * (1 + 1e-12)})
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
     @pytest.mark.parametrize(
-        "edit, words",
-        [
-            ("swap_v2_share", "v2_tests = 4539 at geo 101, but the shares, case rates and 12480 tests give 479"),
-            ("move_v1_test", "v1_tests = 2138 at geo 101, but the shares, case rates and 12480 tests give 2139"),
-            ("move_v2_test", "v2_tests = 4538 at geo 101, but the shares, case rates and 12480 tests give 4539"),
-            # shares that do not sum to 1 are a plan.csv to delete, not an error of the search
-            ("scale_v2_share", "v2_tests = 4539 at geo 101, but the shares, case rates and 12480 tests give 6808"),
-            # every count and projection negated agrees with itself, but no
-            # apportionment gives a negative count
-            ("negative_budget", "v1_tests = -2139 at geo 101, but the shares, case rates and -12480 tests give 0"),
-        ],
-        ids=["swap_v2_share", "move_v1_test", "move_v2_test", "scale_v2_share", "negative_budget"],
+        "edit", ["swap_v2_share", "move_v1_test", "move_v2_test", "scale_v2_share", "negative_budget"]
     )
-    def test_test_counts_that_their_shares_do_not_give(self, fixture_path, tmp_path, capsys, edit, words):
-        """Each test count must be its share's apportionment: with geos 101
-        and 102's v2_share swapped, and plan.json set to match, the report
-        would give the case difference of the swapped shares beside the
-        tests kept of the written counts."""
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_test_counts_that_their_shares_do_not_give(self, fixture_path, out, capsys, edit):
         with open(out / "plan.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         first, second = rows[0], rows[1]
-        if edit == "swap_v2_share":
+        if edit == "swap_v2_share":  # with plan.json set to match
             first["v2_share"], second["v2_share"] = second["v2_share"], first["v2_share"]
             shares = [float(row["v2_share"]) for row in rows]
             rates = [float(row["case_rate"]) for row in rows]
             written = read_json(out / "plan.json")
             v2 = float(written["total_tests"] * np.sum(np.array(rates) * np.array(shares)))
-            doc = dict(written, projected_cases_v2=v2, delta_cases=v2 - written["projected_cases_v1"])
-            (out / "plan.json").write_text(json.dumps(doc))
+            self.edit_json(out / "plan.json", projected_cases_v2=v2, delta_cases=v2 - written["projected_cases_v1"])
         elif edit == "scale_v2_share":
             first["v2_share"] = repr(1.5 * float(first["v2_share"]))
-        elif edit == "negative_budget":
+        elif edit == "negative_budget":  # every count and projection negated
             for row in rows:
                 row["v1_tests"], row["v2_tests"] = str(-int(row["v1_tests"])), str(-int(row["v2_tests"]))
             written = read_json(out / "plan.json")
             negated = ("total_tests", "projected_cases_v1", "projected_cases_v2", "delta_cases")
-            (out / "plan.json").write_text(json.dumps(dict(written, **{key: -written[key] for key in negated})))
+            self.edit_json(out / "plan.json", **{key: -written[key] for key in negated})
         else:  # one test moved between two geos, so the column still sums to the budget
             column = edit[len("move_"):] + "s"
             first[column], second[column] = str(int(first[column]) - 1), str(int(second[column]) + 1)
@@ -929,103 +795,60 @@ class TestReusedArtifacts:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-        report = (out / "evaluation.json").read_bytes()
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", str(out / "plan.csv"), words, "delete it to recompute")
-        assert (out / "evaluation.json").read_bytes() == report
+        self.assert_recomputed(fixture_path, out, capsys, "plan.csv")
 
-    def test_plan_that_breaks_the_current_constraints(self, fixture_path, tmp_path, capsys):
-        """A reused plan must meet the current settings: the floor-0.25
-        plan falls below a floor of 0.9 at 102, 103, 105 and 106, so it is
-        not reported as the plan for that floor."""
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out), "--floor", "0.9")
-        words = "plan.csv breaks the current constraints 4 times, first floor at geo 102: share 0.03839170152173207"
-        self.assert_data_error(rc, capsys, "optimize", words, "delete it to recompute")
-        # the settings that made the plan still reuse it
-        assert run_cli("evaluate", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_plan_that_breaks_the_current_constraints(self, fixture_path, out, tmp_path):
+        """The floor-0.25 plan falls below a floor of 0.9 at four geos; the
+        plan for that floor is the one evaluate writes."""
+        fresh = tmp_path / "fresh"
+        argv = ["--input", str(fixture_path), "--floor", "0.9", *self.LATTICE]
+        assert run_cli("run", *argv, "--out", str(fresh)) == 0
+        assert run_cli("evaluate", *argv, "--out", str(out)) == 0
+        assert read_json(out / "plan.json") != json.loads(self.written["plan.json"])
+        for name in ("plan.csv", "plan.json", "evaluation.json", "evaluation.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
-    def test_normalized_cell_in_a_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("normalize", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_normalized_cell_in_a_year_outside_the_panel(self, fixture_path, out, capsys):
         with open(out / "normalized.csv", "a") as fh:
             fh.write("101,2030,1.0\n")
-        capsys.readouterr()
-        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "normalize", "normalized.csv")
-        assert not (out / "clusters.json").exists()
+        self.assert_recomputed(fixture_path, out, capsys, "normalized.csv")
 
-    def test_normalized_cell_given_twice(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        for name in ("clusters.csv", "clusters.json"):
-            (out / name).unlink()
+    def test_normalized_cell_given_twice(self, fixture_path, out, capsys):
         with open(out / "normalized.csv", "a") as fh:
             fh.write("106,2012,9.5\n")
-        capsys.readouterr()
-        rc = run_cli("cluster", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "normalize", "normalized.csv", "106, year 2012 twice")
-        assert not (out / "clusters.json").exists()
+        self.assert_recomputed(fixture_path, out, capsys, "normalized.csv")
 
     @pytest.mark.parametrize(
         "geo, label",
         [("106", "Bogus"), ("104", "Bogus"), ("104", "Average")],
         ids=["label_without_a_medoid", "medoid_with_a_new_label", "medoid_with_another_label"],
     )
-    def test_clusters_csv_label_other_than_clusters_json(
-        self, fixture_path, tmp_path, capsys, geo, label
-    ):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_clusters_csv_label_other_than_clusters_json(self, fixture_path, out, capsys, geo, label):
         path = out / "clusters.csv"
         rows = [row.split(",") for row in path.read_text().splitlines()]
         path.write_text("".join(f"{g},{label if g == geo else old},{m}\n" for g, old, m in rows))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "cluster", "clusters.csv", "clusters.json", label)
+        self.assert_recomputed(fixture_path, out, capsys, "clusters.csv")
 
-    def test_clusters_csv_geo_listed_twice(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+    def test_clusters_csv_geo_listed_twice(self, fixture_path, out, capsys):
         with open(out / "clusters.csv", "a") as fh:
             fh.write("106,High,0\n")
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "cluster", "clusters.csv", "geo 106 twice")
+        self.assert_recomputed(fixture_path, out, capsys, "clusters.csv")
 
-    def test_plan_budget_other_than_its_counts(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = dict(read_json(out / "plan.json"), total_tests=99999)
-        (out / "plan.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", "plan.csv and")
+    def test_plan_budget_other_than_its_counts(self, fixture_path, out, capsys):
+        self.edit_json(out / "plan.json", total_tests=99999)
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
     @pytest.mark.parametrize(
         "name, key, value",
         [("plan.json", "p1", True), ("plan.json", "delta_cases", "105.18"), ("clusters.json", "total_cost", True)],
     )
-    def test_float_field_that_is_not_a_json_number(self, fixture_path, tmp_path, capsys, name, key, value):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = dict(read_json(out / name), **{key: value})
-        (out / name).write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, self.REUSED[name][1], name, f"{key} must be a number")
+    def test_float_field_that_is_not_a_json_number(self, fixture_path, out, capsys, name, key, value):
+        self.edit_json(out / name, **{key: value})
+        self.assert_recomputed(fixture_path, out, capsys, name)
 
-    def test_plan_target_year_outside_the_panel(self, fixture_path, tmp_path, capsys):
-        out = tmp_path / "artifacts"
-        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
-        doc = dict(read_json(out / "plan.json"), target_year=2030)
-        (out / "plan.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("evaluate", "--input", str(fixture_path), "--out", str(out))
-        self.assert_data_error(rc, capsys, "optimize", "plan.json")
+    def test_plan_target_year_outside_the_panel(self, fixture_path, out, capsys):
+        self.edit_json(out / "plan.json", target_year=2030)
+        self.assert_recomputed(fixture_path, out, capsys, "plan.json")
 
 
 class TestLatticeBounds:

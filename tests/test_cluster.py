@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panel_helpers import add_bom, make_panel, normalized_panel
+from panel_helpers import normalized_panel
 from test_cluster_reference import profile_panel
 from leadalloc import cluster
 from leadalloc.cluster import (
@@ -24,8 +24,6 @@ from leadalloc.cluster import (
     build_series,
     cluster_neighborhoods,
     k_medoids,
-    read_assignment,
-    write_assignment,
 )
 from leadalloc.errors import DataError
 from leadalloc.normalize import NormalizedPanel, normalize_panel, ols_line
@@ -314,18 +312,3 @@ class TestClusterNeighborhoods:
         assignment = cluster_neighborhoods(normalize_panel(fixture_panel), k=3)
         assert set(assignment.medoids) == {"cluster1", "cluster2", "cluster3"}
 
-
-class TestAssignmentRoundTrip:
-    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "with_a_bom"])
-    def test_write_read(self, fixture_panel, tmp_path, bom):
-        assignment = cluster_neighborhoods(normalize_panel(fixture_panel))
-        csv_path = tmp_path / "clusters.csv"
-        json_path = tmp_path / "clusters.json"
-        write_assignment(assignment, csv_path, json_path)
-        if bom:
-            add_bom(csv_path, json_path)
-        again = read_assignment(csv_path, json_path)
-        assert again.labels == assignment.labels
-        assert again.medoids == assignment.medoids
-        assert again.total_cost == assignment.total_cost
-        assert again.n_iter == assignment.n_iter

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panel_helpers import add_bom, make_panel, random_panel
+from panel_helpers import make_panel, random_panel
 from leadalloc.cluster import build_series
 from leadalloc.errors import ConfigError, DataError
 from leadalloc.normalize import (
@@ -22,8 +22,6 @@ from leadalloc.normalize import (
     mean_normalize_year,
     normalize_panel,
     ols_line,
-    read_normalized,
-    write_normalized,
 )
 from leadalloc.normalize import testing_population_shares as population_shares
 
@@ -215,16 +213,3 @@ class TestPopulationShares:
         with pytest.raises(DataError):
             population_shares(fixture_panel, 1999)
 
-
-class TestNormalizedRoundTrip:
-    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "with_a_bom"])
-    def test_write_read_exact(self, fixture_panel, tmp_path, bom):
-        norm = normalize_panel(fixture_panel)
-        path = tmp_path / "normalized.csv"
-        write_normalized(norm, path)
-        if bom:
-            add_bom(path)
-        again = read_normalized(path, norm.years)
-        assert again.values == norm.values
-        assert again.years == norm.years
-        assert again.geo_ids == norm.geo_ids

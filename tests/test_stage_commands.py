@@ -3,9 +3,9 @@
 ``ingest -> normalize -> cluster -> optimize -> evaluate`` must write the
 bytes ``run`` writes (TestGoldenArtifacts pins those), plus ``panel.csv``
 from ingest and without ``trace.csv``. Each partial rerun deletes some of
-those artifacts and runs the stages that rebuild them, reading the rest
-back. Every artifact's sha256, every command's stdout and every exit code
-is pinned.
+those artifacts and runs the stages that rebuild them, which compute every
+stage they take again. Every artifact's sha256, every command's stdout and
+every exit code is pinned.
 """
 
 import hashlib
@@ -98,7 +98,6 @@ def chained(request, tmp_path_factory, capsys):
 
 def test_chained_stages(chained):
     panel, out = chained
-    # evaluate reads the clusters that the cluster stage wrote
     assert digests(out) == panel["digests"]
 
 
