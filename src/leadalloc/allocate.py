@@ -53,8 +53,8 @@ MAX_TOTAL_TESTS = 2**53
 
 # float64 elements per (points, geos) block of the lattice search: enough
 # points per block to amortize numpy's per-call cost, few enough that the
-# block's temporaries stay small next to the process
-_BLOCK_ELEMENTS = 2**14
+# block's buffers stay small next to the process
+_BLOCK_ELEMENTS = 2**15
 
 # verdict codes of one lattice point, in precedence order, their trace
 # reasons and their names in the count of rejections when no point is
@@ -286,11 +286,18 @@ def v2_share(shares: ShareVectors, p1: float, p2: float) -> np.ndarray:
     return share[0]
 
 
-def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Candidate shares for the weight pairs (p1[k], p2[k]), one row each,
     with a verdict code per row: _FEASIBLE, _NEGATIVE_SCORE or
-    _NONPOSITIVE_TOTAL. Rows with a score verdict keep their raw scores."""
-    s = x * p1[:, None] + y * p2[:, None]
+    _NONPOSITIVE_TOTAL. Rows with a score verdict keep their raw scores.
+
+    ``out`` is a pair of float arrays of shape (len(p1), len(x)): the shares
+    are written into the first, and the second is scratch. Without it both
+    are allocated. ``_evaluate_block`` says why the shares are those of
+    scoring one point at a time, bit for bit.
+    """
+    s, work = out if out is not None else (np.empty((p1.size, x.size)), np.empty((p1.size, x.size)))
+    np.add(np.einsum("i,j->ij", p1, x, out=s), np.einsum("i,j->ij", p2, y, out=work), out=s)
     on_x = (p2 == 0.0) & (p1 > 0.0)
     on_y = (p1 == 0.0) & (p2 > 0.0)
     s[on_x] = x
@@ -298,9 +305,13 @@ def _candidate_shares(x, y, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray,
     total = np.sum(s, axis=1)
     code = np.zeros(p1.size, dtype=np.int8)
     code[total <= 0.0] = _NONPOSITIVE_TOTAL
-    code[np.any(s < 0.0, axis=1)] = _NEGATIVE_SCORE
+    code[np.min(s, axis=1, initial=0.0) < 0.0] = _NEGATIVE_SCORE
     divide = (code == _FEASIBLE) & ~(on_x | on_y)
-    s[divide] /= total[divide, None]
+    if divide.all():
+        np.divide(s, total[:, None], out=s)
+    else:
+        # a row with a non-positive total is never divided: 0/0 would warn
+        s[divide] /= total[divide, None]
     return s, code
 
 
@@ -465,8 +476,9 @@ def grid_search(
     walk of ``_nonnegative_starts``, which is exact because the shares are
     finite and non-negative; shares that are not, and rates that are not
     finite, raise DataError. The other points are scored in blocks, each a
-    2-D (points, geos) array, with the same element operations as scoring
-    one point at a time. The winner is the first largest delta among the
+    2-D (points, geos) array written into buffers that the whole search
+    reuses, with the verdicts and deltas of scoring one point at a time
+    (``_evaluate_block``). The winner is the first largest delta among the
     feasible points, and the trace is read from the arrays row by row, so
     both are the per-point ones bit for bit.
     """
@@ -497,11 +509,14 @@ def grid_search(
     code = np.where(negative, _NEGATIVE_SCORE, _FEASIBLE).astype(np.int8)
     delta = np.zeros(code.shape)
     scored = np.flatnonzero(code == _FEASIBLE)
+    buffers = _block_buffers(min(block, scored.size), shares.x.size)
     for start in range(0, scored.size, block):
         k = scored[start : start + block]
         delta.flat[k], code.flat[k] = _evaluate_block(
-            shares, rates, total_tests, p1_array[k // n2], p2_array[k % n2], floor, population, constraints
+            shares, rates, total_tests, p1_array[k // n2], p2_array[k % n2], floor, population, constraints,
+            buffers,
         )
+    del buffers  # before the trace is built, so the two never add up in the peak
 
     feasible = np.flatnonzero(code == _FEASIBLE)
     if not feasible.size:
@@ -547,42 +562,86 @@ def _nonnegative_starts(x, y, p1: np.ndarray, p2: np.ndarray) -> list[int]:
     return starts
 
 
-def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints):
+def _block_buffers(rows: int, geos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two float arrays and one bool array of shape (rows, geos), which
+    ``_evaluate_block`` writes its element passes into."""
+    return np.empty((rows, geos)), np.empty((rows, geos)), np.empty((rows, geos), dtype=bool)
+
+
+def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints, buffers=None):
     """Delta and verdict code of each lattice point (p1[k], p2[k]) of a block.
 
     The checks run in precedence order, each on the rows still feasible:
     score, floor, population cap, negative delta. A share exactly at its
     floor and a count exactly at the child population are feasible. Rows
     with a score verdict get delta 0.
+
+    Each element pass writes into ``buffers``, from ``_block_buffers`` with
+    at least len(p1) rows (allocated when not given). Rows are copied out
+    only when some of them have a score verdict or are below their floor.
+    Every verdict and delta is that of scoring one point at a time, bit for
+    bit:
+    - ``einsum("i,j->ij", p1, x)`` adds each product p1·x to 0.0, which is
+      the product itself, except that -0.0 becomes 0.0. With x and y free
+      of -0.0, as ``compute_shares`` makes them, a product is -0.0 only for
+      a weight whose sign bit is set. So a score changes only where both
+      weights have it set, on a row whose scores are then all at most 0,
+      and that row gets a score verdict either way.
+    - ``np.min(row, initial=0) < 0`` is ``np.any(row < 0)``, also for a
+      row of no geos, as finite shares and weights give no NaN score.
+    - Dividing the whole block in place by its row totals divides each
+      element as dividing the chosen rows does. A block with a row that has
+      a score verdict or lies on an axis divides only its other rows.
+    - The population cap compares v - p with 0 and 1 instead of ⌊v⌋ with
+      p, and the two agree exactly (``_over_population``).
     """
-    share, code = _candidate_shares(shares.x, shares.y, p1, p2)
+    if buffers is None:
+        buffers = _block_buffers(p1.size, shares.x.size)
+    scores, work, mask = (buffer[: p1.size] for buffer in buffers)
+    share, code = _candidate_shares(shares.x, shares.y, p1, p2, (scores, work))
     rows = np.flatnonzero(code == _FEASIBLE)
-    share = share[rows]
+    if rows.size < code.size:
+        share = share[rows]
+    work, mask = work[: rows.size], mask[: rows.size]
     if np.any(np.abs(np.sum(share, axis=1) - 1.0) > 1e-6):
         raise DataError("rho2 does not sum to 1")
     delta = np.zeros(code.size)
-    delta[rows] = total_tests * np.sum(rates * (share - shares.x), axis=1)
-    floored = np.any(share < floor, axis=1)
+    np.multiply(rates, np.subtract(share, shares.x, out=work), out=work)
+    delta[rows] = total_tests * np.sum(work, axis=1)
+    floored = np.any(np.less(share, floor, out=mask), axis=1)
     code[rows[floored]] = _FLOOR
     if constraints.population_cap:
-        rows, share = rows[~floored], share[~floored]
-        code[rows[_over_population(share, total_tests, population)]] = _POPULATION_CAP
+        if floored.any():
+            rows, share = rows[~floored], share[~floored]
+        code[rows[_over_population(share, total_tests, population, work[: rows.size])]] = _POPULATION_CAP
     if constraints.require_nonnegative_delta:
         code[(code == _FEASIBLE) & (delta < 0.0)] = _NEGATIVE_DELTA
     return delta, code
 
 
-def _over_population(share: np.ndarray, total_tests: int, population: np.ndarray) -> np.ndarray:
+def _over_population(share: np.ndarray, total_tests: int, population: np.ndarray, out=None) -> np.ndarray:
     """Rows of a share block whose apportioned counts exceed the population
     anywhere: ``np.any(_apportion(share, total_tests) > population, axis=1)``.
 
-    Each apportioned count is its floored share or one more, so only rows
-    where a floored share equals the population, and none is above it, are
-    apportioned.
+    Each apportioned count is its floored share ⌊v⌋, v = share·T, or one
+    more. A population p is a whole number or inf, so ⌊v⌋ > p exactly when
+    v ≥ p + 1, and ⌊v⌋ ≥ p exactly when v ≥ p. Both are read from v - p,
+    whose rounding crosses neither 0 nor 1: the difference of two floats is
+    0 only when they are equal, and when p ≤ v < p + 1 it is exact, being v
+    for p = 0 and by Sterbenz's lemma (p ≤ v ≤ 2p) for p ≥ 1. So p + 1 is
+    never formed, and a p of 2**53 or more, where it would round to p, needs
+    no exception. A row whose largest v - p is 1 or more is over; only the
+    rows whose largest lies in [0, 1) are apportioned. The largest skips a
+    NaN, as the comparisons of ⌊v⌋ with p do, and is -inf for no geos.
+
+    ``out`` is a float array of the block's shape, written as scratch;
+    without it one is allocated.
     """
-    base = np.floor(share * float(total_tests))
-    over = np.any(base > population, axis=1)
-    unsure = np.flatnonzero(~over & np.any(base == population, axis=1))
+    excess = np.multiply(share, float(total_tests), out=out)
+    np.subtract(excess, population, out=excess)
+    most = np.fmax.reduce(excess, axis=1, initial=-math.inf)
+    over = most >= 1.0
+    unsure = np.flatnonzero((most >= 0.0) & ~over)
     if unsure.size:
         over[unsure] = np.any(_apportion(share[unsure], total_tests) > population, axis=1)
     return over

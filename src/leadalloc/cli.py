@@ -8,10 +8,11 @@ runs them. A command computes its own stages and every stage they take
 from the input panel, and writes each one's files; it reads no earlier
 artifact back. Before it parses, it removes the files of each stage it
 computes and of each stage that takes one of those, directly or through
-another stage, and trace.csv with optimize, so no earlier run's file of
-those stages is left beside what it writes. Settings come from an optional
-flat JSON config file plus flags; flags win over file values and pass the
-same checks. Options may come before or after the command.
+another stage, panel.csv with ingest and trace.csv with optimize, so no
+earlier run's file of those stages is left beside what it writes.
+Settings come from an optional flat JSON config file plus flags; flags win
+over file values and pass the same checks. Options may come before or
+after the command.
 
 Artifacts, by stage:
   ingest     validation.json, what the parse decided; the ingest command also
@@ -107,13 +108,14 @@ def _stage(name: str, config: RunConfig):
 def _load_panel(config: RunConfig, *names: str) -> panel.NeighborhoodPanel:
     """The input panel, parsed after removing the files that computing the
     stages ``names`` would leave stale: those of each stage computed and of
-    each stage that takes one of those, and trace.csv with optimize. A name
-    taken by a directory or a device is left for its write."""
+    each stage that takes one of those, panel.csv with ingest and trace.csv
+    with optimize. A name taken by a directory or a device is left for its
+    write."""
     computed = set(_computed(names))
     stale = [name for name in STAGES if computed.intersection(_computed([name]))]
     files = [file for name in stale for file in STAGES[name].files]
-    if "optimize" in computed:
-        files.append("trace.csv")
+    # the files a command writes beside its stage's own
+    files += [file for name, file in (("ingest", "panel.csv"), ("optimize", "trace.csv")) if name in computed]
     with _stage("ingest", config):
         for file in files:
             if (config.output_dir / file).is_file():

@@ -264,10 +264,120 @@ class TestBlockApportionment:
             kinds["under"] += int(np.sum(~want & ~unsure))
         assert min(kinds.values()) > 200, kinds
 
+    def test_count_bumped_past_the_population_its_floor_meets(self):
+        # shares 2**-23 short of 1 leave two of T = 2**24 units over, which
+        # go by index among equal zero remainders: geo 0's v is exactly its
+        # population 2**23 (v - p = 0), and its count is one more
+        share = np.array([[0.5, 0.5 - 2.0**-23]])
+        population = np.array([2.0**23, math.inf])
+        assert _apportion(share, 2**24).tolist() == [[2**23 + 1, 2**23 - 1]]
+        assert allocate._over_population(share, 2**24, population).tolist() == [True]
+
+    def test_nan_share_hides_no_count_over_the_population(self):
+        # an inf score over an inf total leaves a NaN share; geo 1's floored
+        # count 5 still exceeds its population 4
+        share = np.array([[math.nan, 0.5], [math.nan, 0.3]])
+        assert allocate._over_population(share, 10, np.array([5.0, 4.0])).tolist() == [True, False]
+
+    def test_no_geos(self):
+        # a row of no geos has no negative score and no count over a
+        # population, as np.any over nothing says
+        shares = ShareVectors(
+            geo_ids=(), x=np.array([]), y=np.array([]), window_years=(TARGET_YEAR,), target_year=TARGET_YEAR
+        )
+        with pytest.raises(InfeasibleError, match="non-positive score total"):
+            allocate.v2_share(shares, 1.0, 1.0)
+        assert allocate._over_population(np.empty((2, 0)), 10, np.array([])).tolist() == [False, False]
+
     def test_empty_and_single_geo(self):
         assert finalize_tests(np.array([]), 5).tolist() == []
         assert finalize_tests([1.0], 7).tolist() == [7]
         assert finalize_tests([1 / 3] * 3, 10).tolist() == [4, 3, 3]
+
+
+def explicit_instance(tests, cases, rates, population):
+    """The shares of these counts, their case rates, and a panel with these
+    child populations in the target year."""
+    geo_ids = tuple(range(1, len(tests) + 1))
+    panel = NeighborhoodPanel.from_records(
+        [make_record(g, TARGET_YEAR, 50, 1, child_population=pop) for g, pop in zip(geo_ids, population)]
+    )
+    tests, cases = np.array(tests, dtype=float), np.array(cases, dtype=float)
+    shares = ShareVectors(
+        geo_ids=geo_ids, x=tests / tests.sum(), y=cases / cases.sum(), window_years=(TARGET_YEAR,),
+        target_year=TARGET_YEAR,
+    )
+    return panel, shares, np.array(rates, dtype=float)
+
+
+def axis_verdicts(panel, shares, rates, total, config, grid):
+    """The trace reasons of the points on the p1 axis and on the p2 axis,
+    (0, 0) left out."""
+    trace = grid_search(panel, shares, total, grid, config, rates=rates).trace
+    on_x = {p.reason for p in trace if p.p2 == 0.0 and p.p1 > 0.0}
+    on_y = {p.reason for p in trace if p.p1 == 0.0 and p.p2 > 0.0}
+    return on_x, on_y
+
+
+class TestBlockPaths:
+    """Each path of the block scoring against reference_search, bit for bit."""
+
+    # a 5x5 lattice from (0, 0): one block for the few geos below
+    GRID = GridConfig(p1_range=(0.0, 1.0), p2_range=(0.0, 1.0), step=0.25)
+
+    def test_zero_total_and_axis_rows_in_a_block_of_feasible_rows(self):
+        # (0, 0) scores 0 everywhere, so its block divides only its other
+        # rows (0/0 would warn, and a warning fails the suite); the axis
+        # points take x and y themselves
+        panel, shares, rates = explicit_instance([3, 1, 0, 4], [0, 2, 1, 1], [0.5, 0.25, 0.125, 0.0], [10**6] * 4)
+        assert 25 <= _BLOCK_ELEMENTS // 4
+        config = ConstraintConfig(floor_fraction=0.0)
+        assert compare(panel, shares, rates, 1000, config, self.GRID, counters()) == {"non-positive score total"}
+        assert axis_verdicts(panel, shares, rates, 1000, config, self.GRID) == ({None}, {None})
+
+    @pytest.mark.parametrize(
+        "population, verdict",
+        [((100, 10**6, 10**6, 10**6), None), ((99, 10**6, 10**6, 10**6), "population_cap")],
+        ids=["at", "one_above"],
+    )
+    def test_counts_at_the_population_and_one_above(self, population, verdict):
+        # x = (1/8, 1/8, 1/4, 1/2) and T = 800 make the p1 axis's counts the
+        # whole numbers 100, 100, 200 and 400, so geo 1's v - p there is
+        # exactly 0 at a population of 100 and exactly 1 at 99; off the
+        # axis geo 1 has no cases and fewer tests
+        panel, shares, rates = explicit_instance([1, 1, 2, 4], [0, 1, 0, 1], [0.5, 0.0, 0.0, 0.25], population)
+        config = ConstraintConfig(floor_fraction=0.0)
+        seen = counters()
+        compare(panel, shares, rates, 800, config, self.GRID, seen)
+        assert (seen["at_cap"] > 0) == (verdict is None)
+        assert axis_verdicts(panel, shares, rates, 800, config, self.GRID)[0] == {verdict}
+
+    @pytest.mark.parametrize(
+        "population, verdicts",
+        [
+            ((2**53, 2**53 - 1), ({None}, {"population_cap"})),
+            ((2**53 - 1, 2**53 + 2), ({"population_cap"}, {None})),
+            ((2**53 + 2, 2**53), ({None}, {None})),
+        ],
+        ids=["at_and_one_below", "one_below_and_above", "above_and_at"],
+    )
+    def test_populations_from_2_to_the_53(self, population, verdicts):
+        # x = (1, 0) and y = (0, 1) give one geo all 2**53 tests on each
+        # axis; a population of 2**53 is met, not exceeded, though
+        # 2**53 + 1 rounds to 2**53
+        panel, shares, rates = explicit_instance([1, 0], [0, 1], [0.5, 0.25], population)
+        config = ConstraintConfig(floor_fraction=0.0)
+        compare(panel, shares, rates, 2**53, config, self.GRID, counters())
+        assert axis_verdicts(panel, shares, rates, 2**53, config, self.GRID) == verdicts
+
+    def test_negative_delta_verdicts(self):
+        rng = np.random.default_rng(41)
+        found = 0
+        for _ in range(30):
+            panel, shares, rates, total, config, grid = random_instance(rng, int(rng.choice([3, 42, 150])))
+            config = replace(config, require_nonnegative_delta=True)
+            found += "negative_delta" in compare(panel, shares, rates, total, config, grid, counters())
+        assert found >= 3
 
 
 def staircase_grid(rng, quadrant):
@@ -321,9 +431,9 @@ class TestNegativeScoreStaircase:
         rng = np.random.default_rng(24)
         scored = []
 
-        def counting(x, y, p1, p2):
+        def counting(x, y, p1, p2, *buffers):
             scored.append(p1.size)
-            return _candidate_shares(x, y, p1, p2)
+            return _candidate_shares(x, y, p1, p2, *buffers)
 
         monkeypatch.setattr(allocate, "_candidate_shares", counting)
         pruned = 0

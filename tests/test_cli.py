@@ -552,6 +552,22 @@ class TestFailureExits:
         assert "error at stage optimize" in captured.err
         assert "case difference" not in captured.out
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_failed_parse_leaves_no_earlier_panel(self, fixture_path, tmp_path, capsys, command):
+        """A command that computes ingest removes an earlier ingest's
+        panel.csv before it parses, so a parse that fails leaves no panel of
+        another input beside the error."""
+        out = tmp_path / "artifacts"
+        assert run_cli("ingest", "--input", str(fixture_path), "--out", str(out)) == 0
+        header, rows = fixture_path.read_text().split("\n", 1)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(header.replace("geo_name", "name") + "\n" + rows)
+        capsys.readouterr()
+        assert run_cli(command, "--input", str(renamed), "--out", str(out)) == 1
+        assert "error at stage ingest" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+        assert not (out / "validation.json").exists()
+
     # every artifact a command writes: the command, and the stage that writes it
     WRITTEN = {
         "validation.json": ("run", "ingest"),
