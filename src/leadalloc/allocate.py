@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +113,17 @@ class ConstraintConfig:
 @dataclass(frozen=True)
 class GridConfig:
     """Inclusive (p1, p2) lattice. Both endpoints are on the lattice when
-    the range divides evenly by the step."""
+    the range divides evenly by the step.
+
+    The largest |p1| and the largest |p2| of the ranges may add up to at
+    most half the largest float, so that no score and no score total
+    overflows. The shares are non-negative and each sums to 1, so a score
+    x_i·p1 + y_i·p2 is at most |p1| + |p2| in size, and so is a row's
+    total p1·Σx + p2·Σy. Rounding scales each by at most (1 + 2**-53) per
+    operation, and a lattice value lies past its range's bounds by at most
+    a billionth of the range's width plus the 12-decimal snap: the factor
+    of two left holds both many times over.
+    """
 
     p1_range: tuple[float, float] = DEFAULT_WEIGHT_RANGE
     p2_range: tuple[float, float] = DEFAULT_WEIGHT_RANGE
@@ -124,6 +135,12 @@ class GridConfig:
                 raise ConfigError(f"{name} bounds must be finite, got {lo} and {hi}")
             if lo > hi:
                 raise ConfigError(f"{name} has lo > hi: {lo} > {hi}")
+        weights = max(map(abs, self.p1_range)) + max(map(abs, self.p2_range))
+        if weights > sys.float_info.max / 2:
+            raise ConfigError(
+                f"p1_range {self.p1_range} and p2_range {self.p2_range} hold weights whose sizes add up to "
+                f"more than {sys.float_info.max / 2!r}, half the largest float, so a score could overflow"
+            )
         if not math.isfinite(self.step) or self.step <= 0:
             raise ConfigError(f"step must be positive and finite, got {self.step}")
         points = _axis_size(*self.p1_range, self.step) * _axis_size(*self.p2_range, self.step)
@@ -208,8 +225,17 @@ class TracePoint:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """The chosen plan and the whole search: the lattice's values, and a
+    verdict code and a delta per point in arrays of shape (len(p1_values),
+    len(p2_values)); a point with a score verdict has delta 0, and no delta
+    in ``trace``."""
+
     plan: AllocationPlan
     trace: tuple[TracePoint, ...]
+    p1_values: list[float]
+    p2_values: list[float]
+    code: np.ndarray
+    delta: np.ndarray
 
 
 def compute_shares(panel: NeighborhoodPanel, target_year: int, window: int = DEFAULT_WINDOW) -> ShareVectors:
@@ -480,7 +506,8 @@ def grid_search(
     reuses, with the verdicts and deltas of scoring one point at a time
     (``_evaluate_block``). The winner is the first largest delta among the
     feasible points, and the trace is read from the arrays row by row, so
-    both are the per-point ones bit for bit.
+    both are the per-point ones bit for bit. The result also carries the
+    lattice's values and the two arrays, which ``write_trace`` formats.
     """
     if rates is None:
         rates = case_rates(panel, shares.target_year, len(shares.window_years))
@@ -534,7 +561,7 @@ def grid_search(
         for p1, row_code, row_delta in zip(p1_values, code, delta)
         for p2, c, d in zip(p2_values, row_code.tolist(), row_delta.tolist())
     )
-    return SearchResult(plan=plan, trace=trace)
+    return SearchResult(plan, trace, p1_values, p2_values, code, delta)
 
 
 def _nonnegative_starts(x, y, p1: np.ndarray, p2: np.ndarray) -> list[int]:
@@ -568,7 +595,7 @@ def _block_buffers(rows: int, geos: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.empty((rows, geos)), np.empty((rows, geos)), np.empty((rows, geos), dtype=bool)
 
 
-def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints, buffers=None):
+def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, constraints, buffers):
     """Delta and verdict code of each lattice point (p1[k], p2[k]) of a block.
 
     The checks run in precedence order, each on the rows still feasible:
@@ -577,10 +604,9 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     with a score verdict get delta 0.
 
     Each element pass writes into ``buffers``, from ``_block_buffers`` with
-    at least len(p1) rows (allocated when not given). Rows are copied out
-    only when some of them have a score verdict or are below their floor.
-    Every verdict and delta is that of scoring one point at a time, bit for
-    bit:
+    at least len(p1) rows. Rows are copied out only when some of them have a
+    score verdict or are below their floor. Every verdict and delta is that
+    of scoring one point at a time, bit for bit:
     - ``einsum("i,j->ij", p1, x)`` adds each product p1·x to 0.0, which is
       the product itself, except that -0.0 becomes 0.0. With x and y free
       of -0.0, as ``compute_shares`` makes them, a product is -0.0 only for
@@ -595,8 +621,6 @@ def _evaluate_block(shares, rates, total_tests, p1, p2, floor, population, const
     - The population cap compares v - p with 0 and 1 instead of ⌊v⌋ with
       p, and the two agree exactly (``_over_population``).
     """
-    if buffers is None:
-        buffers = _block_buffers(p1.size, shares.x.size)
     scores, work, mask = (buffer[: p1.size] for buffer in buffers)
     share, code = _candidate_shares(shares.x, shares.y, p1, p2, (scores, work))
     rows = np.flatnonzero(code == _FEASIBLE)
@@ -729,47 +753,40 @@ def read_plan(csv_path: str | Path, json_path: str | Path) -> AllocationPlan:
     return plan
 
 
-def write_trace(trace, path: str | Path) -> None:
-    """trace.csv: a header, then one line per TracePoint in ``trace``, in
-    chunks of ``_TRACE_CHUNK`` lines.
+def write_trace(result: SearchResult, path: str | Path) -> None:
+    """trace.csv: a header, then one line per lattice point of the search, in
+    p1-major order, in chunks of ``_TRACE_CHUNK`` lines.
 
     Each line is the bytes ``csv.writer(lineterminator="\\n")`` writes for
-    [repr(p1), repr(p2), repr(delta_cases) or "", int(feasible), reason or ""].
-    No field but a score reason holds a comma, quote or line end, so only
-    the score reasons are quoted. A weight's repr is computed once per float
-    object, and the lattice shares one object per value; a cache keyed by
-    value would write 0.0 for -0.0, which compares equal to it.
+    [repr(p1), repr(p2), repr(delta_cases) or "", int(feasible), reason or ""],
+    read from the search's ``code`` and ``delta`` arrays. No field but a
+    score reason holds a comma, quote or line end, so only the score reasons
+    are quoted. Each weight's repr is taken once, by its position on its
+    axis: a cache keyed by value would write 0.0 for -0.0, which compares
+    equal to it.
     """
-    write_text(path, _trace_chunks(trace))
+    write_text(path, _trace_chunks(result))
 
 
 # lines of trace.csv formatted into one string before it is written
 _TRACE_CHUNK = 1024
 
 
-def _trace_chunks(trace):
+def _trace_chunks(result: SearchResult):
     yield "p1,p2,delta_cases,feasible,reason\n"
     # the feasible and reason fields of each code that is not a score verdict
     tails = [f"{int(code == _FEASIBLE)},{reason or ''}\n" for code, reason in enumerate(_REASONS)]
-    # each weight object, and its repr, by id; holding the object keeps its
-    # id from being given to another float while the trace is written
-    texts = {}
+    texts2 = [repr(p2) for p2 in result.p2_values]
     lines = []
-    for point in trace:
-        p1, p2, delta, code = point.p1, point.p2, point.delta_cases, point.code
-        text1 = texts.get(id(p1))
-        if text1 is None:
-            text1 = texts[id(p1)] = (p1, repr(p1))
-        text2 = texts.get(id(p2))
-        if text2 is None:
-            text2 = texts[id(p2)] = (p2, repr(p2))
-        if code in _SCORE_VERDICTS:
-            # str.format writes a float as its repr, so the weights' texts serve
-            tail = '0,"' + _REASONS[code].format(p1=text1[1], p2=text2[1]) + '"\n'
-        else:
-            tail = tails[code]
-        lines.append(f"{text1[1]},{text2[1]},{'' if delta is None else repr(delta)},{tail}")
-        if len(lines) == _TRACE_CHUNK:
-            yield "".join(lines)
-            lines.clear()
+    for p1, row_code, row_delta in zip(result.p1_values, result.code, result.delta):
+        text1 = repr(p1)
+        for text2, code, delta in zip(texts2, row_code.tolist(), row_delta.tolist()):
+            if code in _SCORE_VERDICTS:
+                # str.format writes a float as its repr, so the weights' texts serve
+                lines.append(f'{text1},{text2},,0,"' + _REASONS[code].format(p1=text1, p2=text2) + '"\n')
+            else:
+                lines.append(f"{text1},{text2},{delta!r},{tails[code]}")
+            if len(lines) == _TRACE_CHUNK:
+                yield "".join(lines)
+                lines.clear()
     yield "".join(lines)

@@ -155,7 +155,7 @@ def _search(config: RunConfig, data: panel.NeighborhoodPanel) -> allocate.Alloca
     result = allocate.grid_search(data, shares, total_tests, config.grid, config.constraints, rates=rates)
     if config.emit_trace:
         config.output_dir.mkdir(parents=True, exist_ok=True)
-        allocate.write_trace(result.trace, config.output_dir / "trace.csv")
+        allocate.write_trace(result, config.output_dir / "trace.csv")
     return result.plan
 
 

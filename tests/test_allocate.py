@@ -405,6 +405,7 @@ class TestCheckConstraints:
                 floor,
                 population,
                 config,
+                allocate._block_buffers(1, n),
             )
             plan = AllocationPlan(
                 geo_ids=geo_ids,
@@ -619,7 +620,7 @@ class TestPlanRoundTrip:
         grid = GridConfig(p1_range=(0.0, 1.0), p2_range=(0.0, 1.0), step=1.0)
         result = grid_search(panel, shares, 100, grid, ConstraintConfig())
         path = tmp_path / "trace.csv"
-        write_trace(result.trace, path)
+        write_trace(result, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "p1,p2,delta_cases,feasible,reason"
         assert len(lines) == 5
@@ -638,12 +639,26 @@ def csv_module_trace(trace) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def every_verdict_search():
+    """A search over a lattice that holds every verdict code."""
+    records = [
+        make_record(1, 2021, 50, 1, child_population=400),
+        make_record(2, 2021, 50, 12, child_population=80),
+        make_record(3, 2021, 100, 4, child_population=400),
+    ]
+    panel = NeighborhoodPanel.from_records(records)
+    shares = compute_shares(panel, 2021, window=1)
+    grid = GridConfig(p1_range=(-1.0, 1.0), p2_range=(-1.0, 1.0), step=0.25)
+    constraints = ConstraintConfig(floor_fraction=0.3, require_nonnegative_delta=True)
+    return grid_search(panel, shares, 200, grid, constraints)
+
+
 class TestTraceBytes:
     """write_trace formats each line itself, and writes the csv module's bytes."""
 
     def written(self, result, tmp_path) -> bytes:
         path = tmp_path / "trace.csv"
-        write_trace(result.trace, path)
+        write_trace(result, path)
         return path.read_bytes()
 
     def test_default_lattice(self, fixture_panel, tmp_path):
@@ -665,15 +680,38 @@ class TestTraceBytes:
         assert b"\n-0.0,-0.0," in written and b"\n0.0,0.0," in written
 
     def test_every_verdict(self, tmp_path):
-        records = [
-            make_record(1, 2021, 50, 1, child_population=400),
-            make_record(2, 2021, 50, 12, child_population=80),
-            make_record(3, 2021, 100, 4, child_population=400),
-        ]
-        panel = NeighborhoodPanel.from_records(records)
-        shares = compute_shares(panel, 2021, window=1)
-        grid = GridConfig(p1_range=(-1.0, 1.0), p2_range=(-1.0, 1.0), step=0.25)
-        constraints = ConstraintConfig(floor_fraction=0.3, require_nonnegative_delta=True)
-        result = grid_search(panel, shares, 200, grid, constraints)
+        result = every_verdict_search()
         assert {point.code for point in result.trace} == set(range(len(_REASONS)))
         assert self.written(result, tmp_path) == csv_module_trace(result.trace)
+
+    @pytest.mark.parametrize(
+        "p1_range, p2_range", [((1.0, 1.0), (-1.0, 2.0)), ((-1.0, 2.0), (1.0, 1.0))], ids=["1xN", "Nx1"]
+    )
+    def test_one_row_and_one_column(self, fixture_panel, tmp_path, p1_range, p2_range):
+        # 3,001 lines: a chunk boundary falls inside the one row of 1xN, and
+        # the boundaries fall between the rows of Nx1
+        grid = GridConfig(p1_range=p1_range, p2_range=p2_range, step=0.001)
+        shares = compute_shares(fixture_panel, 2021, window=3)
+        result = grid_search(fixture_panel, shares, 12480, grid, ConstraintConfig())
+        assert result.code.size == 3001 > allocate._TRACE_CHUNK
+        assert {allocate._NEGATIVE_SCORE, allocate._FEASIBLE} < set(result.code.ravel().tolist())
+        assert self.written(result, tmp_path) == csv_module_trace(result.trace)
+
+    def test_every_verdict_in_one_row(self, tmp_path):
+        """No search puts every verdict in one p1 row: a non-positive total
+        needs every score to be 0, which away from p1 = 0 needs x = y, and
+        on p1 = 0 every point with p2 > 0 has the shares y. So the verdicts
+        and deltas of a search that holds them all are laid out here as one
+        row, on a p2 axis that starts with -0.0 and 0.0."""
+        result = every_verdict_search()
+        code, delta = result.code.reshape(1, -1), result.delta.reshape(1, -1)
+        p1_values, p2_values = [-0.5], [-0.0, *(0.125 * i for i in range(code.size - 1))]
+        trace = tuple(
+            TracePoint(p1_values[0], p2, None if c in allocate._SCORE_VERDICTS else d, c)
+            for p2, c, d in zip(p2_values, code[0].tolist(), delta[0].tolist())
+        )
+        row = replace(result, trace=trace, p1_values=p1_values, p2_values=p2_values, code=code, delta=delta)
+        assert set(code[0].tolist()) == set(range(len(_REASONS)))
+        written = self.written(row, tmp_path)
+        assert written == csv_module_trace(trace)
+        assert b"\n-0.5,-0.0," in written and b"\n-0.5,0.0," in written

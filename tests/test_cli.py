@@ -8,6 +8,9 @@ observable without subprocesses.
 
 import csv
 import json
+import math
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -914,6 +917,28 @@ class TestLatticeBounds:
         allocate.GridConfig((0.0, cap - 1.0), (0.0, 0.0), 1.0)
         with pytest.raises(ConfigError, match=f"{cap + 1:,} points"):
             allocate.GridConfig((0.0, float(cap)), (0.0, 0.0), 1.0)
+
+    def test_weights_that_could_overflow_a_score_are_refused(self, fixture_path, tmp_path, capsys):
+        # 1e308 + 1e308 overflows a score total: the search used to warn, then
+        # fail at stage optimize because the shares did not sum to 1
+        ranges = ("--p1-range=1e308:1e308:1", "--p2-range=1e308:1e308:1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("run", "--input", str(fixture_path), "--out", str(tmp_path / "out"), *ranges)
+        assert [str(warning.message) for warning in caught] == []
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error at stage config: ")
+        assert "p1_range (1e+308, 1e+308) and p2_range (1e+308, 1e+308)" in err
+
+    def test_weight_bound_is_exact(self):
+        half = sys.float_info.max / 2
+        above = math.nextafter(half / 2, math.inf)
+        for p1_range, p2_range in (((half, half), (0.0, 0.0)), ((-half / 2, 0.0), (0.0, half / 2))):
+            allocate.GridConfig(p1_range, p2_range, half / 2)
+        for p1_range, p2_range in (((0.0, 2 * above), (0.0, 0.0)), ((-half / 2, 0.0), (0.0, above))):
+            with pytest.raises(ConfigError, match="half the largest float"):
+                allocate.GridConfig(p1_range, p2_range, half / 2)
 
 
 class TestFrontEnd:

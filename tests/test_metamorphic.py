@@ -18,10 +18,11 @@ and compares the artifacts byte for byte:
   artifacts that do read it on both panels (a floor of 0.5 would leave
   the plan of ``panel_gaps.csv`` as it is);
 - doubling every count of tests and cases, with the population kept and
-  its cap off at a fixed budget, leaves every artifact as it was: shares
-  and rates are ratios of exactly doubled floats, so they keep their bits.
-  ``validation.json`` is the exception where rows are rejected, because
-  the rejection reasons quote the counts;
+  its cap off at a fixed budget, leaves every artifact as it was, on the
+  bundled panels and on drawn ones: shares and rates are ratios of exactly
+  doubled floats, so they keep their bits. ``validation.json`` is the
+  exception where rows are rejected, because the rejection reasons quote
+  the counts;
 - shifting every geo_id by +10,000 keeps their order, and so every tie
   break: each artifact of the shifted panel, with the ids shifted back,
   is the artifact of the panel as given, on the bundled panels and on
@@ -125,17 +126,17 @@ def written_panel(rows, path, header=HEADER):
     return path
 
 
-def drawn_runs(rows, write_changed):
-    """The artifacts of ``leadalloc run`` on a drawn panel and on the panel
-    that ``write_changed(given_csv, path)`` writes to ``path``. Both runs
-    must get through to the trace, so no example passes on an early
-    failure."""
+def drawn_runs(rows, write_changed, options=DRAWN_RUN_OPTIONS):
+    """The artifacts of ``leadalloc run`` with ``options`` on a drawn panel
+    and on the panel that ``write_changed(given_csv, path)`` writes to
+    ``path``. Both runs must get through to the trace, so no example passes
+    on an early failure."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         given_csv = written_panel(rows, tmp / "given.csv")
         changed_csv = write_changed(given_csv, tmp / "changed.csv")
-        given = run_artifacts(given_csv, tmp / "given", *DRAWN_RUN_OPTIONS)
-        changed = run_artifacts(changed_csv, tmp / "changed", *DRAWN_RUN_OPTIONS)
+        given = run_artifacts(given_csv, tmp / "given", *options)
+        changed = run_artifacts(changed_csv, tmp / "changed", *options)
     assert "trace.csv" in given
     assert sorted(changed) == sorted(given)
     return given, changed
@@ -305,6 +306,16 @@ def test_doubled_counts_give_the_same_artifacts(panel_csv, tmp_path):
     for name in given:
         if not (rejected and name == "validation.json"):
             assert given[name] == doubled[name], name
+
+
+@given(**DRAWN)
+@settings(max_examples=10, deadline=None)
+def test_doubled_counts_of_a_drawn_panel_give_the_same_artifacts(seed, n_geos, n_years):
+    rows = drawn_rows(seed, n_geos, n_years)
+    options = (*DRAWN_RUN_OPTIONS, "--no-population-cap", "--total-tests", "100000")
+    given, doubled = drawn_runs(rows, lambda given_csv, path: edited_panel(given_csv, path, doubled_counts), options)
+    for name in given:
+        assert doubled[name] == given[name], name
 
 
 @pytest.mark.parametrize("k", ["5", "3"])
