@@ -6,10 +6,9 @@ the raw panel CSV from --input and writes into --out with fixed names.
 ``STAGES`` is the table of the stages, and ``_stages`` the one driver that
 runs them. A command computes its own stages and every stage they take
 from the input panel, and writes each one's files; it reads no earlier
-artifact back. Before it parses, it removes the files of each stage it
-computes and of each stage that takes one of those, directly or through
-another stage, panel.csv with ingest and trace.csv with optimize, so no
-earlier run's file of those stages is left beside what it writes.
+artifact back. Before it parses, every command removes every file in
+``ARTIFACTS``, so the output directory holds only the files of the last
+command run into it.
 Settings come from an optional flat JSON config file plus flags; flags win
 over file values and pass the same checks. Options may come before or
 after the command.
@@ -105,19 +104,11 @@ def _stage(name: str, config: RunConfig):
         raise
 
 
-def _load_panel(config: RunConfig, *names: str) -> panel.NeighborhoodPanel:
-    """The input panel, parsed after removing the files that computing the
-    stages ``names`` would leave stale: those of each stage computed and of
-    each stage that takes one of those, panel.csv with ingest and trace.csv
-    with optimize. A name taken by a directory or a device is left for its
-    write."""
-    computed = set(_computed(names))
-    stale = [name for name in STAGES if computed.intersection(_computed([name]))]
-    files = [file for name in stale for file in STAGES[name].files]
-    # the files a command writes beside its stage's own
-    files += [file for name, file in (("ingest", "panel.csv"), ("optimize", "trace.csv")) if name in computed]
+def _load_panel(config: RunConfig) -> panel.NeighborhoodPanel:
+    """The input panel, parsed after removing every file in ``ARTIFACTS``.
+    A name taken by a directory or a device is left for its write."""
     with _stage("ingest", config):
-        for file in files:
+        for file in ARTIFACTS:
             if (config.output_dir / file).is_file():
                 (config.output_dir / file).unlink()
         return panel.parse_panel(config.input_path)
@@ -196,6 +187,10 @@ STAGES = {
     ),
 }
 
+# Every file a command can write: the stages' files, then the two a command
+# writes beside them (ingest's panel.csv and optimize's trace.csv).
+ARTIFACTS = (*(file for stage in STAGES.values() for file in stage.files), "panel.csv", "trace.csv")
+
 
 def _computed(names) -> list[str]:
     """The stages ``names`` and every stage they take, directly or through
@@ -222,7 +217,7 @@ def _stages(config: RunConfig, data: panel.NeighborhoodPanel, *names: str):
 
 
 def cmd_ingest(config: RunConfig) -> None:
-    data = _load_panel(config, "ingest")
+    data = _load_panel(config)
     violations = dict(_stages(config, data, "ingest"))["ingest"]
     with _stage("ingest", config):
         panel.write_panel(data, config.output_dir / "panel.csv")
@@ -233,18 +228,18 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_normalize(config: RunConfig) -> None:
-    norm = dict(_stages(config, _load_panel(config, "normalize"), "normalize"))["normalize"]
+    norm = dict(_stages(config, _load_panel(config), "normalize"))["normalize"]
     print(f"normalized {int(norm.defined.sum())} cells across {len(norm.years)} years")
 
 
 def cmd_cluster(config: RunConfig) -> None:
-    assignment = dict(_stages(config, _load_panel(config, "cluster"), "cluster"))["cluster"]
+    assignment = dict(_stages(config, _load_panel(config), "cluster"))["cluster"]
     medoid_text = ", ".join(f"{label}={geo}" for label, geo in assignment.medoids.items())
     print(f"clustered into {config.k} profiles ({medoid_text})")
 
 
 def cmd_optimize(config: RunConfig) -> None:
-    plan = dict(_stages(config, _load_panel(config, "optimize"), "optimize"))["optimize"]
+    plan = dict(_stages(config, _load_panel(config), "optimize"))["optimize"]
     print(
         f"best weights p1={plan.p1:g}, p2={plan.p2:g}: "
         f"projected case difference {plan.delta_cases:+.2f} at T={plan.total_tests}"
@@ -252,14 +247,14 @@ def cmd_optimize(config: RunConfig) -> None:
 
 
 def cmd_evaluate(config: RunConfig) -> None:
-    values = dict(_stages(config, _load_panel(config, "evaluate"), "evaluate"))
+    values = dict(_stages(config, _load_panel(config), "evaluate"))
     plan, ztest = values["optimize"], values["evaluate"]["ztest"]
     test = "z-test degenerate" if ztest is None else f"z={ztest['z']:.4f}, p={ztest['p_value']:.4g}"
     print(f"case difference {plan.delta_cases:+.2f}; {test}")
 
 
 def cmd_run(config: RunConfig) -> None:
-    plan = dict(_stages(config, _load_panel(config, *STAGES), *STAGES))["optimize"]
+    plan = dict(_stages(config, _load_panel(config), *STAGES))["optimize"]
     print(
         f"pipeline complete: p1={plan.p1:g}, p2={plan.p2:g}, "
         f"case difference {plan.delta_cases:+.2f}, artifacts in {config.output_dir}"

@@ -98,12 +98,12 @@ def evaluate_plan(plan: AllocationPlan, assignment: ClusterAssignment) -> dict:
     reported rather than raised, with ``ztest`` None.
 
     The assignment must label every plan neighborhood (DataError
-    otherwise), so a plan of other neighborhoods, such as one read back
-    by ``allocate.read_plan``, fails rather than being scored against the
-    wrong neighborhoods. A plan of no
-    tests, or one whose projected case count rounds to a value outside
-    [0, total_tests], is a DataError: only hand-edited plan files can hold
-    either.
+    otherwise), so a plan of other neighborhoods, such as one a library
+    caller pairs with another panel's clusters, fails rather than being
+    scored against the wrong neighborhoods. A plan of no tests, or one
+    whose projected case count rounds to a value outside [0, total_tests],
+    is a DataError: the search never returns either, but a library caller
+    can build one.
     """
     if plan.total_tests <= 0:
         raise DataError(f"a plan of {plan.total_tests} tests cannot be evaluated")

@@ -83,3 +83,18 @@ def normalized_panel(values, years, geo_ids) -> NormalizedPanel:
         rates[row[geo], col[year]] = value
         defined[row[geo], col[year]] = True
     return NormalizedPanel(rates, defined, years, geo_ids)
+
+
+# The files each command writes into its output directory, without
+# --emit-trace. With it, each command that searches (optimize, evaluate and
+# run) also writes trace.csv.
+COMMAND_FILES = {
+    "ingest": {"validation.json", "panel.csv"},
+    "normalize": {"normalized.csv"},
+    "cluster": {"normalized.csv", "clusters.csv", "clusters.json"},
+    "optimize": {"plan.csv", "plan.json"},
+    "evaluate": {"normalized.csv", "clusters.csv", "clusters.json", "plan.csv", "plan.json",
+                 "evaluation.json", "evaluation.txt"},
+    "run": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json", "plan.csv", "plan.json",
+            "evaluation.json", "evaluation.txt"},
+}

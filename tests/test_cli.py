@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from leadalloc import allocate, panel
-from leadalloc.cli import COMMANDS, build_config, build_parser, main
+from leadalloc.cli import ARTIFACTS, COMMANDS, build_config, build_parser, main
 from leadalloc.errors import ConfigError
+from panel_helpers import COMMAND_FILES, GAPS_CSV
 
 
 def run_cli(*argv):
@@ -385,32 +386,46 @@ class TestStageArtifacts:
 
 class TestPartialReruns:
     """A stage command over a run's directory computes every stage it needs
-    from the panel and its own settings, and first removes the files of the
-    stages it computes and of every stage downstream of them."""
+    from the panel and its own settings, and first removes every file any
+    command writes, so the directory then holds its files alone."""
 
-    # what each command leaves of a `run --emit-trace` directory
-    LEFT = {
-        "ingest": {"validation.json", "panel.csv", "normalized.csv", "clusters.csv", "clusters.json",
-                   "plan.csv", "plan.json", "trace.csv", "evaluation.json", "evaluation.txt"},
-        "normalize": {"validation.json", "normalized.csv", "plan.csv", "plan.json", "trace.csv"},
-        "cluster": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
-                    "plan.csv", "plan.json", "trace.csv"},
-        "optimize": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json", "plan.csv", "plan.json"},
-        "evaluate": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
-                     "plan.csv", "plan.json", "evaluation.json", "evaluation.txt"},
-        "run": {"validation.json", "normalized.csv", "clusters.csv", "clusters.json",
-                "plan.csv", "plan.json", "evaluation.json", "evaluation.txt"},
-    }
+    @pytest.fixture(scope="class")
+    def floor90(self, fixture_path, tmp_path_factory):
+        """The directory of run --floor 0.9 on the fixture."""
+        fresh = tmp_path_factory.mktemp("floor90")
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(fresh), "--floor", "0.9") == 0
+        return fresh
 
-    @pytest.mark.parametrize("command", LEFT)
-    def test_a_command_removes_the_files_it_would_leave_stale(self, fixture_path, tmp_path, command):
+    @pytest.mark.parametrize("command", COMMAND_FILES)
+    def test_a_command_removes_the_files_it_would_leave_stale(self, fixture_path, tmp_path, floor90, command):
         """Over the default floor's run, optimize --floor 0.9 leaves no
-        evaluation of the old plan."""
-        out = tmp_path / "artifacts"
+        evaluation of the old plan. Each file left is the one the command
+        writes into a fresh directory, and the one run writes there."""
+        out, alone = tmp_path / "artifacts", tmp_path / "alone"
         argv = ["--input", str(fixture_path), "--out", str(out)]
         assert run_cli("run", *argv, "--emit-trace") == 0
         assert run_cli(command, *argv, "--floor", "0.9") == 0
-        assert {path.name for path in out.iterdir()} == self.LEFT[command]
+        assert run_cli(command, "--input", str(fixture_path), "--out", str(alone), "--floor", "0.9") == 0
+        assert {path.name for path in out.iterdir()} == COMMAND_FILES[command]
+        for path in out.iterdir():
+            assert path.read_bytes() == (alone / path.name).read_bytes(), path.name
+            if path.name != "panel.csv":  # the one file run does not write
+                assert path.read_bytes() == (floor90 / path.name).read_bytes(), path.name
+
+    def test_commands_on_two_inputs_leave_only_the_last_ones_files(self, fixture_path, tmp_path):
+        """An ingest of the fixture over its run, then evaluate of another
+        panel: no file of the fixture is left beside that panel's plan."""
+        out, fresh = tmp_path / "artifacts", tmp_path / "fresh"
+        assert run_cli("run", "--input", str(fixture_path), "--out", str(out)) == 0
+        assert run_cli("ingest", "--input", str(fixture_path), "--out", str(out)) == 0
+        assert run_cli("evaluate", "--input", str(GAPS_CSV), "--out", str(out)) == 0
+        assert run_cli("evaluate", "--input", str(GAPS_CSV), "--out", str(fresh)) == 0
+        assert not (out / "validation.json").exists()
+        assert not (out / "panel.csv").exists()
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {
+            path.name: path.read_bytes() for path in fresh.iterdir()
+        }
+        assert {path.name for path in out.iterdir()} == COMMAND_FILES["evaluate"]
 
     def test_evaluate_at_another_floor_plans_for_that_floor(self, fixture_path, tmp_path, capsys):
         """The floor-0.25 plan also meets a floor of 0.1, but it is not the
@@ -421,8 +436,9 @@ class TestPartialReruns:
         capsys.readouterr()
         assert run_cli("evaluate", "--input", str(fixture_path), "--out", str(out), "--floor", "0.1") == 0
         assert capsys.readouterr().out.startswith("case difference +126.22;")
-        for path in fresh.iterdir():
-            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert {path.name for path in out.iterdir()} == COMMAND_FILES["evaluate"]
+        for path in out.iterdir():
+            assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
 
     def test_evaluate_at_another_k_writes_its_clusters(self, fixture_path, tmp_path):
         out = tmp_path / "artifacts"
@@ -440,7 +456,9 @@ class TestPartialReruns:
         written = {path.name: path.read_bytes() for path in out.iterdir()}
         (out / "plan.json").write_text(json.dumps(dict(read_json(out / "plan.json"), p1=1.0, p2=0.0)))
         assert run_cli("evaluate", *argv) == 0
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {
+            name: written[name] for name in COMMAND_FILES["evaluate"]
+        }
 
     def test_evaluate_over_the_run_of_another_panel(self, fixture_path, tmp_path):
         out, fresh = tmp_path / "artifacts", tmp_path / "fresh"
@@ -584,6 +602,20 @@ class TestFailureExits:
         "evaluation.txt": ("run", "evaluate"),
         "panel.csv": ("ingest", "ingest"),
     }
+
+    def test_every_command_clears_every_file_any_command_writes(self, fixture_path, tmp_path):
+        """The names cleared before parsing are exactly the names the
+        commands write, so no command's file can outlive the next command."""
+        written = set()
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert run_cli(command, "--input", str(fixture_path), "--out", str(out), "--emit-trace") == 0
+            names = {path.name for path in out.iterdir()}
+            searches = command in ("optimize", "evaluate", "run")
+            assert names == COMMAND_FILES[command] | ({"trace.csv"} if searches else set()), command
+            written |= names
+        assert len(ARTIFACTS) == len(set(ARTIFACTS))
+        assert set(ARTIFACTS) == written == set(self.WRITTEN)
 
     @pytest.mark.parametrize("name", WRITTEN)
     def test_artifact_name_taken_by_a_directory(self, fixture_path, tmp_path, capsys, name):

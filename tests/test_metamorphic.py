@@ -9,14 +9,15 @@ and compares the artifacts byte for byte:
   it was, ``trace.csv`` included;
 - a rerun on a drawn panel writes the same bytes, and its ``trace.csv``,
   read back by ``csv.reader``, holds the field texts of the run's own
-  search trace, row for row; ``evaluate`` in the run's directory reuses
-  its plan and writes the same ``evaluation.*``;
-- a setting that an artifact does not read leaves its bytes alone:
-  ``--floor`` does not move ``normalized.csv``, ``clusters.*`` or
-  ``validation.json``, and ``--k`` does not move ``normalized.csv``,
-  ``plan.*`` or ``validation.json``. Each setting's value moves the
-  artifacts that do read it on both panels (a floor of 0.5 would leave
-  the plan of ``panel_gaps.csv`` as it is);
+  search trace, row for row; ``evaluate`` in the run's directory leaves
+  its own files alone, each with the run's bytes;
+- a setting that an artifact does not read leaves its bytes alone, on the
+  bundled panels and on drawn ones: ``--floor`` does not move
+  ``normalized.csv``, ``clusters.*`` or ``validation.json``, and ``--k``
+  does not move ``normalized.csv``, ``plan.*``, ``trace.csv`` or
+  ``validation.json``. Each setting's value moves the artifacts that do
+  read it on both bundled panels (a floor of 0.5 would leave the plan of
+  ``panel_gaps.csv`` as it is); a drawn panel's floor may not bind;
 - doubling every count of tests and cases, with the population kept and
   its cap off at a fixed budget, leaves every artifact as it was, on the
   bundled panels and on drawn ones: shares and rates are ratios of exactly
@@ -54,7 +55,7 @@ from hypothesis import strategies as st
 from leadalloc import allocate
 from leadalloc.cli import main
 from leadalloc.panel import parse_panel
-from panel_helpers import FIXTURE_CSV, GAPS_CSV
+from panel_helpers import COMMAND_FILES, FIXTURE_CSV, GAPS_CSV
 
 PANELS = {"fixture": FIXTURE_CSV, "gaps": GAPS_CSV}
 COUNTS = ("tests", "cases_5plus", "cases_10plus", "cases_15plus")
@@ -204,14 +205,15 @@ def panel_csv(request):
     return PANELS[request.param]
 
 
-@pytest.mark.parametrize(
-    "option, untouched",
-    [
-        (("--floor", "0.9"), ("normalized.csv", "clusters.csv", "clusters.json", "validation.json")),
-        (("--k", "3"), ("normalized.csv", "plan.csv", "plan.json", "validation.json")),
-    ],
-    ids=["floor", "k"],
-)
+# a setting's flags, and the artifacts of a run without --emit-trace that
+# do not read the setting
+UNREAD = {
+    "floor": (("--floor", "0.9"), ("normalized.csv", "clusters.csv", "clusters.json", "validation.json")),
+    "k": (("--k", "3"), ("normalized.csv", "plan.csv", "plan.json", "validation.json")),
+}
+
+
+@pytest.mark.parametrize("option, untouched", UNREAD.values(), ids=UNREAD)
 def test_a_setting_moves_only_the_artifacts_that_read_it(panel_csv, tmp_path, option, untouched):
     given = run_artifacts(panel_csv, tmp_path / "given")
     changed = run_artifacts(panel_csv, tmp_path / "changed", *option)
@@ -254,7 +256,8 @@ def test_a_rerun_gives_the_same_artifacts_and_the_trace_of_its_search(seed, n_ge
     with mock.patch.object(allocate, "grid_search", recorded):
         given, rerun = drawn_runs(rows, lambda _, path: written_panel(rows, path))
         # evaluate in the run's directory, without its evaluation.*,
-        # computes every stage it takes again and writes the same bytes
+        # computes every stage it takes again, removes validation.json and
+        # writes the run's bytes
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             out.mkdir()
@@ -265,6 +268,8 @@ def test_a_rerun_gives_the_same_artifacts_and_the_trace_of_its_search(seed, n_ge
             evaluated = run_artifacts(panel_csv, out, *DRAWN_RUN_OPTIONS, command="evaluate")
     for name in given:
         assert rerun[name] == given[name], name
+    assert set(evaluated) == COMMAND_FILES["evaluate"] | {"trace.csv"}
+    for name in evaluated:
         assert evaluated[name] == given[name], name
     fields = [
         [repr(point.p1), repr(point.p2), "" if point.delta_cases is None else repr(point.delta_cases),
@@ -273,6 +278,24 @@ def test_a_rerun_gives_the_same_artifacts_and_the_trace_of_its_search(seed, n_ge
     ]
     read_back = list(csv.reader(given["trace.csv"].decode("utf-8").splitlines()))
     assert read_back == [["p1", "p2", "delta_cases", "feasible", "reason"], *fields]
+
+
+@given(**DRAWN)
+@settings(max_examples=10, deadline=None)
+def test_a_setting_leaves_the_artifacts_that_do_not_read_it_on_a_drawn_panel(seed, n_geos, n_years):
+    """Only the half of relation 5 that holds on any panel: a drawn panel's
+    floor of 0.9 may not bind, so nothing need move."""
+    rows = drawn_rows(seed, n_geos, n_years)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        panel_csv = written_panel(rows, tmp / "given.csv")
+        given = run_artifacts(panel_csv, tmp / "given", *DRAWN_RUN_OPTIONS)
+        for key, (option, untouched) in UNREAD.items():
+            changed = run_artifacts(panel_csv, tmp / key, *DRAWN_RUN_OPTIONS, *option)
+            assert sorted(changed) == sorted(given)
+            # the drawn runs write trace.csv, which reads the floor but not k
+            for name in untouched + (("trace.csv",) if key == "k" else ()):
+                assert changed[name] == given[name], (key, name)
 
 @given(**DRAWN)
 @settings(max_examples=25, deadline=None)

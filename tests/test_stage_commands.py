@@ -2,10 +2,11 @@
 
 ``ingest -> normalize -> cluster -> optimize -> evaluate`` must write the
 bytes ``run`` writes (TestGoldenArtifacts pins those), plus ``panel.csv``
-from ingest and without ``trace.csv``. Each partial rerun deletes some of
-those artifacts and runs the stages that rebuild them, which compute every
-stage they take again. Every artifact's sha256, every command's stdout and
-every exit code is pinned.
+from ingest and without ``trace.csv``. Each command first removes every
+artifact, so after it the directory holds its own files alone. Each
+partial rerun deletes some of the chain's artifacts and runs the stages
+that rebuild them, which compute every stage they take again. Every
+artifact's sha256, every command's stdout and every exit code is pinned.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import shutil
 import pytest
 
 from leadalloc.cli import main
-from panel_helpers import FIXTURE_CSV, GAPS_CSV
+from panel_helpers import COMMAND_FILES, FIXTURE_CSV, GAPS_CSV
 from test_acceptance import FIXTURE_ARTIFACT_SHA256, GAP_PANEL_ARTIFACT_SHA256
 
 STAGES = ("ingest", "normalize", "cluster", "optimize", "evaluate")
@@ -79,6 +80,11 @@ def digests(out):
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
 
 
+def own_digests(panel, command):
+    """The pinned digests of the files ``command`` writes."""
+    return {name: panel["digests"][name] for name in sorted(COMMAND_FILES[command])}
+
+
 def run_stage(command, source, out, capsys):
     """(exit code, stdout) of one stage command."""
     capsys.readouterr()
@@ -88,22 +94,27 @@ def run_stage(command, source, out, capsys):
 
 @pytest.fixture(params=sorted(PANELS))
 def chained(request, tmp_path_factory, capsys):
-    """(panel facts, directory) after the five stage commands ran into it."""
+    """(panel facts, directory, digests of the directory after each
+    command) once the five stage commands ran into it."""
     panel = PANELS[request.param]
     out = tmp_path_factory.mktemp(request.param) / "out"
+    after = {}
     for command in STAGES:
         assert run_stage(command, panel["path"], out, capsys) == (0, panel["stdout"][command])
-    return panel, out
+        after[command] = digests(out)
+    return panel, out, after
 
 
 def test_chained_stages(chained):
-    panel, out = chained
-    assert digests(out) == panel["digests"]
+    panel, out, after = chained
+    for command in STAGES:
+        assert after[command] == own_digests(panel, command), command
+    assert digests(out) == own_digests(panel, "evaluate")
 
 
 @pytest.mark.parametrize("rerun", sorted(RERUNS))
 def test_partial_rerun(chained, rerun, tmp_path, capsys):
-    panel, chain = chained
+    panel, chain, _ = chained
     out = tmp_path / "out"
     shutil.copytree(chain, out)
     deleted, commands = RERUNS[rerun]
@@ -111,11 +122,11 @@ def test_partial_rerun(chained, rerun, tmp_path, capsys):
         (out / name).unlink()
     for command in commands:
         assert run_stage(command, panel["path"], out, capsys) == (0, panel["stdout"][command])
-    assert digests(out) == panel["digests"]
+        assert digests(out) == own_digests(panel, command), command
 
 
 def test_reused_clusters_keep_the_run_order(chained):
-    panel, out = chained
+    panel, out, _ = chained
     assert digests(out)["evaluation.txt"] == panel["digests"]["evaluation.txt"]
 
 
